@@ -1,8 +1,8 @@
 """Discrete Fourier analysis on the unit circle.
 
-Uniform power-of-two grids, an in-repo radix-2 transform, band-limited
-Fourier symbols, the normalised L2 inner product and the coefficient form of
-the Poisson extension to the open disk.
+Uniform power-of-two grids, numpy's FFT restricted to power-of-two lengths,
+band-limited Fourier symbols, the normalised L2 inner product and the
+coefficient form of the Poisson extension to the open disk.
 """
 
 from __future__ import annotations
@@ -35,42 +35,27 @@ class CircleGrid:
         return np.exp(1j * self.nodes)
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    bits = n.bit_length() - 1
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
+def _check_length(x: np.ndarray) -> None:
+    if not _is_power_of_two(x.shape[-1]):
+        raise ValueError("transform length must be a power of two")
 
 
 def fft(x) -> np.ndarray:
-    """Radix-2 decimation-in-time transform along the last axis.
+    """Discrete Fourier transform along the last axis (numpy's FFT).
 
     Unnormalised: ``X_k = sum_j x_j exp(-2 pi i j k / n)``.  The length of
     the last axis must be a power of two.
     """
     x = np.asarray(x, dtype=complex)
-    n = x.shape[-1]
-    if not _is_power_of_two(n):
-        raise ValueError("transform length must be a power of two")
-    out = x[..., _bit_reversal(n)]
-    half = 1
-    while half < n:
-        twiddle = np.exp(-1j * np.pi * np.arange(half) / half)
-        blocks = out.reshape(*out.shape[:-1], n // (2 * half), 2, half)
-        t = blocks[..., 1, :] * twiddle
-        top = blocks[..., 0, :] + t
-        bottom = blocks[..., 0, :] - t
-        out = np.stack((top, bottom), axis=-2).reshape(*x.shape[:-1], n)
-        half *= 2
-    return out
+    _check_length(x)
+    return np.fft.fft(x, axis=-1)
 
 
 def ifft(x) -> np.ndarray:
     """Inverse of :func:`fft`, normalised by 1/n."""
     x = np.asarray(x, dtype=complex)
-    return np.conj(fft(np.conj(x))) / x.shape[-1]
+    _check_length(x)
+    return np.fft.ifft(x, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 An N x N matrix stands for the compression of a Hardy-space operator to
 ``span{1, z, ..., z^(N-1)}``.  Identities that hold exactly (or modulo
 compact operators) upstairs are tested on an m x m corner whose guard band
-``N - m`` absorbs truncation spill-over; residual norms are measured with a
-power iteration rather than a full SVD.
+``N - m`` absorbs truncation spill-over.  A corner is assembled from slices,
+``(A B)[:m, :m] = A[:m, :] @ B[:, :m]``, at cost ``N^2 m`` instead of ``N^3``;
+residual norms are measured with a power iteration rather than a full SVD.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def isometry_residual(c: TruncatedOperator, m: int) -> float:
     """
     if m > c.dim // 2:
         raise ValueError("corner size must leave a guard band (m <= N/2)")
-    gram = c.entries.conj().T @ c.entries - np.eye(c.dim)
-    return _matrix_norm(gram[:m, :m])
+    cols = c.entries[:, :m]
+    return _matrix_norm(cols.conj().T @ cols - np.eye(m))
 
 
 def covariance_residual(
@@ -163,12 +164,11 @@ def covariance_residual(
 
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
-    comp = composition_matrix(product, n_trunc, grid)
-    t_a = toeplitz_matrix(a, n_trunc)
+    cols = composition_matrix(product, n_trunc, grid).entries[:, :m]
+    t_a = toeplitz_matrix(a, n_trunc).entries
     image = TransferOperator(product).symbol_image(a.evaluate, grid)
     t_image = toeplitz_matrix(image, n_trunc, label="T_La")
-    residual = comp.adjoint() @ t_a @ comp - t_image
-    return _matrix_norm(residual.corner(m))
+    return _matrix_norm(cols.conj().T @ (t_a @ cols) - t_image.corner(m))
 
 
 def commutation_residual(
@@ -183,12 +183,11 @@ def commutation_residual(
         raise ValueError("commutation identity requires an analytic symbol")
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
-    comp = composition_matrix(product, n_trunc, grid)
-    t_b = toeplitz_matrix(b, n_trunc, label="T_b")
+    comp = composition_matrix(product, n_trunc, grid).entries
+    t_b = toeplitz_matrix(b, n_trunc).entries
     pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
-    t_pull = toeplitz_matrix(pullback, n_trunc, label="T_boR")
-    residual = comp @ t_b - t_pull @ comp
-    return _matrix_norm(residual.corner(m))
+    t_pull = toeplitz_matrix(pullback, n_trunc).entries
+    return _matrix_norm(comp[:m] @ t_b[:, :m] - t_pull[:m] @ comp[:, :m])
 
 
 def tail_compactness_profile(mres: TruncatedOperator, cuts, window: int | None = None):
@@ -198,7 +197,8 @@ def tail_compactness_profile(mres: TruncatedOperator, cuts, window: int | None =
     truncation); each value is the norm of ``entries[m:window, m:window]``.
     Corners of compressions never grow under nesting, so the profile is
     monotone nonincreasing by construction; what carries information is how
-    fast it decays.  An empty corner has norm zero.
+    fast it decays.  An empty corner, from a cut at or past the window, has
+    norm zero.
     """
     cuts = [int(c) for c in cuts]
     if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])) or not cuts:
@@ -209,6 +209,6 @@ def tail_compactness_profile(mres: TruncatedOperator, cuts, window: int | None =
         window = mres.dim
         if cuts[-1] > mres.dim // 2:
             raise ValueError("largest cut must not exceed half the truncation")
-    if window > mres.dim or cuts[-1] > window:
-        raise ValueError("window must fit inside the truncation and contain all cuts")
+    if window > mres.dim:
+        raise ValueError("window must fit inside the truncation")
     return [_matrix_norm(np.asarray(mres.entries[m:window, m:window])) for m in cuts]

@@ -14,13 +14,12 @@ import io
 import json
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blaschke import make_blaschke, preimage_grid
-from .circle import CircleGrid, FourierSymbol, fourier_coefficients
+from .circle import CircleGrid, FourierSymbol
 from .dynamics import build_lift, branch_inverse, conjugacy_to_power, k_groups
 from .hardy import (
     commutation_residual,
@@ -32,8 +31,16 @@ from .hardy import (
     _matrix_norm,
     _power_iteration,
 )
-from .tmbasis import TMBasis, cons_residual, cuntz_family, factor_parts, factorization_residual, gram_residual
-from .transfer import TransferOperator, _preimage_table, bimodule_inner_samples, transfer_matrix
+from .tmbasis import (
+    TMBasis,
+    cons_residual,
+    cuntz_family,
+    factor_parts,
+    factorization_residual,
+    gram_residual,
+    inner_product_residual,
+)
+from .transfer import TransferOperator, _preimage_table, transfer_matrix
 
 _VERSION = "0.1.0"
 
@@ -322,31 +329,14 @@ def _frame_functions(product):
 
 
 def _check_module_inner_tails(cfg, product, grid, rng):
-    n = product.degree
-    n_trunc = cfg.truncation
-    m = grid.size
     funcs = _frame_functions(product)
-    pts = grid.points
-    comp_vals = product.evaluate(pts)
-    stacked = np.empty((m, n * n_trunc), dtype=complex)
-    for k, func in enumerate(funcs):
-        fvals = np.asarray(func(pts), dtype=complex)
-        power = np.ones(m, dtype=complex)
-        for j in range(n_trunc):
-            stacked[:, k * n_trunc + j] = fvals * power
-            power = power * comp_vals
-    gram = n * (stacked.conj().T @ stacked) / m
-    op = TransferOperator(product)
     cuts = (8, 16, 32, 64)
     worst = 0.0
     profiles = {}
-    for i in range(n):
-        for j in range(n):
-            block = gram[i * n_trunc : (i + 1) * n_trunc, j * n_trunc : (j + 1) * n_trunc]
-            pairing = bimodule_inner_samples(op, funcs[i], funcs[j], grid)
-            t_pair = toeplitz_matrix(fourier_coefficients(pairing), n_trunc)
-            residual = block - t_pair.entries
-            profile = [float(_matrix_norm(residual[c:, c:])) for c in cuts]
+    for i, p in enumerate(funcs):
+        for j, q in enumerate(funcs):
+            residual = inner_product_residual(product, p, q, cfg.truncation, grid)
+            profile = tail_compactness_profile(residual, cuts, window=cfg.truncation)
             profiles[f"v{i + 1},v{j + 1}"] = profile
             worst = max(worst, profile[-1])
     return worst, {"cuts": list(cuts), "profiles": profiles}
@@ -573,21 +563,19 @@ def _run_one(spec: CheckSpec, cfg: RunConfig, product, grid, index: int) -> Chec
 def run_verify(cfg: RunConfig, parallel: bool = False) -> VerificationReport:
     """Execute every enabled check and collect a report.
 
-    Check failures and captured errors never abort the run.  With
-    ``parallel=True`` independent checks execute concurrently; results are
-    assembled in manifest order either way, so output is deterministic.
+    Check failures and captured errors never abort the run; results follow
+    manifest order, so output is deterministic.  ``parallel`` is accepted
+    for compatibility and ignored: checks always run serially, because a
+    thread pool only contends with numpy's own BLAS threads and was slower
+    and larger than a serial run.
     """
     product = cfg.product()
     grid = CircleGrid(cfg.grid)
-    enabled = [(i, spec) for i, spec in enumerate(MANIFEST) if spec.enabled_for(cfg)]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            futures = [
-                pool.submit(_run_one, spec, cfg, product, grid, index) for index, spec in enabled
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_one(spec, cfg, product, grid, index) for index, spec in enabled]
+    results = [
+        _run_one(spec, cfg, product, grid, index)
+        for index, spec in enumerate(MANIFEST)
+        if spec.enabled_for(cfg)
+    ]
     largest_zero = max((abs(z) for z in cfg.zeros), default=0.0)
     metadata = {
         "package": f"blaschkeops {_VERSION}",

@@ -17,6 +17,9 @@ from blaschkeops import (
     tail_compactness_profile,
     toeplitz_matrix,
 )
+from blaschkeops.hardy import _matrix_norm
+from blaschkeops.transfer import TransferOperator
+from conftest import random_product
 
 
 class TestToeplitz:
@@ -166,6 +169,8 @@ class TestTailProfile:
     def test_empty_corner_has_zero_norm(self):
         eye = TruncatedOperator.identity(64)
         assert tail_compactness_profile(eye, [16, 32], window=32) == [pytest.approx(1.0), 0.0]
+        past_window = tail_compactness_profile(eye, [16, 32, 64], window=32)
+        assert past_window == [pytest.approx(1.0), 0.0, 0.0]
 
     def test_cut_bounds_validated(self):
         eye = TruncatedOperator.identity(64)
@@ -222,3 +227,46 @@ class TestTruncatedOperator:
         np.testing.assert_allclose(
             comp.entries[:16, 3], [coeffs.coefficient(i) for i in range(16)], atol=1e-12
         )
+
+
+class TestSlicedCorners:
+    """The residuals assemble only the m x m corner, from slices; the dense
+    TruncatedOperator products read at the corner are the reference."""
+
+    N_TRUNC, CORNER = 64, 16
+
+    @pytest.fixture(params=["half", "random"])
+    def setup(self, request, half):
+        product = half if request.param == "half" else random_product(0)
+        grid = CircleGrid(1024)
+        return product, grid, composition_matrix(product, self.N_TRUNC, grid)
+
+    def _symbol(self, seed, low, band):
+        rng = np.random.default_rng(seed)
+        return FourierSymbol(
+            {k: complex(rng.standard_normal(), rng.standard_normal()) for k in range(low, band + 1)}
+        )
+
+    def test_isometry(self, setup):
+        _, _, comp = setup
+        dense = comp.adjoint() @ comp - TruncatedOperator.identity(self.N_TRUNC)
+        sliced = isometry_residual(comp, self.CORNER)
+        assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+
+    def test_covariance(self, setup):
+        product, grid, comp = setup
+        a = self._symbol(1, -8, 8)
+        image = TransferOperator(product).symbol_image(a.evaluate, grid)
+        t_a = toeplitz_matrix(a, self.N_TRUNC)
+        dense = comp.adjoint() @ t_a @ comp - toeplitz_matrix(image, self.N_TRUNC)
+        sliced = covariance_residual(product, a, self.N_TRUNC, self.CORNER, grid)
+        assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+
+    def test_commutation(self, setup):
+        product, grid, comp = setup
+        b = self._symbol(2, 0, 4)
+        pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
+        t_b = toeplitz_matrix(b, self.N_TRUNC)
+        dense = comp @ t_b - toeplitz_matrix(pullback, self.N_TRUNC) @ comp
+        sliced = commutation_residual(product, b, self.N_TRUNC, self.CORNER, grid)
+        assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)

@@ -14,6 +14,7 @@ from blaschkeops import (
     gram_residual,
     inner_product_residual,
     l2_inner,
+    make_blaschke,
     module_isometry,
     operator_norm,
     quotient_generators,
@@ -21,7 +22,9 @@ from blaschkeops import (
     tail_compactness_profile,
     tm_element,
 )
-from blaschkeops.hardy import _matrix_norm, composition_matrix
+from blaschkeops.hardy import TruncatedOperator, _matrix_norm, composition_matrix, toeplitz_matrix
+from blaschkeops.transfer import TransferOperator, bimodule_inner_samples
+from conftest import random_product
 
 
 class TestElements:
@@ -146,6 +149,29 @@ class TestCuntzFamily:
         with pytest.raises(ValueError):
             cons_residual(family, 100)
 
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_sliced_corners_match_dense_products(self, half, seed):
+        # cons_residual reads W_k rows and columns only; the dense products
+        # read at the m x m corner are the reference
+        product = half if seed is None else random_product(seed)
+        family = cuntz_family(product, 64, CircleGrid(1024))
+        eye = TruncatedOperator.identity(64)
+        total = family[0] @ family[0].adjoint()
+        for w in family[1:]:
+            total = TruncatedOperator(total.entries + (w @ w.adjoint()).entries, "sum W W*")
+        completeness = _matrix_norm((total - eye).corner(16))
+        isometry = max(_matrix_norm((w.adjoint() @ w - eye).corner(16)) for w in family)
+        orthogonality = max(
+            _matrix_norm((wi.adjoint() @ wj).corner(16))
+            for i, wi in enumerate(family)
+            for j, wj in enumerate(family)
+            if i != j
+        )
+        result = cons_residual(family, 16)
+        assert result.completeness == pytest.approx(completeness, abs=1e-14)
+        assert result.isometry == pytest.approx(isometry, abs=1e-14)
+        assert result.orthogonality == pytest.approx(orthogonality, abs=1e-14)
+
 
 class TestRangeSplit:
     def test_complement_of_composition_range(self, half, grid_big):
@@ -217,3 +243,26 @@ class TestInnerProductResidual:
         op = TransferOperator(half)
         value = bimodule_inner(op, func, func, 1.0 + 0j)
         assert value == pytest.approx(half.degree, abs=1e-10)
+
+    @pytest.mark.parametrize("case", ["half", "near-circle", "degree-4"])
+    def test_toeplitz_gram_matches_dense_quadrature(self, half, case):
+        # reference: the (N x M) quadrature route n (left^H right) / M, with
+        # left[:, j] = p R^j and right[:, j] = q R^j
+        product = {
+            "half": half,
+            "near-circle": make_blaschke(np.exp(1.3j), [0, 0.9]),
+            "degree-4": random_product(4, degree=4),
+        }[case]
+        grid, n_trunc = CircleGrid(1024), 64
+        pts = grid.points
+        powers = product.evaluate(pts)[:, None] ** np.arange(n_trunc)
+        op = TransferOperator(product)
+        for i in range(product.degree):
+            for j in range(product.degree):
+                p, q = self._frame_function(product, i), self._frame_function(product, j)
+                left, right = p(pts)[:, None] * powers, q(pts)[:, None] * powers
+                gram = product.degree * (left.conj().T @ right) / grid.size
+                pairing = fourier_coefficients(bimodule_inner_samples(op, p, q, grid))
+                dense = gram - toeplitz_matrix(pairing, n_trunc).entries
+                residual = inner_product_residual(product, p, q, n_trunc, grid)
+                np.testing.assert_allclose(residual.entries, dense, rtol=0, atol=1e-13)

@@ -89,6 +89,13 @@ class TestRun:
         failed = {c.check_id for c in report.checks if not c.passed}
         assert failed == {"weight_sum"}
 
+    def test_tail_profile_cuts_past_a_small_truncation(self):
+        # N = 32 is below the largest cut (64): those cuts read as empty corners
+        cfg = RunConfig(truncation=32, corner=8, grid=128, basis_count=8)
+        check = next(c for c in run_verify(cfg).checks if c.check_id == "module_inner_tails")
+        assert not check.errored
+        assert check.details["profiles"]["v1,v1"][2:] == [0.0, 0.0]
+
     def test_parallel_matches_serial(self):
         cfg = RunConfig(**FAST)
         serial = emit_report(run_verify(cfg, parallel=False), "canonical")
