@@ -4,8 +4,10 @@ An N x N matrix stands for the compression of a Hardy-space operator to
 ``span{1, z, ..., z^(N-1)}``.  Identities that hold exactly (or modulo
 compact operators) upstairs are tested on an m x m corner whose guard band
 ``N - m`` absorbs truncation spill-over.  A corner is assembled from slices,
-``(A B)[:m, :m] = A[:m, :] @ B[:, :m]``, at cost ``N^2 m`` instead of ``N^3``;
-residual norms are measured with a power iteration rather than a full SVD.
+``(A B)[:m, :m] = A[:m, :] @ B[:, :m]``, at cost ``N^2 m`` instead of ``N^3``.
+The power spectra behind the composition matrix are cached as an ``N x N``
+block.  Residual norms come from a power iteration rather than a full SVD;
+it forms the Gram matrix ``A* A`` only when an iteration runs long.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .circle import CircleGrid, FourierSymbol, fft, fourier_coefficients
 
 _NORM_TOL = 1e-12
 _NORM_MAX_ITER = 10_000
+_SPECTRA_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,21 @@ def toeplitz_matrix(a: FourierSymbol, n_trunc: int, label: str = "T_a") -> Trunc
 
 @lru_cache(maxsize=8)
 def _power_spectra(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid) -> np.ndarray:
-    """First ``grid.size`` Fourier coefficients of R^m for m < N; read-only."""
+    """First N Fourier coefficients of R^j for j < N, as a read-only N x N array.
+
+    The powers are transformed a block of rows at a time, so no N x M array
+    of samples is ever held.
+    """
     m = grid.size
     values = product.evaluate(grid.points)
-    rows = np.empty((n_trunc, m), dtype=complex)
+    spectra = np.empty((n_trunc, n_trunc), dtype=complex)
     power = np.ones(m, dtype=complex)
-    for j in range(n_trunc):
-        rows[j] = power
-        power = power * values
-    spectra = fft(rows) / m
+    for start in range(0, n_trunc, _SPECTRA_ROWS):
+        rows = np.empty((min(_SPECTRA_ROWS, n_trunc - start), m), dtype=complex)
+        for row in rows:
+            row[:] = power
+            power = power * values
+        spectra[start : start + len(rows)] = fft(rows)[:, :n_trunc] / m
     spectra.setflags(write=False)
     return spectra
 
@@ -94,25 +103,31 @@ def composition_matrix(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid)
     if n_trunc > grid.size // 4:
         raise ValueError("truncation size must not exceed a quarter of the grid")
     spectra = _power_spectra(product, n_trunc, grid)
-    return TruncatedOperator(entries=spectra[:, :n_trunc].T, label="C_R")
+    return TruncatedOperator(entries=spectra.T, label="C_R")
 
 
 def _power_iteration(block: np.ndarray, tol: float, max_iter: int):
     """Largest singular value of a block via power iteration on ``A* A``.
+
+    Steps apply ``A* (A v)`` until ``n // 2`` steps have cost as much as
+    forming the n x n Gram matrix ``A* A``; later steps multiply by it.
 
     Returns ``(estimate, converged)``; clustered top singular values can
     stall the absolute-change criterion without hurting the estimate much.
     """
     if block.size == 0 or not np.any(block):
         return 0.0, True
-    gram = block.conj().T @ block
+    n = block.shape[1]
     rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(gram.shape[0]) + 1j * rng.standard_normal(gram.shape[0])
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    gram = None
     previous = 0.0
     current = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
+    for step in range(max_iter):
+        if step == n // 2:
+            gram = block.conj().T @ block
+        w = gram @ v if gram is not None else ((block @ v).conj() @ block).conj()
         current = float(np.linalg.norm(w))
         if current == 0.0:
             return 0.0, True
@@ -167,7 +182,8 @@ def covariance_residual(
     cols = composition_matrix(product, n_trunc, grid).entries[:, :m]
     t_a = toeplitz_matrix(a, n_trunc).entries
     image = TransferOperator(product).symbol_image(a.evaluate, grid)
-    t_image = toeplitz_matrix(image, n_trunc, label="T_La")
+    # only the corner of T_(La) is read (dimension >= 2 for TruncatedOperator)
+    t_image = toeplitz_matrix(image, max(m, 2), label="T_La")
     return _matrix_norm(cols.conj().T @ (t_a @ cols) - t_image.corner(m))
 
 

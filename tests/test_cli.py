@@ -30,6 +30,11 @@ class TestVerifyCommand:
         assert main(["verify", "--truncation", "64", "--corner", "32"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corner", ["0", "-4"])
+    def test_nonpositive_corner_exit_code(self, corner, capsys):
+        assert main(["verify", "--truncation", "128", "--corner", corner, "--grid", "1024"]) == 2
+        assert "corner must be at least 1" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["verify", "--config", "/no/such/file.json"]) == 2
 

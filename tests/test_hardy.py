@@ -17,7 +17,7 @@ from blaschkeops import (
     tail_compactness_profile,
     toeplitz_matrix,
 )
-from blaschkeops.hardy import _matrix_norm
+from blaschkeops.hardy import _matrix_norm, _power_iteration, _power_spectra
 from blaschkeops.transfer import TransferOperator
 from conftest import random_product
 
@@ -51,6 +51,27 @@ class TestCompositionMatrix:
             for j in range(8):
                 expected = 1.0 if i == 3 * j else 0.0
                 assert abs(comp.entries[i, j] - expected) <= 1e-13
+
+    @pytest.mark.parametrize("which", ["half", "degree3"])
+    def test_corner_is_the_smaller_truncation(self, half, which):
+        # column j holds the first coefficients of R^j; N = 256 spans several
+        # row blocks of the spectra while m = 16 fits in one
+        product = half if which == "half" else random_product(0)
+        grid = CircleGrid(1024)
+        corner = composition_matrix(product, 256, grid).entries[:16, :16]
+        assert np.array_equal(composition_matrix(product, 16, grid).entries, corner)
+
+    @pytest.mark.parametrize("which", ["half", "degree3"])
+    def test_power_spectra_match_per_power_fft(self, half, which):
+        product = half if which == "half" else random_product(0)
+        grid = CircleGrid(512)
+        spectra = _power_spectra(product, 128, grid)
+        assert spectra.shape == (128, 128)
+        assert not spectra.flags.writeable
+        values = product.evaluate(grid.points)
+        for j in range(128):
+            oracle = np.fft.fft(values**j)[:128] / grid.size
+            np.testing.assert_allclose(spectra[j], oracle, rtol=0, atol=1e-13)
 
     def test_half_column_one_is_geometric(self, half, grid_small):
         comp = composition_matrix(half, 8, grid_small)
@@ -199,6 +220,60 @@ class TestOperatorNorm:
         ours = operator_norm(TruncatedOperator(matrix, "X"))
         reference = np.linalg.svd(matrix, compute_uv=False)[0]
         assert ours == pytest.approx(reference, rel=1e-9)
+
+
+def _gram_power_iteration(block, tol, max_iter):
+    """Reference: the power iteration on an up-front Gram matrix ``A* A``.
+
+    Same start vector and stopping rule as ``_power_iteration``; also returns
+    the number of steps taken.
+    """
+    gram = block.conj().T @ block
+    rng = np.random.default_rng(0x5EED)
+    v = rng.standard_normal(gram.shape[0]) + 1j * rng.standard_normal(gram.shape[0])
+    v /= np.linalg.norm(v)
+    previous = current = 0.0
+    for step in range(1, max_iter + 1):
+        w = gram @ v
+        current = float(np.linalg.norm(w))
+        v = w / current
+        if abs(current - previous) <= tol * max(current, 1.0):
+            return float(np.sqrt(current)), True, step
+        previous = current
+    return float(np.sqrt(current)), False, max_iter
+
+
+def _clustered_block(rows=60, cols=40):
+    # top singular values 1, 0.998, 0.996, ...: the iteration runs for
+    # thousands of steps, far past the cols // 2 switch to the Gram matrix
+    rng = np.random.default_rng(1)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    w, _ = np.linalg.qr(rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols)))
+    return (u * (1.0 - 0.002 * np.arange(cols))) @ w.conj().T
+
+
+class TestPowerIteration:
+    """Matrix-vector steps, with the Gram matrix formed only for long runs,
+    give what the up-front Gram iteration gives."""
+
+    def test_one_step_block(self):
+        rng = np.random.default_rng(0)
+        block = 1e-8 * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        value, converged, steps = _gram_power_iteration(block, 1e-12, 10_000)
+        assert steps == 1
+        ours = _power_iteration(block, 1e-12, 10_000)
+        assert ours[1] is converged is True
+        assert ours[0] == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("max_iter", [10_000, 40])
+    def test_long_run_past_the_switch(self, max_iter):
+        block = _clustered_block()
+        value, converged, steps = _gram_power_iteration(block, 1e-12, max_iter)
+        assert steps > block.shape[1] // 2
+        assert converged is (max_iter == 10_000)
+        ours = _power_iteration(block, 1e-12, max_iter)
+        assert ours[1] is converged
+        assert ours[0] == pytest.approx(value, rel=1e-14)
 
 
 class TestTruncatedOperator:

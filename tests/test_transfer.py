@@ -167,6 +167,15 @@ class TestTransferMatrix:
         diff = lmat.entries - comp.entries.conj().T
         assert np.max(np.abs(diff)) <= 1e-8
 
+    @pytest.mark.parametrize("which", ["half", "degree3"])
+    def test_corner_is_the_smaller_truncation(self, half, which):
+        # column j holds the first coefficients of L(z^j), so the m x m corner
+        # of the N x N truncation is the m x m truncation, bit for bit
+        op = TransferOperator(half if which == "half" else random_product(0))
+        grid = CircleGrid(1024)
+        corner = transfer_matrix(op, 256, grid).entries[:16, :16]
+        assert np.array_equal(transfer_matrix(op, 16, grid).entries, corner)
+
     def test_truncation_requires_margin(self, half):
         with pytest.raises(ValueError):
             transfer_matrix(TransferOperator(half), 128, CircleGrid(256))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from blaschkeops import CircleGrid, TransferOperator, composition_matrix, transfer_matrix
+from blaschkeops.hardy import _matrix_norm
 from blaschkeops.verify import (
     MANIFEST,
     ConfigError,
@@ -27,6 +29,11 @@ class TestConfig:
     def test_corner_guard_enforced(self):
         with pytest.raises(ConfigError, match="corner"):
             RunConfig(truncation=256, corner=100)
+
+    @pytest.mark.parametrize("corner", [0, -4])
+    def test_nonpositive_corner_rejected(self, corner):
+        with pytest.raises(ConfigError, match="corner must be at least 1"):
+            RunConfig(**{**FAST, "corner": corner})
 
     def test_truncation_grid_ratio_enforced(self):
         with pytest.raises(ConfigError, match="grid"):
@@ -95,6 +102,18 @@ class TestRun:
         check = next(c for c in run_verify(cfg).checks if c.check_id == "module_inner_tails")
         assert not check.errored
         assert check.details["profiles"]["v1,v1"][2:] == [0.0, 0.0]
+
+    def test_corner_one_adjoint_transfer(self):
+        # the 1 x 1 corner is below the smallest TruncatedOperator; its
+        # residual is the one the full N x N truncations give at that corner
+        cfg = RunConfig(**{**FAST, "corner": 1})
+        report = run_verify(cfg)
+        assert report.overall_pass
+        check = next(c for c in report.checks if c.check_id == "adjoint_transfer")
+        product, grid = cfg.product(), CircleGrid(cfg.grid)
+        lmat = transfer_matrix(TransferOperator(product), cfg.truncation, grid).entries
+        comp = composition_matrix(product, cfg.truncation, grid).entries
+        assert check.residual == _matrix_norm((lmat - comp.conj().T)[:1, :1])
 
     def test_parallel_matches_serial(self):
         cfg = RunConfig(**FAST)
