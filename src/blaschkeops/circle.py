@@ -1,8 +1,9 @@
 """Discrete Fourier analysis on the unit circle.
 
 Uniform power-of-two grids, numpy's FFT restricted to power-of-two lengths,
-band-limited Fourier symbols, the normalised L2 inner product and the
-coefficient form of the Poisson extension to the open disk.
+band-limited Fourier symbols stored as dense coefficient vectors, the
+normalised L2 inner product and the coefficient form of the Poisson extension
+to the open disk.
 """
 
 from __future__ import annotations
@@ -58,50 +59,66 @@ def ifft(x) -> np.ndarray:
     return np.fft.ifft(x, axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FourierSymbol:
     """Finitely supported two-sided Fourier coefficients of a circle function.
 
-    A symbol with vanishing negative coefficients represents an analytic
-    (Hardy-class) function.
+    Built from a map ``{k: c_k}`` and stored densely: ``values[i]`` (read-only)
+    is the coefficient of ``z^(low + i)``.  A symbol with vanishing negative
+    coefficients represents an analytic (Hardy-class) function.
     """
 
-    coefficients: dict
+    low: int
+    values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coefficients",
-            {int(k): complex(v) for k, v in self.coefficients.items()},
-        )
+    def __init__(self, coefficients: dict):
+        coefficients = {int(k): complex(v) for k, v in coefficients.items()}
+        low = min(coefficients, default=0)
+        values = np.zeros(max(coefficients, default=low - 1) + 1 - low, dtype=complex)
+        values[[k - low for k in coefficients]] = list(coefficients.values())
+        values.setflags(write=False)
+        self.__dict__.update(low=low, values=values)
+
+    @classmethod
+    def _dense(cls, low: int, values: np.ndarray) -> "FourierSymbol":
+        symbol = cls.__new__(cls)
+        values.setflags(write=False)
+        symbol.__dict__.update(low=low, values=values)
+        return symbol
+
+    def _terms(self):
+        """Nonzero ``(k, c_k)``, k ascending, as Python ``int`` and ``complex``."""
+        # numpy multiplies an array by np.complex128 in a loop that can round differently
+        for i in np.flatnonzero(self.values):
+            yield int(self.low + i), complex(self.values[i])
 
     def coefficient(self, k: int) -> complex:
-        return self.coefficients.get(k, 0j)
+        i = k - self.low
+        return complex(self.values[i]) if 0 <= i < self.values.size else 0j
 
     @property
     def band_limit(self) -> int:
-        if not self.coefficients:
-            return 0
-        return max(abs(k) for k in self.coefficients)
+        return max(-self.low, self.low + self.values.size - 1) if self.values.size else 0
 
     def indices(self):
-        return sorted(self.coefficients)
+        """Indices of the nonzero coefficients, ascending."""
+        return [k for k, _ in self._terms()]
 
     def is_analytic(self, tol: float = 1e-12) -> bool:
-        return all(abs(v) <= tol for k, v in self.coefficients.items() if k < 0)
+        return bool(np.all(np.abs(self.values[: max(0, -self.low)]) <= tol))
 
     def conjugate(self) -> "FourierSymbol":
         """Symbol of the complex conjugate function: k -> conj(c_{-k})."""
-        return FourierSymbol({-k: np.conj(v) for k, v in self.coefficients.items()})
+        return FourierSymbol._dense(1 - self.low - self.values.size, self.values[::-1].conj())
 
     def truncated(self, tol: float) -> "FourierSymbol":
-        return FourierSymbol({k: v for k, v in self.coefficients.items() if abs(v) > tol})
+        return FourierSymbol({k: v for k, v in self._terms() if abs(v) > tol})
 
     def evaluate(self, z):
         """Pointwise value ``sum_k c_k z^k`` (z nonzero when negative k occur)."""
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape, dtype=complex)
-        for k, v in self.coefficients.items():
+        for k, v in self._terms():
             out = out + v * z ** k
         return out if out.ndim else complex(out)
 
@@ -129,14 +146,9 @@ def fourier_coefficients(samples) -> FourierSymbol:
     Frequencies are mapped to ``(-M/2, M/2]``; exact for trigonometric
     polynomials of degree below M/2.
     """
-    samples = np.asarray(samples, dtype=complex)
-    m = samples.shape[-1]
-    spectrum = fft(samples) / m
-    coeffs = {}
-    for k in range(m):
-        freq = k if k <= m // 2 else k - m
-        coeffs[freq] = complex(spectrum[k])
-    return FourierSymbol(coeffs)
+    (m,) = np.shape(samples)  # a one-dimensional sequence of samples
+    shift = (m - 1) // 2  # the roll moves frequency -shift from index m - shift to 0
+    return FourierSymbol._dense(-shift, np.roll(fft(samples) / m, shift))
 
 
 def synthesize(symbol: FourierSymbol, grid: CircleGrid) -> np.ndarray:
@@ -145,8 +157,7 @@ def synthesize(symbol: FourierSymbol, grid: CircleGrid) -> np.ndarray:
     if symbol.band_limit > m // 2:
         raise ValueError("band limit exceeds the grid Nyquist frequency")
     spectrum = np.zeros(m, dtype=complex)
-    for k, v in symbol.coefficients.items():
-        spectrum[k % m] += v
+    np.add.at(spectrum, (symbol.low + np.arange(symbol.values.size)) % m, symbol.values)
     return ifft(spectrum) * m
 
 
@@ -172,6 +183,6 @@ def poisson_extension(symbol: FourierSymbol, r: float, theta):
         raise ValueError("radius must satisfy 0 <= r < 1")
     theta = np.asarray(theta, dtype=float)
     out = np.zeros(theta.shape, dtype=complex)
-    for k, v in symbol.coefficients.items():
+    for k, v in symbol._terms():
         out = out + v * r ** abs(k) * np.exp(1j * k * theta)
     return out if out.ndim else complex(out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -132,13 +133,16 @@ def _cmd_preimage(args) -> int:
 def _cmd_transfer(args) -> int:
     cfg = _load_config(args)
     try:
-        raw = json.loads(args.symbol)
-        coeffs = {int(k): complex(v[0], v[1]) for k, v in raw.items()}
-    except (ValueError, TypeError, IndexError, KeyError):
-        raise ConfigError("--symbol must be a JSON map of index to [re, im]") from None
-    symbol = FourierSymbol(coeffs)
+        coeffs = {int(k): v for k, v in json.loads(args.symbol).items()}
+        for k, v in coeffs.items():
+            pair = isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v)
+            if abs(k) > cfg.grid // 2 or not pair or not all(map(math.isfinite, v)):
+                raise ValueError
+            coeffs[k] = complex(*v)
+    except (ValueError, AttributeError, OverflowError):
+        raise ConfigError(f"--symbol must map each index |k| <= {cfg.grid // 2} to a finite [re, im]") from None
     op = TransferOperator(cfg.product())
-    image = op.symbol_image(symbol.evaluate, CircleGrid(cfg.grid)).truncated(1e-12)
+    image = op.symbol_image(FourierSymbol(coeffs).evaluate, CircleGrid(cfg.grid)).truncated(1e-12)
     lines = ["transfer image coefficients:"]
     for k in image.indices():
         v = image.coefficient(k)

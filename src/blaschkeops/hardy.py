@@ -4,10 +4,10 @@ An N x N matrix stands for the compression of a Hardy-space operator to
 ``span{1, z, ..., z^(N-1)}``.  Identities that hold exactly (or modulo
 compact operators) upstairs are tested on an m x m corner whose guard band
 ``N - m`` absorbs truncation spill-over.  A corner is assembled from slices,
-``(A B)[:m, :m] = A[:m, :] @ B[:, :m]``, at cost ``N^2 m`` instead of ``N^3``.
-The power spectra behind the composition matrix are cached as an ``N x N``
-block.  Residual norms come from a power iteration rather than a full SVD;
-it forms the Gram matrix ``A* A`` only when an iteration runs long.
+``(A B)[:m, :m] = A[:m, :] @ B[:, :m]``, at cost ``N^2 m`` instead of ``N^3``,
+from Toeplitz blocks sliced at the size the corner reads and the cached
+``N x N`` power spectra.  Residual norms come from a power iteration, not a
+full SVD; it forms the Gram matrix ``A* A`` only when an iteration runs long.
 """
 
 from __future__ import annotations
@@ -69,12 +69,17 @@ class TruncatedOperator:
         return TruncatedOperator(np.eye(n, dtype=complex), "I")
 
 
+def _toeplitz_block(a: FourierSymbol, rows: int, cols: int) -> np.ndarray:
+    """Leading ``rows x cols`` block of the Toeplitz matrix: ``[i, j] = a_hat(i - j)``."""
+    # band[t] = a_hat(rows - 1 - t), zero outside the stored values; row i starts at rows - 1 - i
+    padded = np.concatenate(([0j], a.values, [0j]))
+    band = padded[np.clip(np.arange(rows, -cols, -1) - a.low, 0, padded.size - 1)]
+    return np.lib.stride_tricks.sliding_window_view(band, cols)[:rows][::-1].copy()
+
+
 def toeplitz_matrix(a: FourierSymbol, n_trunc: int, label: str = "T_a") -> TruncatedOperator:
     """Multiplication compressed to the analytic side: ``entries[i, j] = a_hat(i - j)``."""
-    offsets = np.array([a.coefficient(d) for d in range(-(n_trunc - 1), n_trunc)])
-    idx = np.arange(n_trunc)
-    entries = offsets[idx[:, None] - idx[None, :] + n_trunc - 1]
-    return TruncatedOperator(entries=entries, label=label)
+    return TruncatedOperator(entries=_toeplitz_block(a, n_trunc, n_trunc), label=label)
 
 
 @lru_cache(maxsize=8)
@@ -84,6 +89,8 @@ def _power_spectra(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid) -> 
     The powers are transformed a block of rows at a time, so no N x M array
     of samples is ever held.
     """
+    if n_trunc > grid.size // 4:
+        raise ValueError("truncation size must not exceed a quarter of the grid")
     m = grid.size
     values = product.evaluate(grid.points)
     spectra = np.empty((n_trunc, n_trunc), dtype=complex)
@@ -100,10 +107,7 @@ def _power_spectra(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid) -> 
 
 def composition_matrix(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid) -> TruncatedOperator:
     """Truncated composition operator: column m holds the coefficients of R^m."""
-    if n_trunc > grid.size // 4:
-        raise ValueError("truncation size must not exceed a quarter of the grid")
-    spectra = _power_spectra(product, n_trunc, grid)
-    return TruncatedOperator(entries=spectra.T, label="C_R")
+    return TruncatedOperator(entries=_power_spectra(product, n_trunc, grid).T, label="C_R")
 
 
 def _power_iteration(block: np.ndarray, tol: float, max_iter: int):
@@ -179,12 +183,9 @@ def covariance_residual(
 
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
-    cols = composition_matrix(product, n_trunc, grid).entries[:, :m]
-    t_a = toeplitz_matrix(a, n_trunc).entries
-    image = TransferOperator(product).symbol_image(a.evaluate, grid)
-    # only the corner of T_(La) is read (dimension >= 2 for TruncatedOperator)
-    t_image = toeplitz_matrix(image, max(m, 2), label="T_La")
-    return _matrix_norm(cols.conj().T @ (t_a @ cols) - t_image.corner(m))
+    cols = _power_spectra(product, n_trunc, grid).T[:, :m]
+    t_image = _toeplitz_block(TransferOperator(product).symbol_image(a.evaluate, grid), m, m)
+    return _matrix_norm(cols.conj().T @ (_toeplitz_block(a, n_trunc, n_trunc) @ cols) - t_image)
 
 
 def commutation_residual(
@@ -199,11 +200,10 @@ def commutation_residual(
         raise ValueError("commutation identity requires an analytic symbol")
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
-    comp = composition_matrix(product, n_trunc, grid).entries
-    t_b = toeplitz_matrix(b, n_trunc).entries
+    comp = _power_spectra(product, n_trunc, grid).T
     pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
-    t_pull = toeplitz_matrix(pullback, n_trunc).entries
-    return _matrix_norm(comp[:m] @ t_b[:, :m] - t_pull[:m] @ comp[:, :m])
+    t_pull = _toeplitz_block(pullback, m, n_trunc)
+    return _matrix_norm(comp[:m] @ _toeplitz_block(b, n_trunc, m) - t_pull @ comp[:, :m])
 
 
 def tail_compactness_profile(mres: TruncatedOperator, cuts, window: int | None = None):

@@ -20,6 +20,7 @@ from .circle import CircleGrid, FourierSymbol, fourier_coefficients
 from .hardy import (
     TruncatedOperator,
     _matrix_norm,
+    _toeplitz_block,
     composition_matrix,
     toeplitz_matrix,
 )
@@ -213,9 +214,8 @@ def inner_product_residual(
         power = power * comp_vals
     # upper[d] = weighted sum of R^d, lower[d] = weighted sum of conj(R)^d
     upper, lower = sums[:, 0], sums[:, 1].conj()
-    band = np.concatenate((lower[:0:-1], upper))
-    idx = np.arange(n_trunc)
-    gram = band[idx[None, :] - idx[:, None] + n_trunc - 1]
+    band = FourierSymbol._dense(1 - n_trunc, np.concatenate((upper[:0:-1], lower)))
+    gram = _toeplitz_block(band, n_trunc, n_trunc)
     pairing = bimodule_inner_samples(TransferOperator(product), p, q, grid)
-    t_pairing = toeplitz_matrix(fourier_coefficients(pairing), n_trunc, label="T_<p,q>")
-    return TruncatedOperator(gram - t_pairing.entries, label="V_p*V_q - T_<p,q>")
+    t_pairing = _toeplitz_block(fourier_coefficients(pairing), n_trunc, n_trunc)
+    return TruncatedOperator(gram - t_pairing, label="V_p*V_q - T_<p,q>")

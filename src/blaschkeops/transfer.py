@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blaschke import BlaschkeProduct, preimage_grid
-from .circle import CircleGrid, FourierSymbol, fft
+from .circle import CircleGrid, FourierSymbol, fft, fourier_coefficients
 from .hardy import TruncatedOperator
 
 
@@ -56,12 +56,7 @@ class TransferOperator:
 
     def symbol_image(self, f, grid: CircleGrid) -> FourierSymbol:
         """Fourier coefficients of ``L(f)`` extracted on the grid."""
-        values = self.apply_samples(f, grid)
-        m = grid.size
-        spectrum = fft(values) / m
-        return FourierSymbol(
-            {(k if k <= m // 2 else k - m): complex(spectrum[k]) for k in range(m)}
-        )
+        return fourier_coefficients(self.apply_samples(f, grid))
 
 
 def partial_fraction_weights(product: BlaschkeProduct, w: complex) -> np.ndarray:

@@ -14,7 +14,7 @@ import io
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -118,17 +118,7 @@ class RunConfig:
     def from_dict(data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")
-        known = {
-            "lambda_angle",
-            "zeros",
-            "truncation",
-            "corner",
-            "grid",
-            "basis_count",
-            "tolerances",
-            "seed",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
         kwargs = dict(data)

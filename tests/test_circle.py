@@ -108,6 +108,38 @@ class TestCoefficients:
         assert symbol.coefficient(2) == pytest.approx(0.75)
         assert symbol.coefficient(3) == pytest.approx(0.375)
 
+    @pytest.mark.parametrize("m", [8, 16384])
+    def test_wrap_matches_dict_loop(self, m):
+        # oracle: the per-bin frequency wrap k -> k or k - m onto (-m/2, m/2]
+        samples = np.array([1.0, 1j]) @ np.random.default_rng(m).standard_normal((2, m))
+        spectrum = np.fft.fft(samples) / m
+        oracle = {(k if k <= m // 2 else k - m): complex(spectrum[k]) for k in range(m)}
+        symbol = fourier_coefficients(samples)
+        assert (symbol.low, symbol.values.size) == (1 - m // 2, m)
+        assert symbol.band_limit == m // 2
+        assert [symbol.coefficient(k) for k in sorted(oracle)] == [oracle[k] for k in sorted(oracle)]
+        assert symbol.coefficient(m // 2 + 1) == 0j and symbol.coefficient(-m // 2) == 0j
+
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(ValueError):
+            fourier_coefficients(np.ones((2, 8)))
+
+    def test_dense_storage(self):
+        symbol = FourierSymbol({5: -2.0, -3: 0.5j, 0: 0.0})
+        assert symbol.low == -3 and symbol.values.size == 9
+        assert not symbol.values.flags.writeable
+        assert symbol.indices() == [-3, 5]
+        assert symbol.band_limit == 5
+        assert symbol.truncated(1.0).indices() == [5]
+        assert symbol.evaluate(2.0) == pytest.approx(0.5j / 8 - 2.0 * 32)
+
+    def test_empty_symbol(self):
+        empty = FourierSymbol({})
+        assert empty.values.size == 0 and empty.band_limit == 0 and empty.indices() == []
+        assert empty.coefficient(0) == 0j and empty.evaluate(0.5) == 0j
+        assert empty.is_analytic() and empty.conjugate().values.size == 0
+        np.testing.assert_array_equal(synthesize(empty, CircleGrid(8)), np.zeros(8))
+
     def test_roundtrip_below_nyquist(self):
         grid = CircleGrid(16)
         symbol = FourierSymbol({-3: 0.5j, 0: 1.0, 5: -2.0})
@@ -147,7 +179,7 @@ class TestInnerProduct:
     def test_parseval(self, half, grid_big):
         values = sample(half.evaluate, grid_big)
         symbol = fourier_coefficients(values)
-        power = sum(abs(v) ** 2 for v in symbol.coefficients.values())
+        power = np.sum(np.abs(symbol.values) ** 2)
         assert l2_inner(values, values) == pytest.approx(power, abs=1e-12)
 
     def test_basis_element_has_unit_norm(self, half, grid_big):

@@ -74,6 +74,25 @@ class TestQueryCommands:
     def test_transfer_symbol_validation(self, capsys):
         assert main(["transfer", "--symbol", "not json"]) == 2
 
+    @pytest.mark.parametrize(
+        "symbol",
+        [
+            "[1, 2]",  # a JSON array, not a map
+            '{"1": [1e400, 0]}',  # parses as inf
+            '{"5000": [1, 0]}',  # past the Nyquist frequency 512 of the 1024-point grid
+            '{"-513": [1, 0]}',
+            '{"1000000000000": [1, 0]}',  # would allocate a vector of that length
+            '{"1": [1, 0, 7]}',  # not exactly two numbers
+            '{"1": [true, 0]}',
+        ],
+    )
+    def test_transfer_rejects_bad_symbol(self, symbol, capsys):
+        assert main(["transfer", *FAST_FLAGS, "--symbol", symbol]) == 2
+        assert "--symbol must map each index |k| <= 512" in capsys.readouterr().err
+
+    def test_transfer_accepts_nyquist_index(self, capsys):
+        assert main(["transfer", *FAST_FLAGS, "--symbol", '{"-512": [1, 0], "512": [0, 1]}']) == 0
+
     def test_basis_table(self, capsys):
         assert main(["basis", *FAST_FLAGS]) == 0
         out = capsys.readouterr().out

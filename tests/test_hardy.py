@@ -17,7 +17,7 @@ from blaschkeops import (
     tail_compactness_profile,
     toeplitz_matrix,
 )
-from blaschkeops.hardy import _matrix_norm, _power_iteration, _power_spectra
+from blaschkeops.hardy import _matrix_norm, _power_iteration, _power_spectra, _toeplitz_block
 from blaschkeops.transfer import TransferOperator
 from conftest import random_product
 
@@ -35,6 +35,26 @@ class TestToeplitz:
         matrix = toeplitz_matrix(FourierSymbol({1: 1.0, -1: 1.0}), 5)
         expected = np.eye(5, k=-1) + np.eye(5, k=1)
         np.testing.assert_allclose(matrix.entries, expected)
+
+
+    @pytest.mark.parametrize(
+        "coeffs, n",
+        [
+            ({-3: 1 + 1j, 0: 2.0, 2: -0.5j, 5: 0.25}, 6),  # gaps and negative indices
+            ({k: 1.0 / (1 + k * k) + 1j * k for k in range(-9, 10)}, 5),  # wider than N
+            ({1: 3.0, 2: -1j}, 8),  # narrower than N
+            ({}, 4),
+        ],
+    )
+    def test_matches_coefficient_double_loop(self, coeffs, n):
+        a = FourierSymbol(coeffs)
+        expected = np.array([[a.coefficient(i - j) for j in range(n)] for i in range(n)])
+        entries = toeplitz_matrix(a, n).entries
+        assert np.array_equal(entries, expected)
+        # the residuals read rectangular leading blocks of the same matrix
+        assert np.array_equal(_toeplitz_block(a, n, 2), expected[:, :2])
+        assert np.array_equal(_toeplitz_block(a, 2, n), expected[:2])
+        assert _toeplitz_block(a, 0, n).shape == (0, n) and _toeplitz_block(a, n, 0).shape == (n, 0)
 
 
 class TestCompositionMatrix:

@@ -9,6 +9,7 @@ from blaschkeops import (
     bimodule_inner,
     composition_matrix,
     covariance_check,
+    fourier_coefficients,
     partial_fraction_weights,
     transfer_matrix,
 )
@@ -53,6 +54,14 @@ class TestPointwise:
         image = op.symbol_image(lambda z: z**3 + 0.5 * z, grid_big)
         negative = [abs(image.coefficient(k)) for k in range(-64, 0)]
         assert max(negative) <= 1e-10
+
+    def test_symbol_image_is_coefficients_of_samples(self, spiral, grid_small):
+        op = TransferOperator(spiral)
+        f = lambda z: z**3 + 0.5 / z  # noqa: E731
+        image = op.symbol_image(f, grid_small)
+        expected = fourier_coefficients(op.apply_samples(f, grid_small))
+        assert image.low == expected.low
+        assert np.array_equal(image.values, expected.values)
 
     def test_positivity(self, spiral):
         op = TransferOperator(spiral)
