@@ -19,7 +19,7 @@ _UNIT_TOL = 1e-12
 # Aberth stopping threshold on the largest root move, and iteration cap.
 _ROOT_STEP_TOL = 1e-13
 _ROOT_MAX_ITER = 60
-_NEWTON_POLISH_STEPS = 3
+_NEWTON_POLISH_STEPS = 2
 # Post-hoc acceptance thresholds for a preimage solve.
 _RESIDUAL_TOL = 1e-9
 _CIRCLE_TOL = 1e-9
@@ -120,8 +120,8 @@ class BlaschkeProduct:
         return out if out.ndim else complex(out)
 
     def _derivative_product_rule(self, z):
-        # Exact everywhere in the closed disk, O(n^2); used as the fallback
-        # where R(z) ~ 0 and as an independent route in identity checks.
+        # Exact in the closed disk, O(n) per point by prefix and suffix products;
+        # the fallback where R(z) ~ 0 and an independent route in identity checks.
         z = np.asarray(z, dtype=complex)
         n = self.degree
         factors = np.empty((n,) + z.shape, dtype=complex)
@@ -148,11 +148,16 @@ class BlaschkeProduct:
         value = self._log_derivative_at(np.exp(1j * theta))
         return value if value.ndim else float(value)
 
-    def _log_derivative_at(self, z):
-        z = np.asarray(z, dtype=complex)
-        total = np.ones(z.shape, dtype=float)
+    def _circle_log_derivative(self, z):
+        # ``z R'/R`` on |z| = 1 as the positive sum, without the cross-check.
+        total = np.ones(np.shape(z), dtype=float)
         for zk in self.zeros[1:]:
             total = total + (1.0 - abs(zk) ** 2) / np.abs(z - zk) ** 2
+        return total
+
+    def _log_derivative_at(self, z):
+        z = np.asarray(z, dtype=complex)
+        total = self._circle_log_derivative(z)
         quotient = z * self._derivative_product_rule(z) / self.evaluate(z)
         err = np.max(np.abs(quotient - total))
         if err > 1e-8 * (1.0 + np.max(total)):
@@ -200,21 +205,18 @@ def _polynomial_pair(product: BlaschkeProduct):
     return num, den
 
 
-def _horner(coeffs, z):
-    out = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        out = out * z + c
-    return out
-
-
 def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     """Circle preimages of many unit-circle targets at once.
 
     Runs the Aberth--Ehrlich simultaneous iteration on the degree-n
     polynomial ``num(z) - w * den(z)`` for every target w, starting from the
-    n-th roots of ``w / phase`` (exact for monomial products), followed by a
-    fixed number of per-root Newton polish steps.  Returns a pair of arrays
-    of shape ``(len(targets), n)``: the roots of each row sorted by principal
+    n-th roots of ``w / phase`` (exact for monomial products); a sweep moves
+    only the rows whose own largest step is still above ``_ROOT_STEP_TOL``.
+    A fixed number of Newton steps on the product form,
+    ``z <- z - z (R(z) - w) / (R(z) psi'(z))`` with the circle log-derivative
+    ``psi' >= 1``, then polish every root and keep its digits when zeros
+    approach the circle.  Returns a pair of arrays of shape
+    ``(len(targets), n)``: the roots of each row sorted by principal
     argument, and the direct residuals ``|R(root) - w|``.
 
     Raises :class:`ConvergenceError` when a root ends up off the circle, a
@@ -228,30 +230,35 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
         raise ValueError("preimage targets must lie on the unit circle")
     n = product.degree
     num, den = _polynomial_pair(product)
-    dnum = num[1:] * np.arange(1, len(num))
-    dden = den[1:] * np.arange(1, len(den))
+    w_col = targets[:, None]
+    coeffs = num[None, :] - w_col * den[None, :]
 
     phases = np.exp(2j * np.pi * np.arange(n) / n)
-    roots = (targets[:, None] / product.phase) ** (1.0 / n) * phases[None, :]
+    roots = (w_col / product.phase) ** (1.0 / n) * phases[None, :]
 
-    off_diag = ~np.eye(n, dtype=bool)
-    w_col = targets[:, None]
+    diag = np.arange(n)
+    active = np.arange(len(targets))
     for _ in range(_ROOT_MAX_ITER):
-        p = _horner(num, roots) - w_col * _horner(den, roots)
-        dp = _horner(dnum, roots) - w_col * _horner(dden, roots)
-        newton = p / dp
-        diff = roots[:, :, None] - roots[:, None, :]
+        live = roots[active]
+        # value and derivative of each row's polynomial in one Horner pass
+        value = np.repeat(coeffs[active, -1:], n, axis=1)
+        slope = np.zeros_like(live)
+        for c in coeffs[active, -2::-1].T:
+            slope = slope * live + value
+            value = value * live + c[:, None]
+        newton = value / slope
+        diff = live[:, :, None] - live[:, None, :]
+        diff[:, diag, diag] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(off_diag[None, :, :], 1.0 / diff, 0.0)
-        repulsion = inv.sum(axis=2)
+            repulsion = (1.0 / diff).sum(axis=2)
         step = newton / (1.0 - newton * repulsion)
-        roots = roots - step
-        if np.max(np.abs(step)) < _ROOT_STEP_TOL:
+        roots[active] = live - step
+        active = active[np.max(np.abs(step), axis=1) >= _ROOT_STEP_TOL]
+        if not active.size:
             break
     for _ in range(_NEWTON_POLISH_STEPS):
-        p = _horner(num, roots) - w_col * _horner(den, roots)
-        dp = _horner(dnum, roots) - w_col * _horner(dden, roots)
-        roots = roots - p / dp
+        value = product.evaluate(roots)
+        roots = roots - roots * (value - w_col) / (value * product._circle_log_derivative(roots))
 
     order = np.argsort(np.angle(roots), axis=1)
     roots = np.take_along_axis(roots, order, axis=1)
@@ -264,7 +271,7 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     if off_circle > _CIRCLE_TOL:
         raise ConvergenceError(f"preimage root left the circle by {off_circle:.3e}")
     diff = roots[:, :, None] - roots[:, None, :]
-    diff[:, np.arange(n), np.arange(n)] = 1.0
+    diff[:, diag, diag] = 1.0
     closest = float(np.min(np.abs(diff)))
     if closest <= _SEPARATION_TOL:
         raise ConvergenceError(f"preimage roots collided (separation {closest:.3e})")

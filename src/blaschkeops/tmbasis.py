@@ -99,13 +99,21 @@ def factorization_residual(basis: TMBasis, k: int, l: int, grid: CircleGrid) -> 
 
 
 def gram_residual(basis: TMBasis, count: int, grid: CircleGrid) -> float:
-    """Max deviation of the quadrature Gram matrix from the identity."""
+    """Max deviation of the quadrature Gram matrix from the identity.
+
+    The rows are the first ``count`` basis elements on the grid, built in
+    one pass as ``alpha_l * k_(beta_l) * B_l``, where the partial product
+    ``B_l`` of the earlier Blaschke factors gains one factor per row.
+    """
     if count < 1 or count > _MAX_GRAM_COUNT:
         raise ValueError(f"gram count must lie in [1, {_MAX_GRAM_COUNT}]")
     pts = grid.points
     rows = np.empty((count, grid.size), dtype=complex)
+    partial = np.ones(grid.size, dtype=complex)
     for l in range(count):
-        rows[l] = tm_element(basis, l, pts)
+        bl = basis.beta(l)
+        rows[l] = basis.alpha(l) * _kernel_factor(bl, pts) * partial
+        partial = partial * (pts - bl) / (1.0 - np.conj(bl) * pts)
     gram = rows @ rows.conj().T / grid.size
     return float(np.max(np.abs(gram - np.eye(count))))
 

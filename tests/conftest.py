@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from blaschkeops import CircleGrid, make_blaschke
+
+# Property tests draw the same examples on every run and leave no database.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 def random_product(seed, degree=3, max_radius=0.6):

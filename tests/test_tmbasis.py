@@ -106,6 +106,18 @@ class TestGram:
     def test_single_element(self, half, grid_big):
         assert gram_residual(TMBasis(half), 1, grid_big) <= 1e-12
 
+    @pytest.mark.parametrize("size", [128, 1024])
+    @pytest.mark.parametrize("count", [1, 32])
+    def test_matches_gram_of_element_rows(self, size, count):
+        # reference: one tm_element call per row; on 128 points the count-32
+        # Gram is aliased (residual ~1e-4), so it depends on every row
+        basis = TMBasis(random_product(0, degree=5, max_radius=0.9), count=count)
+        grid = CircleGrid(size)
+        rows = np.array([tm_element(basis, l, grid.points) for l in range(count)])
+        gram = rows @ rows.conj().T / grid.size
+        expected = float(np.max(np.abs(gram - np.eye(count))))
+        assert abs(gram_residual(basis, count, grid) - expected) <= 1e-14
+
     def test_count_cap(self, half, grid_big):
         with pytest.raises(ValueError):
             gram_residual(TMBasis(half), 65, grid_big)
