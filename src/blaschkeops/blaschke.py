@@ -90,12 +90,15 @@ class BlaschkeProduct:
     def evaluate(self, z):
         """Value of the product; unimodular whenever ``|z| = 1``."""
         z = np.asarray(z, dtype=complex)
+        # 1 - conj(z_k) z rounds to zero only where |z_k z| = 1 up to rounding,
+        # at the pole |z| = 1/|z_k| > 1, so one screen spares the test per factor
+        if np.any(np.abs(z) * max(map(abs, self.zeros)) > 1.0 - 1e-12) and any(
+            np.any(1.0 - np.conj(zk) * z == 0) for zk in self.zeros
+        ):
+            raise ValueError("evaluation at a pole of the product")
         out = np.full(z.shape, self.phase, dtype=complex)
         for zk in self.zeros:
-            den = 1.0 - np.conj(zk) * z
-            if np.any(den == 0):
-                raise ValueError("evaluation at a pole of the product")
-            out = out * (z - zk) / den
+            out = out * (z - zk) / (1.0 - np.conj(zk) * z)
         return out if out.ndim else complex(out)
 
     def derivative(self, z):

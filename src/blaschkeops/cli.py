@@ -20,7 +20,7 @@ from .blaschke import ConvergenceError
 from .circle import CircleGrid, FourierSymbol
 from .dynamics import build_lift, k_groups
 from .tmbasis import TMBasis, gram_residual, tm_element
-from .transfer import TransferOperator, partial_fraction_weights
+from .transfer import TransferOperator, preimage_weights
 from .verify import ConfigError, RunConfig, emit_report, run_verify
 
 _FORMATS = ("human", "canonical", "table")
@@ -121,7 +121,7 @@ def _cmd_preimage(args) -> int:
     product = cfg.product()
     target = complex(np.exp(1j * args.angle))
     result = product.preimages(target)
-    weights = partial_fraction_weights(product, target)
+    weights = preimage_weights(product, result.points)
     lines = [f"target e^(i {args.angle}) = {target:.15g}"]
     for point, res, weight in zip(result.points, result.residuals, weights):
         lines.append(f"  z = {point:.15g}   |R(z)-w| = {res:.2e}   weight = {weight:.15g}")

@@ -3,11 +3,12 @@
 An N x N matrix stands for the compression of a Hardy-space operator to
 ``span{1, z, ..., z^(N-1)}``.  Identities that hold exactly (or modulo
 compact operators) upstairs are tested on an m x m corner whose guard band
-``N - m`` absorbs truncation spill-over.  A corner is assembled from slices,
-``(A B)[:m, :m] = A[:m, :] @ B[:, :m]``, at cost ``N^2 m`` instead of ``N^3``,
-from Toeplitz blocks sliced at the size the corner reads and the cached
-``N x N`` power spectra.  Residual norms come from a power iteration, not a
-full SVD; it forms the Gram matrix ``A* A`` only when an iteration runs long.
+``N - m`` absorbs truncation spill-over.  Column j of the composition matrix
+C holds the first N Taylor coefficients of R^j, exactly: N limits a column,
+no grid does.  ``R(0) = 0`` makes C lower triangular, so a corner reads only
+the first m columns of C, and a Toeplitz operator acts on them as one FFT
+convolution.  Residual norms come from a power iteration, not a full SVD; it
+forms the Gram matrix ``A* A`` only when an iteration runs long.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 from .blaschke import BlaschkeProduct, ConvergenceError
-from .circle import CircleGrid, FourierSymbol, fft, fourier_coefficients
+from .circle import CircleGrid, FourierSymbol, fourier_coefficients
 
 _NORM_TOL = 1e-12
 _NORM_MAX_ITER = 10_000
-_SPECTRA_ROWS = 64
+_TINY = 1e-150
 
 
 @dataclass(frozen=True)
@@ -77,37 +78,52 @@ def _toeplitz_block(a: FourierSymbol, rows: int, cols: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(band, cols)[:rows][::-1].copy()
 
 
+def _toeplitz_apply(a: FourierSymbol, x: np.ndarray) -> np.ndarray:
+    """``T_a x`` for the N x N section of ``T_a`` and an N x k block x, by FFT convolution."""
+    n = x.shape[0]
+    # row i of T_a x is entry N - 1 + i of x convolved with a_hat(1 - N), ..., a_hat(N - 1),
+    # the section's first row reversed and then its first column; at length 2N nothing wraps onto it
+    band = np.concatenate((_toeplitz_block(a, 1, n)[0, :0:-1], _toeplitz_block(a, n, 1)[:, 0]))
+    spectrum = np.fft.fft(x, 2 * n, axis=0)
+    spectrum *= np.fft.fft(band, 2 * n)[:, None]
+    return np.fft.ifft(spectrum, axis=0)[n - 1 : 2 * n - 1].copy()
+
+
 def toeplitz_matrix(a: FourierSymbol, n_trunc: int, label: str = "T_a") -> TruncatedOperator:
     """Multiplication compressed to the analytic side: ``entries[i, j] = a_hat(i - j)``."""
     return TruncatedOperator(entries=_toeplitz_block(a, n_trunc, n_trunc), label=label)
 
 
-@lru_cache(maxsize=8)
-def _power_spectra(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid) -> np.ndarray:
-    """First N Fourier coefficients of R^j for j < N, as a read-only N x N array.
+def _flush(x: np.ndarray) -> np.ndarray:
+    # No residual sees entries this small, and their subnormal products slow
+    # np.convolve several-fold.
+    return np.where(np.abs(x) < _TINY, 0.0, x)
 
-    The powers are transformed a block of rows at a time, so no N x M array
-    of samples is ever held.
+
+@lru_cache(maxsize=4)
+def _power_spectra(product: BlaschkeProduct, n_trunc: int, cols: int) -> np.ndarray:
+    """Columns ``j < cols`` of C, the first N Taylor coefficients of R^j (read-only).
+
+    R multiplies its factors' series ``-a + sum_k (1 - |a|^2) conj(a)^(k-1) z^k``
+    and column ``j + 1`` is column j times R, each truncated at N: nothing is
+    aliased, and the leading block does not depend on N.
     """
-    if n_trunc > grid.size // 4:
-        raise ValueError("truncation size must not exceed a quarter of the grid")
-    m = grid.size
-    values = product.evaluate(grid.points)
-    spectra = np.empty((n_trunc, n_trunc), dtype=complex)
-    power = np.ones(m, dtype=complex)
-    for start in range(0, n_trunc, _SPECTRA_ROWS):
-        rows = np.empty((min(_SPECTRA_ROWS, n_trunc - start), m), dtype=complex)
-        for row in rows:
-            row[:] = power
-            power = power * values
-        spectra[start : start + len(rows)] = fft(rows)[:, :n_trunc] / m
-    spectra.setflags(write=False)
-    return spectra
+    taylor = np.zeros(n_trunc, dtype=complex)
+    taylor[0] = product.phase
+    for a in product.zeros:
+        factor = np.concatenate(([-a], (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(n_trunc - 1)))
+        taylor = _flush(np.convolve(taylor, _flush(factor))[:n_trunc])
+    powers = np.zeros((cols, n_trunc), dtype=complex)
+    powers[0, 0] = 1.0
+    for j in range(1, cols):
+        powers[j] = _flush(np.convolve(powers[j - 1], taylor)[:n_trunc])
+    powers.setflags(write=False)
+    return powers.T
 
 
-def composition_matrix(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid) -> TruncatedOperator:
-    """Truncated composition operator: column m holds the coefficients of R^m."""
-    return TruncatedOperator(entries=_power_spectra(product, n_trunc, grid).T, label="C_R")
+def composition_matrix(product: BlaschkeProduct, n_trunc: int, grid=None) -> TruncatedOperator:
+    """Truncated composition operator: column j holds the exact Taylor coefficients of R^j; ``grid`` is unused."""
+    return TruncatedOperator(entries=_power_spectra(product, n_trunc, n_trunc), label="C_R")
 
 
 def _power_iteration(block: np.ndarray, tol: float, max_iter: int):
@@ -155,15 +171,16 @@ def operator_norm(x: TruncatedOperator) -> float:
     return _matrix_norm(x.entries)
 
 
-def isometry_residual(c: TruncatedOperator, m: int) -> float:
+def isometry_residual(c, m: int) -> float:
     """Norm of the top-left m x m block of ``C* C - I``.
 
+    ``c`` is a TruncatedOperator or its leading N x k columns, ``k >= m``.
     Zero for an isometry whose columns stay inside the truncation window;
     requires a guard band ``m <= N/2``.
     """
-    if m > c.dim // 2:
+    cols = np.asarray(getattr(c, "entries", c))[:, :m]
+    if m > cols.shape[0] // 2:
         raise ValueError("corner size must leave a guard band (m <= N/2)")
-    cols = c.entries[:, :m]
     return _matrix_norm(cols.conj().T @ cols - np.eye(m))
 
 
@@ -183,9 +200,9 @@ def covariance_residual(
 
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
-    cols = _power_spectra(product, n_trunc, grid).T[:, :m]
+    cols = _power_spectra(product, n_trunc, m)
     t_image = _toeplitz_block(TransferOperator(product).symbol_image(a.evaluate, grid), m, m)
-    return _matrix_norm(cols.conj().T @ (_toeplitz_block(a, n_trunc, n_trunc) @ cols) - t_image)
+    return _matrix_norm(cols.conj().T @ _toeplitz_apply(a, cols) - t_image)
 
 
 def commutation_residual(
@@ -200,10 +217,11 @@ def commutation_residual(
         raise ValueError("commutation identity requires an analytic symbol")
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
-    comp = _power_spectra(product, n_trunc, grid).T
+    cols = _power_spectra(product, n_trunc, m)
     pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
     t_pull = _toeplitz_block(pullback, m, n_trunc)
-    return _matrix_norm(comp[:m] @ _toeplitz_block(b, n_trunc, m) - t_pull @ comp[:, :m])
+    # C[:m, :] = [C[:m, :m], 0], so (C T_b)[:m, :m] = C[:m, :m] T_b[:m, :m]
+    return _matrix_norm(cols[:m] @ _toeplitz_block(b, m, m) - t_pull @ cols)
 
 
 def tail_compactness_profile(mres: TruncatedOperator, cuts, window: int | None = None):

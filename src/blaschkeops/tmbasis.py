@@ -12,6 +12,7 @@ concrete family satisfying the Cuntz relations in truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -20,8 +21,11 @@ from .circle import CircleGrid, FourierSymbol, fourier_coefficients
 from .hardy import (
     TruncatedOperator,
     _matrix_norm,
+    _power_spectra,
+    _toeplitz_apply,
     _toeplitz_block,
     composition_matrix,
+    isometry_residual,
     toeplitz_matrix,
 )
 from .transfer import TransferOperator, bimodule_inner_samples
@@ -123,6 +127,14 @@ def _factor_symbol(basis: TMBasis, k: int, grid: CircleGrid) -> FourierSymbol:
     return fourier_coefficients(q * r)
 
 
+def cuntz_columns(product: BlaschkeProduct, n_trunc: int, m: int, grid: CircleGrid):
+    """Yields the leading columns ``W_k[:, :m] = T_(Q_{k-1} R_{k-1}) C[:, :m]``, k = 1..n, each in ``O(N m log N)``."""
+    basis = TMBasis(product)
+    cols = _power_spectra(product, n_trunc, m)
+    for k in range(product.degree):
+        yield _toeplitz_apply(_factor_symbol(basis, k, grid), cols)
+
+
 def cuntz_family(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid):
     """The n truncated isometries ``W_k = T_(Q_{k-1} R_{k-1}) C``, k = 1..n.
 
@@ -130,13 +142,8 @@ def cuntz_family(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid):
     ``j n + (k-1)``; together the family satisfies the Cuntz relations on a
     guarded corner.
     """
-    basis = TMBasis(product)
-    comp = composition_matrix(product, n_trunc, grid)
-    family = []
-    for k in range(product.degree):
-        factor = toeplitz_matrix(_factor_symbol(basis, k, grid), n_trunc, label=f"T_Q{k}R{k}")
-        family.append(TruncatedOperator((factor @ comp).entries, label=f"W{k + 1}"))
-    return family
+    columns = cuntz_columns(product, n_trunc, n_trunc, grid)
+    return [TruncatedOperator(w, label=f"W{k + 1}") for k, w in enumerate(columns)]
 
 
 @dataclass(frozen=True)
@@ -153,19 +160,17 @@ class ConsResidual:
 
 
 def cons_residual(family, m: int) -> ConsResidual:
-    """Cuntz-relation residuals of an isometry family on the m x m corner."""
-    if m > family[0].dim // 4:
+    """Cuntz-relation residuals of an isometry family on the m x m corner.
+
+    Each member is a truncated ``W_k`` or its leading N x k columns, ``k >= m``.
+    ``W_k = T_(Q R) C`` is lower triangular, so completeness reads ``W_k[:m, :m]``.
+    """
+    cols = [np.asarray(getattr(w, "entries", w))[:, :m] for w in family]
+    if m > cols[0].shape[0] // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
-    rows = [w.entries[:m] for w in family]
-    cols = [w.entries[:, :m] for w in family]
-    completeness = _matrix_norm(sum(r @ r.conj().T for r in rows) - np.eye(m))
-    isometry = 0.0
-    orthogonality = 0.0
-    for i, ci in enumerate(cols):
-        isometry = max(isometry, _matrix_norm(ci.conj().T @ ci - np.eye(m)))
-        for j, cj in enumerate(cols):
-            if i != j:
-                orthogonality = max(orthogonality, _matrix_norm(ci.conj().T @ cj))
+    completeness = _matrix_norm(sum(c[:m] @ c[:m].conj().T for c in cols) - np.eye(m))
+    isometry = max(isometry_residual(c, m) for c in cols)
+    orthogonality = max(_matrix_norm(ci.conj().T @ cj) for ci, cj in permutations(cols, 2))
     return ConsResidual(completeness, isometry, orthogonality)
 
 
@@ -183,9 +188,7 @@ def module_isometry(product: BlaschkeProduct, p, n_trunc: int, grid: CircleGrid)
     restriction to the graph of R is p.
     """
     symbol = fourier_coefficients(np.asarray(p(grid.points), dtype=complex))
-    factor = toeplitz_matrix(symbol, n_trunc, label="T_p")
-    comp = composition_matrix(product, n_trunc, grid)
-    scaled = np.sqrt(product.degree) * (factor @ comp).entries
+    scaled = np.sqrt(product.degree) * _toeplitz_apply(symbol, _power_spectra(product, n_trunc, n_trunc))
     return TruncatedOperator(scaled, label="V_p")
 
 

@@ -27,7 +27,7 @@ from .hardy import TruncatedOperator
 def _preimage_table(product: BlaschkeProduct, grid: CircleGrid):
     """Preimage points and weights over all grid targets; arrays are read-only."""
     points, _ = preimage_grid(product, grid.points)
-    weights = 1.0 / product._log_derivative_at(points)
+    weights = preimage_weights(product, points)
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights
@@ -46,7 +46,7 @@ class TransferOperator:
     def apply(self, f, w: complex) -> complex:
         """Value ``L(f)(w) = sum_i weight_i f(z_i)`` over the preimages of w."""
         points = np.asarray(self.product.preimages(w).points)
-        weights = 1.0 / self.product._log_derivative_at(points)
+        weights = preimage_weights(self.product, points)
         return complex(np.sum(weights * np.asarray(f(points), dtype=complex)))
 
     def apply_samples(self, f, grid: CircleGrid) -> np.ndarray:
@@ -59,6 +59,11 @@ class TransferOperator:
         return fourier_coefficients(self.apply_samples(f, grid))
 
 
+def preimage_weights(product: BlaschkeProduct, points) -> np.ndarray:
+    """The weights ``R(z)/(z R'(z))`` at already solved circle preimages, shaped like ``points``."""
+    return 1.0 / product._log_derivative_at(np.asarray(points))
+
+
 def partial_fraction_weights(product: BlaschkeProduct, w: complex) -> np.ndarray:
     """The n positive weights ``R(z)/(z R'(z))`` over the preimages of w.
 
@@ -66,8 +71,7 @@ def partial_fraction_weights(product: BlaschkeProduct, w: complex) -> np.ndarray
     they sum to one, which is exactly why the operator fixes constants.
     Ordered like :meth:`BlaschkeProduct.preimages` (by principal argument).
     """
-    points = np.asarray(product.preimages(w).points)
-    return 1.0 / product._log_derivative_at(points)
+    return preimage_weights(product, product.preimages(w).points)
 
 
 def covariance_check(op: TransferOperator, a, b, w: complex) -> float:

@@ -23,17 +23,16 @@ from .circle import CircleGrid, FourierSymbol
 from .dynamics import build_lift, branch_inverse, conjugacy_to_power, k_groups
 from .hardy import (
     commutation_residual,
-    composition_matrix,
     covariance_residual,
     isometry_residual,
     tail_compactness_profile,
-    toeplitz_matrix,
     _matrix_norm,
+    _power_spectra,
 )
 from .tmbasis import (
     TMBasis,
     cons_residual,
-    cuntz_family,
+    cuntz_columns,
     factor_parts,
     factorization_residual,
     gram_residual,
@@ -238,14 +237,19 @@ def _check_adjoint_transfer(cfg, product, grid, rng):
     # truncation (built at dimension >= 2 for TruncatedOperator).
     m = cfg.corner
     lmat = transfer_matrix(TransferOperator(product), max(m, 2), grid).corner(m)
-    comp = composition_matrix(product, cfg.truncation, grid).corner(m)
+    comp = _power_spectra(product, cfg.truncation, m)[:m]
     return _matrix_norm(lmat - comp.conj().T), {"corner": m}
 
 
 def _check_composition_isometry(cfg, product, grid, rng):
-    comp = composition_matrix(product, cfg.truncation, grid)
-    details = {"corner": cfg.corner, **_truncation_quality(cfg, product)}
-    return isometry_residual(comp, cfg.corner), details
+    cols = _power_spectra(product, cfg.truncation, cfg.corner)
+    details = {
+        "corner": cfg.corner,
+        # ||R^j|| = 1, so this is the exact mass the corner columns lose past N
+        "column_tail_mass": float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0))),
+        **_truncation_quality(cfg, product),
+    }
+    return isometry_residual(cols, cfg.corner), details
 
 
 def _random_symbol(rng, band: int, analytic: bool) -> FourierSymbol:
@@ -294,8 +298,8 @@ def _check_basis_factorization(cfg, product, grid, rng):
 
 
 def _check_cuntz_relations(cfg, product, grid, rng):
-    family = cuntz_family(product, cfg.truncation, grid)
-    result = cons_residual(family, cfg.corner)
+    columns = cuntz_columns(product, cfg.truncation, cfg.corner, grid)
+    result = cons_residual(columns, cfg.corner)
     details = {
         "completeness": result.completeness,
         "isometry": result.isometry,
@@ -333,15 +337,16 @@ def _check_module_inner_tails(cfg, product, grid, rng):
 
 
 def _check_monomial_shift_relations(cfg, product, grid, rng):
-    family = cuntz_family(product, cfg.truncation, grid)
-    shift = toeplitz_matrix(FourierSymbol({1: 1.0}), cfg.truncation, label="T_z")
-    worst = 0.0
-    for k in range(product.degree - 1):
-        diff = (shift @ family[k]) - family[k + 1]
-        worst = max(worst, _matrix_norm(diff.entries))
-    wrap = (shift @ family[-1]) - (family[0] @ shift)
-    worst = max(worst, _matrix_norm(wrap.entries))
-    return float(worst), {"relations": product.degree}
+    family = list(cuntz_columns(product, cfg.truncation, cfg.truncation, grid))
+    zero_row = np.zeros((1, cfg.truncation))
+
+    def shift(w):  # T_z w: every row moves down by one
+        return np.vstack((zero_row, w[:-1]))
+
+    worst = max(_matrix_norm(shift(w) - w_next) for w, w_next in zip(family, family[1:]))
+    # W_1 T_z: every column moves left by one
+    wrap = shift(family[-1]) - np.hstack((family[0][:, 1:], zero_row.T))
+    return float(max(worst, _matrix_norm(wrap))), {"relations": product.degree}
 
 
 def _check_lift_expanding(cfg, product, grid, rng):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from blaschkeops import blaschke
 from blaschkeops.cli import main
 
 FAST_FLAGS = ["--truncation", "128", "--corner", "16", "--grid", "1024"]
@@ -65,6 +66,15 @@ class TestQueryCommands:
         assert main(["preimage", "--angle", "0.0"]) == 0
         out = capsys.readouterr().out
         assert "weight sum = 1" in out
+
+    def test_preimage_solves_once(self, capsys, monkeypatch):
+        # the weights come from the points already solved, not from a second solve
+        calls = []
+        solve = blaschke.preimage_grid
+        monkeypatch.setattr(blaschke, "preimage_grid", lambda *args: calls.append(1) or solve(*args))
+        assert main(["preimage", "--angle", "0.7"]) == 0
+        assert len(calls) == 1
+        assert "weight sum = 1" in capsys.readouterr().out
 
     def test_transfer_default_symbol(self, capsys):
         # L(z) for zeros [0, 0.5] is analytic with small coefficients

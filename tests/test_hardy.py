@@ -12,12 +12,13 @@ from blaschkeops import (
     covariance_residual,
     fourier_coefficients,
     isometry_residual,
+    make_blaschke,
     operator_norm,
     sample,
     tail_compactness_profile,
     toeplitz_matrix,
 )
-from blaschkeops.hardy import _matrix_norm, _power_iteration, _power_spectra, _toeplitz_block
+from blaschkeops.hardy import _matrix_norm, _power_iteration, _power_spectra, _toeplitz_apply, _toeplitz_block
 from blaschkeops.transfer import TransferOperator
 from conftest import random_product
 
@@ -55,6 +56,9 @@ class TestToeplitz:
         assert np.array_equal(_toeplitz_block(a, n, 2), expected[:, :2])
         assert np.array_equal(_toeplitz_block(a, 2, n), expected[:2])
         assert _toeplitz_block(a, 0, n).shape == (0, n) and _toeplitz_block(a, n, 0).shape == (n, 0)
+        # the column route applies the same section as one FFT convolution
+        x = np.random.default_rng(n).standard_normal((n, 3)) + 0j
+        np.testing.assert_allclose(_toeplitz_apply(a, x), expected @ x, rtol=0, atol=1e-13)
 
 
 class TestCompositionMatrix:
@@ -74,24 +78,34 @@ class TestCompositionMatrix:
 
     @pytest.mark.parametrize("which", ["half", "degree3"])
     def test_corner_is_the_smaller_truncation(self, half, which):
-        # column j holds the first coefficients of R^j; N = 256 spans several
-        # row blocks of the spectra while m = 16 fits in one
+        # column j holds the first Taylor coefficients of R^j, each computed
+        # from earlier coefficients only, so the leading block does not depend on N
         product = half if which == "half" else random_product(0)
         grid = CircleGrid(1024)
         corner = composition_matrix(product, 256, grid).entries[:16, :16]
         assert np.array_equal(composition_matrix(product, 16, grid).entries, corner)
 
-    @pytest.mark.parametrize("which", ["half", "degree3"])
-    def test_power_spectra_match_per_power_fft(self, half, which):
-        product = half if which == "half" else random_product(0)
-        grid = CircleGrid(512)
-        spectra = _power_spectra(product, 128, grid)
-        assert spectra.shape == (128, 128)
-        assert not spectra.flags.writeable
-        values = product.evaluate(grid.points)
-        for j in range(128):
-            oracle = np.fft.fft(values**j)[:128] / grid.size
-            np.testing.assert_allclose(spectra[j], oracle, rtol=0, atol=1e-13)
+    @pytest.mark.parametrize(
+        "zeros",
+        [[0, 0.5], [0, 0.3, -0.4 + 0.2j, 0.5j], [0, 0.95], [0, 0.99j]],
+        ids=["half", "degree4", "0.95", "0.99i"],
+    )
+    def test_columns_match_a_fine_fft_reference(self, zeros):
+        # reference: the first N Fourier coefficients of R^j on 2^18 points,
+        # where the tail that aliases back is below rounding
+        product = make_blaschke(np.exp(1.3j), zeros)
+        n_trunc, cols = 256, 16
+        block = _power_spectra(product, n_trunc, cols)
+        assert block.shape == (n_trunc, cols)
+        assert not block.flags.writeable
+        assert np.all(np.triu(block[:cols], 1) == 0)
+        fine = CircleGrid(2**18)
+        values = product.evaluate(fine.points)
+        power = np.ones(fine.size, dtype=complex)
+        for j in range(cols):
+            oracle = np.fft.fft(power)[:n_trunc] / fine.size
+            np.testing.assert_allclose(block[:, j], oracle, rtol=0, atol=1e-13)
+            power = power * values
 
     def test_half_column_one_is_geometric(self, half, grid_small):
         comp = composition_matrix(half, 8, grid_small)
@@ -106,9 +120,10 @@ class TestCompositionMatrix:
         norms = np.linalg.norm(comp.entries[:, :48], axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
-    def test_grid_margin_enforced(self, half):
-        with pytest.raises(ValueError):
-            composition_matrix(half, 128, CircleGrid(256))
+    def test_grid_does_not_bound_the_truncation(self, half):
+        # N = grid/2 once raised; the exact columns take no grid at all
+        expected = composition_matrix(half, 128).entries
+        assert np.array_equal(composition_matrix(half, 128, CircleGrid(256)).entries, expected)
 
 
 class TestIsometry:

@@ -23,7 +23,9 @@ from blaschkeops import (
     tm_element,
 )
 from blaschkeops.hardy import TruncatedOperator, _matrix_norm, composition_matrix, toeplitz_matrix
+from blaschkeops.tmbasis import _factor_symbol
 from blaschkeops.transfer import TransferOperator, bimodule_inner_samples
+from blaschkeops.verify import RunConfig, _check_cuntz_relations
 from conftest import random_product
 
 
@@ -183,6 +185,31 @@ class TestCuntzFamily:
         assert result.completeness == pytest.approx(completeness, abs=1e-14)
         assert result.isometry == pytest.approx(isometry, abs=1e-14)
         assert result.orthogonality == pytest.approx(orthogonality, abs=1e-14)
+
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_verify_column_route_matches_the_family(self, half, seed):
+        # verify forms only W_k[:, :m] = T_(Q R) C[:, :m]; the references are
+        # cons_residual of the full family and the corners of dense products
+        # T_(Q R) C of N x N sections, with full rows for the completeness term
+        product = half if seed is None else random_product(seed)
+        cfg, grid = RunConfig(truncation=64, corner=16, grid=1024), CircleGrid(1024)
+        _, details = _check_cuntz_relations(cfg, product, grid, None)
+        family = cons_residual(cuntz_family(product, 64, grid), 16)
+        basis, comp = TMBasis(product), composition_matrix(product, 64).entries
+        dense = [toeplitz_matrix(_factor_symbol(basis, k, grid), 64).entries @ comp for k in range(product.degree)]
+        gram = [[(wi.conj().T @ wj)[:16, :16] for wj in dense] for wi in dense]
+        eye = np.eye(16)
+        expected = {
+            "completeness": _matrix_norm(sum(w @ w.conj().T for w in dense)[:16, :16] - eye),
+            "isometry": max(_matrix_norm(gram[k][k] - eye) for k in range(len(dense))),
+            "orthogonality": max(
+                _matrix_norm(gram[i][j]) for i in range(len(dense)) for j in range(len(dense)) if i != j
+            ),
+        }
+        for name, value in expected.items():
+            assert details[name] == pytest.approx(getattr(family, name), abs=1e-14)
+            assert details[name] == pytest.approx(value, abs=1e-14)
 
 
 class TestRangeSplit:
