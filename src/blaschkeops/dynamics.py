@@ -3,8 +3,9 @@
 The restriction is an expanding degree-n covering: its lift is a strictly
 increasing function climbing by 2 pi n per revolution, with derivative equal
 to the circle log-derivative (hence > 1).  Branch inverses of the lift
-reproduce the preimage sets, and renormalising lifts of iterates produces a
-topological conjugacy to the monomial map of the same degree.
+reproduce the preimage sets, and the tree of iterated preimages of a fixed
+point gives the topological conjugacy to the monomial map of the same degree
+(Shub, Amer. J. Math. 91, 1969).
 """
 
 from __future__ import annotations
@@ -13,28 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, ConvergenceError
+from .blaschke import _SEPARATION_TOL, BlaschkeProduct, ConvergenceError, preimage_grid
 
 _TWO_PI = 2.0 * np.pi
 _LIFT_TOTAL_TOL = 1e-8
 _BRANCH_TOL = 1e-11
-
-
-def _pchip_slopes(values: np.ndarray, h: float, periodic_jump: float | None = None) -> np.ndarray:
-    """Monotonicity-preserving slopes (harmonic mean of one-sided secants)."""
-    if periodic_jump is None:
-        secants = np.diff(values) / h
-        left = np.concatenate(([secants[0]], secants))
-        right = np.concatenate((secants, [secants[-1]]))
-    else:
-        wrapped = np.concatenate((values, [values[0] + periodic_jump]))
-        secants = np.diff(wrapped) / h
-        left = np.roll(secants, 1)
-        right = secants
-    both = left * right
-    with np.errstate(divide="ignore", invalid="ignore"):
-        harmonic = 2.0 * left * right / (left + right)
-    return np.where(both > 0, harmonic, 0.0)
+_FIXED_POINT_STEPS = 4
 
 
 def _hermite(u, y0, y1, m0, m1, h):
@@ -150,13 +135,19 @@ def branch_inverse(lift: CircleLift, k: int, t: float) -> float:
 
 @dataclass(frozen=True)
 class ConjugacyMap:
-    """Sampled degree-one circle map ``phi`` with ``phi o R = phi^n`` on the circle."""
+    """Samples of the degree-one circle map ``phi`` with ``phi o R = phi^n``.
+
+    ``thetas[j]`` is the angle of ``phi^(-1)(e^(2 pi i j / N))`` for the
+    ``N = n^levels`` points of the preimage tree, so ``values[j] = 2 pi j / N``;
+    ``residual`` is the certificate ``max_j |R(x_j) - x_((n j) mod N)|`` and
+    ``min_gap`` the smallest angular gap between consecutive samples.
+    """
 
     thetas: np.ndarray
     values: np.ndarray
     residual: float
-    iterations: int
-    last_delta: float
+    levels: int
+    min_gap: float
 
     def __post_init__(self):
         for name in ("thetas", "values"):
@@ -165,63 +156,69 @@ class ConjugacyMap:
             object.__setattr__(self, name, arr)
 
 
-def conjugacy_to_power(
-    product: BlaschkeProduct,
-    grid_size: int = 4096,
-    max_iterations: int = 64,
-    tol: float = 1e-8,
-) -> ConjugacyMap:
+def _fixed_point(lift: CircleLift) -> complex:
+    # psi(theta) - theta increases (slope psi' - 1 > 0) by 2 pi (n - 1) over
+    # the lift's revolution, so some grid cell brackets a multiple of 2 pi.
+    excess = lift.psi - lift.thetas
+    level = _TWO_PI * np.ceil(excess[0] / _TWO_PI)
+    i = int(np.clip(np.searchsorted(excess, level), 1, len(excess) - 1))
+    lo, hi = lift.thetas[i - 1], lift.thetas[i]
+    theta = lo + (hi - lo) * (level - excess[i - 1]) / (excess[i] - excess[i - 1])
+    for _ in range(_FIXED_POINT_STEPS):
+        z = np.exp(1j * theta)
+        theta -= np.angle(lift.product.evaluate(z) / z) / (lift.product.log_derivative(theta) - 1.0)
+    return complex(np.exp(1j * theta))
+
+
+def _power_certificate(product: BlaschkeProduct, points: np.ndarray) -> float:
+    """``max_j |R(x_j) - x_((n j) mod N)|`` over points ordered as ``phi^(-1)`` of the N-th roots of unity."""
+    index = product.degree * np.arange(len(points)) % len(points)
+    return float(np.max(np.abs(product.evaluate(points) - points[index])))
+
+
+def _preimage_tree(product: BlaschkeProduct, p: complex, max_points: int):
+    """``R^(-K)(p)`` sorted by angle from the fixed point ``p``, for the deepest admissible K.
+
+    Each level solves the preimages of the previous one in one batch; it
+    contains that level because ``R(p) = p``.  A level is kept while it has
+    at most ``max_points`` points and its smallest angular gap stays above
+    the root-separation bound.  Returns ``(points, offsets, levels, min_gap)``.
+    """
+    n = product.degree
+    points, offsets, levels, min_gap = np.array([p]), np.zeros(1), 0, _TWO_PI
+    while len(points) * n <= max_points:
+        roots, _ = preimage_grid(product, points)
+        roots = roots.ravel()
+        angles = np.angle(roots / p) % _TWO_PI
+        # p's own copy may round to just below 2 pi; anchor it at 0
+        angles[np.argmin(np.abs(roots - p))] = 0.0
+        order = np.argsort(angles)
+        gap = float(np.min(np.diff(np.append(angles[order], _TWO_PI))))
+        if gap <= _SEPARATION_TOL:
+            break
+        points, offsets, levels, min_gap = roots[order], angles[order], levels + 1, gap
+    return points, offsets, levels, min_gap
+
+
+def conjugacy_to_power(product: BlaschkeProduct, grid_size: int = 4096) -> ConjugacyMap:
     """Conjugacy from the circle restriction to the monomial map of equal degree.
 
-    Iterates the renormalisation ``phi <- phi(psi(theta)) / n``, which is a
-    1/n-contraction on degree-one lifts; the fixed point satisfies
-    ``phi(psi(theta)) = n phi(theta)``, i.e. ``phi o R = phi^n`` on the
-    circle.  Self-certifies through the sup-norm functional-equation
-    residual.  For monomials the iteration is stationary at the identity.
+    Shub's construction: ``phi`` sends a fixed point ``p`` of R to 1, and the
+    tree of iterated preimages of ``p``, in circle order from ``p``, onto the
+    roots of unity of order ``N = n^K`` in their order, so ``R(x_j) =
+    x_((n j) mod N)`` is an exact, interpolation-free certificate of
+    ``phi o R = phi^n``.  ``grid_size`` sizes the lift that brackets ``p``
+    and caps N; the depth K is the largest whose points stay separated.
+    For ``R(z) = z^n`` ``phi`` is the identity.
     """
-    if grid_size < 256:
-        raise ValueError("conjugacy grid must have at least 256 samples")
-    n = product.degree
-    thetas = _TWO_PI * np.arange(grid_size) / grid_size
-    h = _TWO_PI / grid_size
-    raw = np.unwrap(np.angle(product.evaluate(np.exp(1j * thetas))))
-    if raw[0] < 0:
-        raw = raw + _TWO_PI
-    psi = raw
-
-    def periodic_eval(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # g is 2 pi periodic, sampled on thetas; cubic Hermite with monotone slopes.
-        slopes = _pchip_slopes(g, h, periodic_jump=0.0)
-        xm = np.mod(x, _TWO_PI)
-        cell = np.minimum((xm / h).astype(int), grid_size - 1)
-        u = (xm - cell * h) / h
-        nxt = (cell + 1) % grid_size
-        return _hermite(u, g[cell], g[nxt], slopes[cell], slopes[nxt], h)
-
-    phi = thetas.copy()
-    iterations = 0
-    delta = np.inf
-    for iterations in range(1, max_iterations + 1):
-        gap = phi - thetas
-        phi_at_psi = periodic_eval(gap, psi) + psi
-        new = phi_at_psi / n
-        delta = float(np.max(np.abs(new - phi)))
-        phi = new
-        if delta < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"conjugacy iteration missed tolerance {tol:g} (last delta {delta:.3e})"
-        )
-    phi = phi - _TWO_PI * np.floor(phi[0] / _TWO_PI)
-    if np.any(np.diff(phi) <= 0):
-        raise ConvergenceError("conjugacy iterate lost strict monotonicity")
-    gap = phi - thetas
-    lhs = np.exp(1j * (periodic_eval(gap, psi) + psi))
-    rhs = np.exp(1j * n * phi)
-    residual = float(np.max(np.abs(lhs - rhs)))
+    p = _fixed_point(build_lift(product, grid_size))
+    points, offsets, levels, min_gap = _preimage_tree(product, p, grid_size)
     return ConjugacyMap(
-        thetas=thetas, values=phi, residual=residual, iterations=iterations, last_delta=delta
+        thetas=np.angle(p) % _TWO_PI + offsets,
+        values=_TWO_PI * np.arange(len(points)) / len(points),
+        residual=_power_certificate(product, points),
+        levels=levels,
+        min_gap=min_gap,
     )
 
 

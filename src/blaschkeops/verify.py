@@ -174,9 +174,14 @@ def _check_derivative_identity(cfg, product, grid, rng):
     thetas = 2.0 * np.pi * np.arange(1024) / 1024
     z = np.exp(1j * thetas)
     closed_form = product.log_derivative(thetas)
-    quotient = z * product.derivative(z) / product.evaluate(z)
-    residual = float(np.max(np.abs(quotient - closed_form)))
-    return residual, {"points": 1024}
+    value = product.evaluate(z)
+    deviations = {
+        "log_sum_deviation": float(np.max(np.abs(z * product.derivative(z) / value - closed_form))),
+        "product_rule_deviation": float(
+            np.max(np.abs(z * product._derivative_product_rule(z) / value - closed_form))
+        ),
+    }
+    return max(deviations.values()), {"points": 1024, **deviations}
 
 
 def _check_weight_positivity(cfg, product, grid, rng):
@@ -378,8 +383,7 @@ def _check_branch_inverses(cfg, product, grid, rng):
 
 def _check_power_conjugacy(cfg, product, grid, rng):
     result = conjugacy_to_power(product, grid_size=cfg.grid)
-    details = {"iterations": result.iterations, "last_delta": result.last_delta}
-    return result.residual, details
+    return result.residual, {"levels": result.levels, "min_gap": result.min_gap}
 
 
 def _check_k_group_formula(cfg, product, grid, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from blaschkeops import CircleGrid, make_blaschke
 
@@ -19,6 +20,17 @@ def random_product(seed, degree=3, max_radius=0.6):
         zeros.append(radius * np.exp(1j * angle))
     lam = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     return make_blaschke(lam, zeros)
+
+
+@st.composite
+def blaschke_products(draw):
+    """Degree 2-16, zeros in the closed disk of radius 0.98, random phase."""
+    degree = draw(st.integers(2, 16))
+    unit = st.floats(0.0, 1.0)
+    zeros = [0j] + [
+        0.98 * draw(unit) * np.exp(2j * np.pi * draw(unit)) for _ in range(degree - 1)
+    ]
+    return make_blaschke(np.exp(2j * np.pi * draw(unit)), zeros)
 
 
 @pytest.fixture(scope="session")

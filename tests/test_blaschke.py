@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from blaschkeops import CircleGrid, ConvergenceError, make_blaschke, partial_fraction_weights
 from blaschkeops.blaschke import preimage_grid
-from conftest import random_product
+from conftest import blaschke_products, random_product
 
 
 def _near_circle_product(degree):
@@ -241,13 +241,7 @@ def test_convergence_error_is_runtime_error():
 
 @st.composite
 def _products_and_targets(draw):
-    degree = draw(st.integers(2, 16))
-    unit = st.floats(0.0, 1.0)
-    zeros = [0j] + [
-        0.98 * draw(unit) * np.exp(2j * np.pi * draw(unit)) for _ in range(degree - 1)
-    ]
-    product = make_blaschke(np.exp(2j * np.pi * draw(unit)), zeros)
-    return product, np.exp(2j * np.pi * draw(unit))
+    return draw(blaschke_products()), np.exp(2j * np.pi * draw(st.floats(0.0, 1.0)))
 
 
 @given(_products_and_targets())

@@ -2,16 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from blaschkeops import (
-    ConvergenceError,
-    branch_inverse,
-    build_lift,
-    conjugacy_to_power,
-    k_groups,
-)
+from blaschkeops import branch_inverse, build_lift, conjugacy_to_power, k_groups, make_blaschke
 from blaschkeops.blaschke import preimage_grid
-from conftest import random_product
+from blaschkeops.dynamics import _power_certificate, _preimage_tree
+from blaschkeops.verify import DEFAULT_TOLERANCES
+from conftest import blaschke_products, random_product
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,7 +90,6 @@ class TestBranchInverse:
 class TestConjugacy:
     def test_monomial_converges_immediately_to_identity(self, square):
         result = conjugacy_to_power(square, 1024)
-        assert result.iterations == 1
         np.testing.assert_allclose(result.values, result.thetas, atol=1e-12)
         assert result.residual <= 1e-12
 
@@ -107,32 +103,73 @@ class TestConjugacy:
 
     def test_degree_one_periodicity(self, half):
         result = conjugacy_to_power(half, 2048)
-        # normalisation pins phi(0) to [0, 2 pi); the periodic continuation
-        # phi(2 pi) = phi(0) + 2 pi must stay above the last sample
-        assert 0.0 <= result.values[0] < TWO_PI
-        assert result.values[-1] < result.values[0] + TWO_PI
+        # the samples start at the fixed point, which phi sends to 1; the
+        # periodic continuation phi(theta + 2 pi) = phi(theta) + 2 pi must
+        # stay above the last sample
+        assert result.values[0] == 0.0
+        assert 0.0 <= result.thetas[0] < TWO_PI
+        assert result.thetas[-1] < result.thetas[0] + TWO_PI
+        assert result.values[-1] < TWO_PI
+
+    def test_depth_from_grid_and_separation(self, half):
+        # n^K <= grid_size caps the tree; [0, 0.95] stops earlier, where the
+        # next level's points near the repelling fixed point would collide
+        result = conjugacy_to_power(half, 4096)
+        assert (result.levels, len(result.thetas)) == (12, 4096)
+        crowded = conjugacy_to_power(make_blaschke(np.exp(1.3j), [0, 0.95]), 16384)
+        assert len(crowded.thetas) == 2**crowded.levels < 16384
+        assert crowded.min_gap > 1e-12
+        assert crowded.residual <= 1e-13
+
+    def test_copy_of_fixed_point_is_anchored_first(self, half):
+        # p's own copy in the tree can round to just below angle 2 pi from p;
+        # turning p by 1e-13 forces that side, and the anchor keeps it first
+        p = np.exp(1j * conjugacy_to_power(half, 4096).thetas[0])
+        points, offsets, levels, _ = _preimage_tree(half, p * np.exp(1e-13j), 4096)
+        assert levels == 12 and offsets[0] == 0.0
+        assert _power_certificate(half, points) <= 1e-12
 
     def test_conjugates_circle_dynamics(self, half):
         # independent spot check of phi(R(e^(i t))) = phi(e^(i t))^n at
         # off-grid points.  The conjugacy is only Hoelder continuous (the
         # periodic multipliers of R and z^2 differ), so linear interpolation
         # between samples is accurate only to ~ 1e-3 at this grid; the sharp
-        # residual lives on the grid and is certified by the constructor.
+        # residual lives on the tree and is certified by the constructor.
         result = conjugacy_to_power(half, 4096)
         assert result.residual <= 1e-6
-        thetas = np.concatenate([result.thetas, [TWO_PI]])
-        values = np.concatenate([result.values, [result.values[0] + TWO_PI]])
+        start = result.thetas[0]
+        thetas = np.concatenate([result.thetas, [start + TWO_PI]])
+        values = np.concatenate([result.values, [TWO_PI]])
+
+        def phi(t):  # samples start at the fixed point, so unwrap from there
+            return np.interp(start + (t - start) % TWO_PI, thetas, values)
+
         for t in np.linspace(0.1, 5.9, 23):
-            image = np.angle(half.evaluate(np.exp(1j * t))) % TWO_PI
-            phi_t = np.interp(t, thetas, values)
-            phi_image = np.interp(image, thetas, values)
-            lhs = np.exp(1j * phi_image)
-            rhs = np.exp(2j * phi_t)
+            image = np.angle(half.evaluate(np.exp(1j * t)))
+            lhs = np.exp(1j * phi(image))
+            rhs = np.exp(2j * phi(t))
             assert abs(lhs - rhs) <= 5e-3
 
-    def test_nonconvergence_reports_delta(self, half):
-        with pytest.raises(ConvergenceError, match="delta"):
-            conjugacy_to_power(half, 1024, max_iterations=2)
+    def test_turned_phase_fails_certificate(self, half):
+        # negative control: the tree of R certified against R with its phase
+        # turned by 1e-3 must read above the power_conjugacy tolerance
+        result = conjugacy_to_power(half, 4096)
+        points = np.exp(1j * result.thetas)
+        turned = make_blaschke(half.phase * np.exp(1e-3j), half.zeros)
+        assert _power_certificate(half, points) <= 1e-13
+        assert _power_certificate(turned, points) > DEFAULT_TOLERANCES["power_conjugacy"]
+
+
+@given(blaschke_products())
+@settings(max_examples=50)
+def test_lift_and_conjugacy_properties(product):
+    n = product.degree
+    lift = build_lift(product, 4096)
+    assert lift.psi[-1] - lift.psi[0] == pytest.approx(TWO_PI * n, abs=1e-8)
+    result = conjugacy_to_power(product, 4096)
+    assert np.all(np.diff(result.thetas) > 0)
+    assert result.min_gap > 1e-12
+    assert result.residual <= 1e-12
 
 
 class TestKGroups:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from blaschkeops import CircleGrid, TransferOperator, composition_matrix, transfer_matrix
+from blaschkeops import (
+    BlaschkeProduct,
+    CircleGrid,
+    TransferOperator,
+    composition_matrix,
+    transfer_matrix,
+)
 from blaschkeops.hardy import _matrix_norm
 from blaschkeops.verify import (
     MANIFEST,
@@ -95,6 +101,20 @@ class TestRun:
         assert not report.overall_pass
         failed = {c.check_id for c in report.checks if not c.passed}
         assert failed == {"weight_sum"}
+
+    def test_scaled_log_derivative_fails_derivative_identity(self, monkeypatch):
+        # negative control: the closed-form sum scaled by 1 + 1e-6 disagrees
+        # with the quotient of R' and R along both derivative routes
+        exact = BlaschkeProduct._log_derivative_at
+        monkeypatch.setattr(
+            BlaschkeProduct, "_log_derivative_at", lambda self, z: exact(self, z) * (1.0 + 1e-6)
+        )
+        spec = next(s for s in MANIFEST if s.check_id == "derivative_identity")
+        cfg = RunConfig(**FAST)
+        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        assert residual > spec.tolerance
+        assert details["log_sum_deviation"] > spec.tolerance
+        assert details["product_rule_deviation"] > spec.tolerance
 
     def test_tail_profile_cuts_past_a_small_truncation(self):
         # N = 32 is below the largest cut (64): those cuts read as empty corners
