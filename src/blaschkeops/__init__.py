@@ -40,8 +40,6 @@ from .tmbasis import (
     factorization_residual,
     gram_residual,
     inner_product_residual,
-    module_isometry,
-    quotient_generators,
     tm_element,
 )
 from .transfer import (

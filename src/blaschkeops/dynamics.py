@@ -20,6 +20,7 @@ _TWO_PI = 2.0 * np.pi
 _LIFT_TOTAL_TOL = 1e-8
 _BRANCH_TOL = 1e-11
 _FIXED_POINT_STEPS = 4
+_MIN_LIFT_GRID = 256
 
 
 def _hermite(u, y0, y1, m0, m1, h):
@@ -73,17 +74,22 @@ def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
     this gives ``theta0 = 2 pi`` and ``psi(theta) = n theta``.  The grid must
     resolve the fastest winding: ``max(psi') * step < pi``.
     """
-    if grid_size < 256:
-        raise ValueError("lift grid must have at least 256 samples")
+    if grid_size < _MIN_LIFT_GRID:
+        raise ValueError(f"lift grid must have at least {_MIN_LIFT_GRID} samples")
     anchors = np.angle(np.asarray(product.preimages(1.0 + 0j).points)) % _TWO_PI
     anchors[anchors > _TWO_PI - 1e-9] -= _TWO_PI
     start = float(np.min(anchors))
     theta0 = start + _TWO_PI
     thetas = np.linspace(start, theta0, grid_size)
     dpsi = np.asarray(product.log_derivative(thetas), dtype=float)
-    step = _TWO_PI / (grid_size - 1)
-    if np.max(dpsi) * step >= np.pi:
-        raise ValueError("grid too coarse to unwrap the lift unambiguously")
+    peak = float(np.max(dpsi))
+    if peak * _TWO_PI / (grid_size - 1) >= np.pi:
+        needed = _MIN_LIFT_GRID
+        while peak * _TWO_PI / (needed - 1) >= np.pi:
+            needed *= 2
+        raise ValueError(
+            f"grid too coarse to unwrap the lift unambiguously: max psi' = {peak:.4g} needs grid >= {needed}"
+        )
     raw = np.unwrap(np.angle(product.evaluate(np.exp(1j * thetas))))
     psi = raw - raw[0]
     total = psi[-1] - _TWO_PI * product.degree

@@ -7,8 +7,11 @@ compact operators) upstairs are tested on an m x m corner whose guard band
 C holds the first N Taylor coefficients of R^j, exactly: N limits a column,
 no grid does.  ``R(0) = 0`` makes C lower triangular, so a corner reads only
 the first m columns of C, and a Toeplitz operator acts on them as one FFT
-convolution.  Residual norms come from a power iteration, not a full SVD; it
-forms the Gram matrix ``A* A`` only when an iteration runs long.
+convolution.  A modulo-compact identity is read from the Toeplitz symbol of
+its residual: every trailing corner of a Toeplitz section is a leading
+section of the same symbol.  Residual norms come from a power iteration, not
+a full SVD; it forms the Gram matrix ``A* A`` only when an iteration runs
+long.
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ class TruncatedOperator:
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         return TruncatedOperator(self.entries - other.entries, f"{self.label} - {other.label}")
-
-    def __rmul__(self, scalar) -> "TruncatedOperator":
-        return TruncatedOperator(complex(scalar) * self.entries, f"{scalar}·{self.label}")
 
     @staticmethod
     def identity(n: int) -> "TruncatedOperator":
@@ -121,8 +121,8 @@ def _power_spectra(product: BlaschkeProduct, n_trunc: int, cols: int) -> np.ndar
     return powers.T
 
 
-def composition_matrix(product: BlaschkeProduct, n_trunc: int, grid=None) -> TruncatedOperator:
-    """Truncated composition operator: column j holds the exact Taylor coefficients of R^j; ``grid`` is unused."""
+def composition_matrix(product: BlaschkeProduct, n_trunc: int) -> TruncatedOperator:
+    """Truncated composition operator: column j holds the exact Taylor coefficients of R^j."""
     return TruncatedOperator(entries=_power_spectra(product, n_trunc, n_trunc), label="C_R")
 
 
@@ -224,25 +224,20 @@ def commutation_residual(
     return _matrix_norm(cols[:m] @ _toeplitz_block(b, m, m) - t_pull @ cols)
 
 
-def tail_compactness_profile(mres: TruncatedOperator, cuts, window: int | None = None):
-    """Corner norms ``||P_m^perp M P_m^perp||`` for increasing cuts m.
+def tail_compactness_profile(d: FourierSymbol, n_trunc: int, cuts):
+    """Corner norms ``||P_m^perp T_d P_m^perp||`` on the N x N section, for increasing cuts m.
 
-    ``window`` bounds the rows/columns considered (defaults to the full
-    truncation); each value is the norm of ``entries[m:window, m:window]``.
-    Corners of compressions never grow under nesting, so the profile is
-    monotone nonincreasing by construction; what carries information is how
-    fast it decays.  An empty corner, from a cut at or past the window, has
-    norm zero.
+    The trailing ``(N - m) x (N - m)`` corner of a Toeplitz section is the
+    leading section of the same symbol (Boettcher-Silbermann), so each value
+    is the norm of ``_toeplitz_block(d, N - m, N - m)``.  Corners of
+    compressions never grow under nesting, so the profile is monotone
+    nonincreasing by construction; what carries information is how fast it
+    decays.  An empty corner, from a cut at or past N, has norm zero.
     """
     cuts = [int(c) for c in cuts]
     if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])) or not cuts:
         raise ValueError("cuts must be strictly increasing and nonempty")
     if cuts[0] < 0:
         raise ValueError("cuts must be nonnegative")
-    if window is None:
-        window = mres.dim
-        if cuts[-1] > mres.dim // 2:
-            raise ValueError("largest cut must not exceed half the truncation")
-    if window > mres.dim:
-        raise ValueError("window must fit inside the truncation")
-    return [_matrix_norm(np.asarray(mres.entries[m:window, m:window])) for m in cuts]
+    sizes = [n_trunc - m for m in cuts]
+    return [_matrix_norm(_toeplitz_block(d, k, k)) if k > 0 else 0.0 for k in sizes]

@@ -6,7 +6,9 @@ periodically) and phases ``alpha_{kn+l} = phase^k``, the Takenaka-Malmquist
 elements form an orthonormal basis of the Hardy space that factors as
 ``e_{kn+l} = Q_l R_l R^k``.  The operators ``W_k = T_(Q_{k-1} R_{k-1}) C``
 are isometries with mutually orthogonal ranges summing to the identity - a
-concrete family satisfying the Cuntz relations in truncation.
+concrete family satisfying the Cuntz relations in truncation.  The bimodule
+relation ``V_p* V_q = T_<p,q>`` modulo compact operators is read from the
+Toeplitz symbol of its residual, whose trailing-corner norms must decay.
 """
 
 from __future__ import annotations
@@ -18,16 +20,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .circle import CircleGrid, FourierSymbol, fourier_coefficients
-from .hardy import (
-    TruncatedOperator,
-    _matrix_norm,
-    _power_spectra,
-    _toeplitz_apply,
-    _toeplitz_block,
-    composition_matrix,
-    isometry_residual,
-    toeplitz_matrix,
-)
+from .hardy import TruncatedOperator, _matrix_norm, _power_spectra, _toeplitz_apply, isometry_residual
 from .transfer import TransferOperator, bimodule_inner_samples
 
 _MAX_GRAM_COUNT = 64
@@ -174,44 +167,28 @@ def cons_residual(family, m: int) -> ConsResidual:
     return ConsResidual(completeness, isometry, orthogonality)
 
 
-def quotient_generators(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid):
-    """The pair ``(U, V) = (T_z, C)`` generating the truncated operator algebra."""
-    u = toeplitz_matrix(FourierSymbol({1: 1.0}), n_trunc, label="T_z")
-    v = composition_matrix(product, n_trunc, grid)
-    return u, v
-
-
-def module_isometry(product: BlaschkeProduct, p, n_trunc: int, grid: CircleGrid) -> TruncatedOperator:
-    """Truncation of ``sqrt(n) T_p C`` for a circle function p.
-
-    This realises the generator attached to a correspondence element whose
-    restriction to the graph of R is p.
-    """
-    symbol = fourier_coefficients(np.asarray(p(grid.points), dtype=complex))
-    scaled = np.sqrt(product.degree) * _toeplitz_apply(symbol, _power_spectra(product, n_trunc, n_trunc))
-    return TruncatedOperator(scaled, label="V_p")
-
-
 def inner_product_residual(
     product: BlaschkeProduct,
     p,
     q,
     n_trunc: int,
     grid: CircleGrid,
-) -> TruncatedOperator:
-    """Compression of ``V_p* V_q - T_<p,q>`` to the truncation window.
+) -> FourierSymbol:
+    """Toeplitz symbol of ``V_p* V_q - T_<p,q>`` on the N x N truncation window.
 
-    The left side is assembled by quadrature, ``n * <q R^j, p R^i>``, which
-    is the faithful N x N compression of the operator product (free of
-    finite-section boundary artifacts).  Because ``|R| = 1`` on the circle,
-    ``conj(R^i) R^j`` is ``R^(j-i)`` above the diagonal and
+    The coefficients are those of index ``|k| < N``, all that the N x N
+    section reads.  The left side is assembled by quadrature,
+    ``n * <q R^j, p R^i>``, which is the faithful compression of the operator
+    product (free of finite-section boundary artifacts).  Because ``|R| = 1``
+    on the circle, ``conj(R^i) R^j`` is ``R^(j-i)`` above the diagonal and
     ``conj(R)^(i-j)`` below it, so the entry depends only on ``j - i``: the
-    Gram matrix is Toeplitz and is built from two weighted power sums of
-    length N at cost ``O(N M)`` instead of ``O(N^2 M)``.  The right side is
-    the Toeplitz matrix of the weighted pairing symbol delivered by the
-    pointwise transfer oracle, so the two sides reach the matrix through
-    independent routes.
+    Gram matrix is Toeplitz and its symbol is two weighted power sums of
+    length N, at cost ``O(N M)``.  The right side is the Fourier transform of
+    the weighted pairing delivered by the pointwise transfer oracle, so the
+    two sides reach the symbol through independent routes.
     """
+    if 2 * n_trunc > grid.size:
+        raise ValueError("truncation must not exceed half the grid")
     pts = grid.points
     p_vals = np.asarray(p(pts), dtype=complex)
     q_vals = np.asarray(q(pts), dtype=complex)
@@ -223,10 +200,10 @@ def inner_product_residual(
     for d in range(n_trunc):
         sums[d] = weights @ power
         power = power * comp_vals
-    # upper[d] = weighted sum of R^d, lower[d] = weighted sum of conj(R)^d
+    # upper[d] = weighted sum of R^d, the coefficient of index -d;
+    # lower[d] = weighted sum of conj(R)^d, the coefficient of index d
     upper, lower = sums[:, 0], sums[:, 1].conj()
-    band = FourierSymbol._dense(1 - n_trunc, np.concatenate((upper[:0:-1], lower)))
-    gram = _toeplitz_block(band, n_trunc, n_trunc)
-    pairing = bimodule_inner_samples(TransferOperator(product), p, q, grid)
-    t_pairing = _toeplitz_block(fourier_coefficients(pairing), n_trunc, n_trunc)
-    return TruncatedOperator(gram - t_pairing, label="V_p*V_q - T_<p,q>")
+    band = np.concatenate((upper[:0:-1], lower))
+    pairing = fourier_coefficients(bimodule_inner_samples(TransferOperator(product), p, q, grid))
+    pairing_band = pairing.values[1 - n_trunc - pairing.low : n_trunc - pairing.low]
+    return FourierSymbol._dense(1 - n_trunc, band - pairing_band)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .blaschke import make_blaschke, preimage_grid
 from .circle import CircleGrid, FourierSymbol
-from .dynamics import build_lift, branch_inverse, conjugacy_to_power, k_groups
+from .dynamics import _MIN_LIFT_GRID, build_lift, branch_inverse, conjugacy_to_power, k_groups
 from .hardy import (
     commutation_residual,
     covariance_residual,
@@ -52,8 +52,8 @@ class RunConfig:
     """Run parameters: the product, truncation sizes and per-check tolerances.
 
     Invariants: ``1 <= corner <= truncation/4``, ``truncation <= grid/4``,
-    grid a power of two, every tolerance positive and attached to a known
-    check.
+    grid a power of two of at least 256 samples, every tolerance positive and
+    attached to a known check.
     """
 
     lambda_angle: float = 0.0
@@ -77,6 +77,8 @@ class RunConfig:
             raise ConfigError("corner must not exceed a quarter of the truncation")
         if self.truncation * 4 > self.grid:
             raise ConfigError("truncation must not exceed a quarter of the grid")
+        if self.grid < _MIN_LIFT_GRID:
+            raise ConfigError(f"grid must have at least {_MIN_LIFT_GRID} samples (the lift checks sample it)")
         try:
             CircleGrid(self.grid)
         except ValueError as exc:
@@ -335,7 +337,7 @@ def _check_module_inner_tails(cfg, product, grid, rng):
     for i, p in enumerate(funcs):
         for j, q in enumerate(funcs):
             residual = inner_product_residual(product, p, q, cfg.truncation, grid)
-            profile = tail_compactness_profile(residual, cuts, window=cfg.truncation)
+            profile = tail_compactness_profile(residual, cfg.truncation, cuts)
             profiles[f"v{i + 1},v{j + 1}"] = profile
             worst = max(worst, profile[-1])
     return worst, {"cuts": list(cuts), "profiles": profiles}

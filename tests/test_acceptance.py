@@ -29,8 +29,8 @@ from blaschkeops import (
     isometry_residual,
     k_groups,
     make_blaschke,
-    quotient_generators,
     tail_compactness_profile,
+    toeplitz_matrix,
     transfer_matrix,
 )
 from blaschkeops.blaschke import preimage_grid
@@ -103,16 +103,16 @@ def test_criterion_3_adjoint_lemma(products, grid):
     worst = 0.0
     for product in products.values():
         lmat = transfer_matrix(TransferOperator(product), N, grid)
-        comp = composition_matrix(product, N, grid)
+        comp = composition_matrix(product, N)
         diff = (lmat.entries - comp.entries.conj().T)[:CORNER, :CORNER]
         worst = max(worst, _matrix_norm(diff))
     _report("criterion 3: adjoint equals transfer truncation", worst, 1e-8, "32x32 corner")
 
 
-def test_criterion_4_isometry(products, grid):
+def test_criterion_4_isometry(products):
     worst = 0.0
     for product in products.values():
-        worst = max(worst, isometry_residual(composition_matrix(product, N, grid), CORNER))
+        worst = max(worst, isometry_residual(composition_matrix(product, N), CORNER))
     _report("criterion 4: composition isometry", worst, 1e-8, f"corner {CORNER}")
 
 
@@ -181,7 +181,7 @@ def test_criterion_8_module_inner_tails(products, grid):
         for i in range(n):
             for j in range(n):
                 residual = inner_product_residual(product, funcs[i], funcs[j], N, grid)
-                profile = tail_compactness_profile(residual, cuts)
+                profile = tail_compactness_profile(residual, N, cuts)
                 worst_final = max(worst_final, profile[-1])
                 worst_bump = max(
                     worst_bump, max(b - a for a, b in zip(profile, profile[1:]))
@@ -231,9 +231,9 @@ def test_criterion_9_dynamics(products):
 
 def test_criterion_10_monomial_example_relations(products, grid):
     worst_shift = 0.0
+    u = toeplitz_matrix(FourierSymbol({1: 1.0}), N)
     for name in ("z2", "z3"):
         product = products[name]
-        u, _ = quotient_generators(product, N, grid)
         family = cuntz_family(product, N, grid)
         for k in range(product.degree - 1):
             worst_shift = max(worst_shift, _matrix_norm(((u @ family[k]) - family[k + 1]).entries))

@@ -31,6 +31,10 @@ class TestVerifyCommand:
         assert main(["verify", "--truncation", "64", "--corner", "32"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_grid_below_the_lift_floor_exit_code(self, capsys):
+        assert main(["verify", "--truncation", "32", "--corner", "8", "--grid", "128"]) == 2
+        assert "at least 256" in capsys.readouterr().err
+
     @pytest.mark.parametrize("corner", ["0", "-4"])
     def test_nonpositive_corner_exit_code(self, corner, capsys):
         assert main(["verify", "--truncation", "128", "--corner", corner, "--grid", "1024"]) == 2

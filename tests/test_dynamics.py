@@ -44,6 +44,13 @@ class TestLift:
         with pytest.raises(ValueError):
             build_lift(half, 100)
 
+    def test_coarse_grid_names_the_grid_it_needs(self):
+        # five zeros at 0.98 give max psi' = 496; one step of 2 pi / 255 winds past pi
+        product = make_blaschke(1.0, [0, 0.98, 0.98, 0.98, 0.98, 0.98])
+        with pytest.raises(ValueError, match="max psi' = 496 needs grid >= 1024"):
+            build_lift(product, 256)
+        assert build_lift(product, 1024).dpsi.max() == pytest.approx(496.0)
+
 
 class TestBranchInverse:
     def test_monomial_branches_are_affine(self, cube):

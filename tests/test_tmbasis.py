@@ -5,6 +5,7 @@ import pytest
 
 from blaschkeops import (
     CircleGrid,
+    FourierSymbol,
     TMBasis,
     cons_residual,
     cuntz_family,
@@ -15,9 +16,7 @@ from blaschkeops import (
     inner_product_residual,
     l2_inner,
     make_blaschke,
-    module_isometry,
     operator_norm,
-    quotient_generators,
     sample,
     tail_compactness_profile,
     tm_element,
@@ -225,25 +224,14 @@ class TestRangeSplit:
 
 
 class TestQuotientGenerators:
-    def test_generators_are_shift_and_composition(self, half, grid_big):
-        u, v = quotient_generators(half, 64, grid_big)
-        np.testing.assert_allclose(u.entries, np.eye(64, k=-1))
-        np.testing.assert_allclose(v.entries, composition_matrix(half, 64, grid_big).entries)
-
     def test_monomial_shift_relations_exact(self, cube, grid_big):
-        u, _ = quotient_generators(cube, 256, grid_big)
+        u = toeplitz_matrix(FourierSymbol({1: 1.0}), 256)
         family = cuntz_family(cube, 256, grid_big)
         for k in range(2):
             diff = (u @ family[k]) - family[k + 1]
             assert _matrix_norm(diff.entries) <= 1e-12
         wrap = (u @ family[-1]) - (family[0] @ u)
         assert _matrix_norm(wrap.entries) <= 1e-12
-
-    def test_unit_module_isometry_is_scaled_composition(self, cube, grid_big):
-        # p = 1: V_1 = sqrt(n) C, so V_1* V_1 = n I on the guarded corner
-        v1 = module_isometry(cube, lambda z: np.ones_like(z), 256, grid_big)
-        gram = (v1.adjoint() @ v1).corner(32)
-        np.testing.assert_allclose(gram, 3.0 * np.eye(32), atol=1e-12)
 
 
 class TestInnerProductResidual:
@@ -263,7 +251,7 @@ class TestInnerProductResidual:
                 residual = inner_product_residual(
                     half, self._frame_function(half, i), self._frame_function(half, j), 256, grid_big
                 )
-                profile = tail_compactness_profile(residual, cuts)
+                profile = tail_compactness_profile(residual, 256, cuts)
                 assert profile[-1] <= 1e-6
                 assert all(b <= a + 1e-11 for a, b in zip(profile, profile[1:]))
 
@@ -271,7 +259,14 @@ class TestInnerProductResidual:
         # p = q = 1: V* V = n C* C and <1,1> = n, so the residual is ~ 0
         one = lambda z: np.ones_like(z)
         residual = inner_product_residual(square, one, one, 256, grid_big)
-        assert operator_norm(residual) <= 1e-10
+        assert operator_norm(toeplitz_matrix(residual, 256)) <= 1e-10
+
+    def test_truncation_past_half_the_grid_rejected(self, half):
+        # the symbol reads the pairing coefficients |k| < N, which a grid of M points holds only for N <= M/2
+        one = lambda z: np.ones_like(z)
+        assert inner_product_residual(half, one, one, 128, CircleGrid(256)).values.size == 255
+        with pytest.raises(ValueError, match="half the grid"):
+            inner_product_residual(half, one, one, 129, CircleGrid(256))
 
     def test_pairing_symbol_route_is_independent(self, half, grid_big):
         # cross-check the Toeplitz side against a direct pointwise evaluation
@@ -286,7 +281,8 @@ class TestInnerProductResidual:
     @pytest.mark.parametrize("case", ["half", "near-circle", "degree-4"])
     def test_toeplitz_gram_matches_dense_quadrature(self, half, case):
         # reference: the (N x M) quadrature route n (left^H right) / M, with
-        # left[:, j] = p R^j and right[:, j] = q R^j
+        # left[:, j] = p R^j and right[:, j] = q R^j; its trailing corners are
+        # what the profile reads as leading sections of the residual symbol
         product = {
             "half": half,
             "near-circle": make_blaschke(np.exp(1.3j), [0, 0.9]),
@@ -304,4 +300,9 @@ class TestInnerProductResidual:
                 pairing = fourier_coefficients(bimodule_inner_samples(op, p, q, grid))
                 dense = gram - toeplitz_matrix(pairing, n_trunc).entries
                 residual = inner_product_residual(product, p, q, n_trunc, grid)
-                np.testing.assert_allclose(residual.entries, dense, rtol=0, atol=1e-13)
+                assert (residual.low, residual.values.size) == (1 - n_trunc, 2 * n_trunc - 1)
+                np.testing.assert_allclose(toeplitz_matrix(residual, n_trunc).entries, dense, rtol=0, atol=1e-13)
+                cuts = range(0, n_trunc + 1, 4)
+                corners = [_matrix_norm(dense[m:, m:]) for m in cuts]
+                profile = tail_compactness_profile(residual, n_trunc, cuts)
+                np.testing.assert_allclose(profile, corners, rtol=0, atol=1e-13)

@@ -172,7 +172,7 @@ class TestTransferMatrix:
 
     def test_equals_adjoint_of_composition(self, half, grid_small):
         lmat = transfer_matrix(TransferOperator(half), 32, grid_small)
-        comp = composition_matrix(half, 32, grid_small)
+        comp = composition_matrix(half, 32)
         diff = lmat.entries - comp.entries.conj().T
         assert np.max(np.abs(diff)) <= 1e-8
 

@@ -10,6 +10,7 @@ from blaschkeops import (
     composition_matrix,
     transfer_matrix,
 )
+from blaschkeops import tmbasis
 from blaschkeops.hardy import _matrix_norm
 from blaschkeops.verify import (
     MANIFEST,
@@ -44,6 +45,11 @@ class TestConfig:
     def test_truncation_grid_ratio_enforced(self):
         with pytest.raises(ConfigError, match="grid"):
             RunConfig(truncation=2048, corner=16, grid=4096)
+
+    def test_grid_below_the_lift_floor_rejected(self):
+        # the lift checks sample at least 256 points; a smaller grid is a configuration limit
+        with pytest.raises(ConfigError, match="at least 256"):
+            RunConfig(truncation=32, corner=8, grid=128)
 
     def test_bad_product_is_config_error(self):
         with pytest.raises(ConfigError, match="product"):
@@ -118,10 +124,22 @@ class TestRun:
 
     def test_tail_profile_cuts_past_a_small_truncation(self):
         # N = 32 is below the largest cut (64): those cuts read as empty corners
-        cfg = RunConfig(truncation=32, corner=8, grid=128, basis_count=8)
+        cfg = RunConfig(truncation=32, corner=8, grid=256, basis_count=8)
         check = next(c for c in run_verify(cfg).checks if c.check_id == "module_inner_tails")
         assert not check.errored
         assert check.details["profiles"]["v1,v1"][2:] == [0.0, 0.0]
+
+    def test_scaled_pairing_fails_module_inner_tails(self, monkeypatch):
+        # negative control: a pairing scaled by 1 + 1e-5 leaves n * 1e-5 on the
+        # diagonal of the residual symbol, a non-compact tail no cut removes
+        exact = tmbasis.bimodule_inner_samples
+        monkeypatch.setattr(
+            tmbasis, "bimodule_inner_samples", lambda *args: exact(*args) * (1.0 + 1e-5)
+        )
+        spec = next(s for s in MANIFEST if s.check_id == "module_inner_tails")
+        cfg = RunConfig(**FAST)
+        residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+        assert residual > spec.tolerance
 
     def test_corner_one_adjoint_transfer(self):
         # the 1 x 1 corner is below the smallest TruncatedOperator; its
@@ -132,7 +150,7 @@ class TestRun:
         check = next(c for c in report.checks if c.check_id == "adjoint_transfer")
         product, grid = cfg.product(), CircleGrid(cfg.grid)
         lmat = transfer_matrix(TransferOperator(product), cfg.truncation, grid).entries
-        comp = composition_matrix(product, cfg.truncation, grid).entries
+        comp = composition_matrix(product, cfg.truncation).entries
         assert check.residual == _matrix_norm((lmat - comp.conj().T)[:1, :1])
 
     def test_parallel_matches_serial(self):
