@@ -45,7 +45,6 @@ from .tmbasis import (
 from .transfer import (
     TransferOperator,
     bimodule_inner,
-    covariance_check,
     partial_fraction_weights,
     transfer_matrix,
 )

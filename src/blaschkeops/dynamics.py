@@ -2,10 +2,11 @@
 
 The restriction is an expanding degree-n covering: its lift is a strictly
 increasing function climbing by 2 pi n per revolution, with derivative equal
-to the circle log-derivative (hence > 1).  Branch inverses of the lift
-reproduce the preimage sets, and the tree of iterated preimages of a fixed
-point gives the topological conjugacy to the monomial map of the same degree
-(Shub, Amer. J. Math. 91, 1969).
+to the circle log-derivative (hence > 1), and has a closed form as a sum of
+continuous factor arguments.  Branch inverses of the lift reproduce the
+preimage sets, and the tree of iterated preimages of a fixed point gives the
+topological conjugacy to the monomial map of the same degree (Shub, Amer. J.
+Math. 91, 1969).
 """
 
 from __future__ import annotations
@@ -19,19 +20,21 @@ from .blaschke import _SEPARATION_TOL, BlaschkeProduct, ConvergenceError, preima
 _TWO_PI = 2.0 * np.pi
 _LIFT_TOTAL_TOL = 1e-8
 _BRANCH_TOL = 1e-11
-_FIXED_POINT_STEPS = 4
 _MIN_LIFT_GRID = 256
 
 
-def _hermite(u, y0, y1, m0, m1, h):
-    u2 = u * u
-    u3 = u2 * u
-    return (
-        (2 * u3 - 3 * u2 + 1) * y0
-        + (u3 - 2 * u2 + u) * h * m0
-        + (-2 * u3 + 3 * u2) * y1
-        + (u3 - u2) * h * m1
-    )
+def _argument(product: BlaschkeProduct, theta):
+    """Continuous argument of ``R(e^(i theta))`` in closed form.
+
+    On the circle a factor ``(z - a)/(1 - conj(a) z)`` is ``z conj(u)/u`` with
+    ``u = 1 - conj(a) z``, and ``Re u >= 1 - |a| > 0``, so its argument is
+    ``theta - 2 arg u`` with the principal ``arg u`` continuous in theta.
+    """
+    z = np.exp(1j * theta)
+    total = np.angle(product.phase) + product.degree * theta
+    for zk in product.zeros[1:]:
+        total = total - 2.0 * np.angle(1.0 - np.conj(zk) * z)
+    return total
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,13 @@ class CircleLift:
 
 
 def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
-    """Unwrapped argument of ``theta -> R(e^(i theta))`` over one revolution.
+    """The lift of ``theta -> R(e^(i theta))`` over one revolution, sampled on ``grid_size`` angles.
 
     The anchor ``theta0 - 2 pi`` is the smallest angle in ``[0, 2 pi)``
     whose image is 1, which pins ``psi(theta0 - 2 pi) = 0``; for monomials
-    this gives ``theta0 = 2 pi`` and ``psi(theta) = n theta``.  The grid must
-    resolve the fastest winding: ``max(psi') * step < pi``.
+    this gives ``theta0 = 2 pi`` and ``psi(theta) = n theta``.  Every sample
+    is the closed-form continuous argument, so no unwrapping is involved and
+    any grid of at least 256 samples serves.
     """
     if grid_size < _MIN_LIFT_GRID:
         raise ValueError(f"lift grid must have at least {_MIN_LIFT_GRID} samples")
@@ -81,62 +85,51 @@ def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
     start = float(np.min(anchors))
     theta0 = start + _TWO_PI
     thetas = np.linspace(start, theta0, grid_size)
+    raw = _argument(product, thetas)
     dpsi = np.asarray(product.log_derivative(thetas), dtype=float)
-    peak = float(np.max(dpsi))
-    if peak * _TWO_PI / (grid_size - 1) >= np.pi:
-        needed = _MIN_LIFT_GRID
-        while peak * _TWO_PI / (needed - 1) >= np.pi:
-            needed *= 2
-        raise ValueError(
-            f"grid too coarse to unwrap the lift unambiguously: max psi' = {peak:.4g} needs grid >= {needed}"
-        )
-    raw = np.unwrap(np.angle(product.evaluate(np.exp(1j * thetas))))
-    psi = raw - raw[0]
-    total = psi[-1] - _TWO_PI * product.degree
-    if abs(total) > _LIFT_TOTAL_TOL:
-        raise ConvergenceError(f"lift failed to climb by 2 pi n (defect {total:.3e})")
-    return CircleLift(product=product, theta0=theta0, thetas=thetas, psi=psi, dpsi=dpsi)
+    return CircleLift(product=product, theta0=theta0, thetas=thetas, psi=raw - raw[0], dpsi=dpsi)
 
 
-def _lift_value(lift: CircleLift, theta: float) -> float:
-    # Exact lift value: principal argument moved onto the branch suggested by
-    # the sampled lift (valid because the grid resolves every winding).
-    approx = float(np.interp(theta, lift.thetas, lift.psi))
-    raw = float(np.angle(lift.product.evaluate(np.exp(1j * theta))))
-    return raw + _TWO_PI * round((approx - raw) / _TWO_PI)
+def _solve_lift(lift: CircleLift, s: float, c: float) -> float:
+    """The angle where ``psi(theta) - c theta = s``, for ``c`` in ``{0, 1}``.
+
+    ``psi - c theta`` is increasing because ``psi' > 1``, so the grid cell
+    whose exact samples straddle ``s`` brackets the root.  The seed
+    interpolates the samples; Newton then runs on the exact argument with
+    slope ``psi' - c``, bisecting whenever a step leaves the bracket (a steep
+    lift can throw Newton out of its basin on a coarse grid), and takes one
+    step past ``_BRANCH_TOL``, so the answer keeps every digit the argument
+    has.
+    """
+    base = float(_argument(lift.product, lift.thetas[0]))
+    level = lift.psi - c * lift.thetas
+    i = min(max(int(np.searchsorted(level, s)), 1), len(level) - 1)
+    lo, hi = lift.thetas[i - 1], lift.thetas[i]
+    theta = float(np.interp(s, level, lift.thetas))
+    for _ in range(64):
+        excess = float(_argument(lift.product, theta)) - base - c * theta - s
+        step = excess / (lift.product.log_derivative(theta) - c)
+        if abs(excess) <= _BRANCH_TOL:
+            return theta - step
+        lo, hi = (lo, theta) if excess > 0 else (theta, hi)
+        theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
+    raise ConvergenceError("lift inversion did not converge")
 
 
 def branch_inverse(lift: CircleLift, k: int, t: float) -> float:
     """The k-th inverse branch ``sigma_k(t) = psi^(-1)(t + 2 (k-1) pi)``.
 
     ``e^(i sigma_k(t))`` is a preimage of ``e^(i t)``; over k = 1..n the
-    branches enumerate the full preimage set.  Seeded by monotone cubic
-    interpolation of the sampled lift, then Newton-refined against the
-    analytic derivative.
+    branches enumerate the full preimage set.  Seeded by linear
+    interpolation of the sampled lift, then Newton-refined on the exact
+    argument against the analytic derivative.
     """
     n = lift.degree
     if not 1 <= k <= n:
         raise ValueError("branch index must lie in 1..degree")
     if not 0.0 <= t <= _TWO_PI:
         raise ValueError("branch parameter must lie in [0, 2 pi]")
-    s = t + _TWO_PI * (k - 1)
-    # Monotone cubic seed for psi^(-1): theta as a function of psi, with the
-    # exact inverse-function slopes 1/psi'.
-    idx = int(np.clip(np.searchsorted(lift.psi, s) - 1, 0, len(lift.psi) - 2))
-    h = lift.psi[idx + 1] - lift.psi[idx]
-    u = (s - lift.psi[idx]) / h
-    inv_slopes = 1.0 / lift.dpsi
-    theta = float(
-        _hermite(u, lift.thetas[idx], lift.thetas[idx + 1], inv_slopes[idx], inv_slopes[idx + 1], h)
-    )
-    for _ in range(8):
-        value = _lift_value(lift, theta)
-        if abs(value - s) <= _BRANCH_TOL:
-            break
-        theta -= (value - s) / float(lift.product.log_derivative(theta))
-    else:
-        raise ConvergenceError("branch inversion did not converge")
-    return theta
+    return _solve_lift(lift, t + _TWO_PI * (k - 1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -163,17 +156,11 @@ class ConjugacyMap:
 
 
 def _fixed_point(lift: CircleLift) -> complex:
-    # psi(theta) - theta increases (slope psi' - 1 > 0) by 2 pi (n - 1) over
-    # the lift's revolution, so some grid cell brackets a multiple of 2 pi.
-    excess = lift.psi - lift.thetas
-    level = _TWO_PI * np.ceil(excess[0] / _TWO_PI)
-    i = int(np.clip(np.searchsorted(excess, level), 1, len(excess) - 1))
-    lo, hi = lift.thetas[i - 1], lift.thetas[i]
-    theta = lo + (hi - lo) * (level - excess[i - 1]) / (excess[i] - excess[i - 1])
-    for _ in range(_FIXED_POINT_STEPS):
-        z = np.exp(1j * theta)
-        theta -= np.angle(lift.product.evaluate(z) / z) / (lift.product.log_derivative(theta) - 1.0)
-    return complex(np.exp(1j * theta))
+    # psi is the argument of R (R = 1 at the anchor), so psi(theta) - theta
+    # is a multiple of 2 pi exactly at a fixed point; it rises by
+    # 2 pi (n - 1) >= 2 pi from -thetas[0], so it meets the level below.
+    level = _TWO_PI * np.ceil(-lift.thetas[0] / _TWO_PI)
+    return complex(np.exp(1j * _solve_lift(lift, level, 1.0)))
 
 
 def _power_certificate(product: BlaschkeProduct, points: np.ndarray) -> float:
@@ -213,8 +200,8 @@ def conjugacy_to_power(product: BlaschkeProduct, grid_size: int = 4096) -> Conju
     tree of iterated preimages of ``p``, in circle order from ``p``, onto the
     roots of unity of order ``N = n^K`` in their order, so ``R(x_j) =
     x_((n j) mod N)`` is an exact, interpolation-free certificate of
-    ``phi o R = phi^n``.  ``grid_size`` sizes the lift that brackets ``p``
-    and caps N; the depth K is the largest whose points stay separated.
+    ``phi o R = phi^n``.  ``grid_size`` sizes the lift that seeds ``p`` and
+    caps N; the depth K is the largest whose points stay separated.
     For ``R(z) = z^n`` ``phi`` is the identity.
     """
     p = _fixed_point(build_lift(product, grid_size))

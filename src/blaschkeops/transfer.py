@@ -74,23 +74,12 @@ def partial_fraction_weights(product: BlaschkeProduct, w: complex) -> np.ndarray
     return preimage_weights(product, product.preimages(w).points)
 
 
-def covariance_check(op: TransferOperator, a, b, w: complex) -> float:
-    """Pointwise residual ``|L((a o R) b)(w) - a(w) L(b)(w)|``."""
-    product = op.product
-    lhs = op.apply(lambda z: np.asarray(a(product.evaluate(z))) * np.asarray(b(z)), w)
-    rhs = complex(a(np.asarray(w, dtype=complex))) * op.apply(b, w)
-    return abs(lhs - rhs)
-
-
 def bimodule_inner(op: TransferOperator, p, q, w: complex) -> complex:
-    """Weighted pairing ``sum_z h(z) conj(p(z)) q(z)`` over the preimages of w.
+    """Weighted pairing ``sum_z h(z) conj(p(z)) q(z) = n L(conj(p) q)(w)`` over the preimages of w.
 
-    Equals ``n * L(conj(p) q)(w)``; with ``p = q = 1/sqrt(n)`` it is one.
+    With ``p = q = 1/sqrt(n)`` it is one.
     """
-    points = np.asarray(op.product.preimages(w).points)
-    h = op.degree / op.product._log_derivative_at(points)
-    vals = h * np.conj(np.asarray(p(points), dtype=complex)) * np.asarray(q(points), dtype=complex)
-    return complex(np.sum(vals))
+    return op.degree * op.apply(lambda z: np.conj(p(z)) * q(z), w)
 
 
 def bimodule_inner_samples(op: TransferOperator, p, q, grid: CircleGrid) -> np.ndarray:

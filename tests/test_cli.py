@@ -35,6 +35,18 @@ class TestVerifyCommand:
         assert main(["verify", "--truncation", "32", "--corner", "8", "--grid", "128"]) == 2
         assert "at least 256" in capsys.readouterr().err
 
+    def test_steep_product_on_the_smallest_grid_has_no_error(self, tmp_path, capsys):
+        # max psi' = 496 winds 12 radians per grid step; the closed-form lift
+        # still serves, so only the under-resolved corners FAIL (exit 1)
+        config = write_config(
+            tmp_path, zeros=[[0, 0]] + [[0.98, 0]] * 5, truncation=64, corner=4, grid=256
+        )
+        assert main(["verify", "--config", config]) == 1
+        out = capsys.readouterr().out
+        assert "ERROR" not in out
+        for check_id in ("lift_expanding", "lift_winding", "branch_inverses", "power_conjugacy"):
+            assert f"[PASS] {check_id}" in out
+
     @pytest.mark.parametrize("corner", ["0", "-4"])
     def test_nonpositive_corner_exit_code(self, corner, capsys):
         assert main(["verify", "--truncation", "128", "--corner", corner, "--grid", "1024"]) == 2

@@ -44,12 +44,33 @@ class TestLift:
         with pytest.raises(ValueError):
             build_lift(half, 100)
 
-    def test_coarse_grid_names_the_grid_it_needs(self):
-        # five zeros at 0.98 give max psi' = 496; one step of 2 pi / 255 winds past pi
+    def test_steep_product_on_the_smallest_grid(self):
+        # five zeros at 0.98 give max psi' = 496, a winding of 12 radians per
+        # step of 2 pi / 255; the closed-form lift needs no finer grid
         product = make_blaschke(1.0, [0, 0.98, 0.98, 0.98, 0.98, 0.98])
-        with pytest.raises(ValueError, match="max psi' = 496 needs grid >= 1024"):
-            build_lift(product, 256)
-        assert build_lift(product, 1024).dpsi.max() == pytest.approx(496.0)
+        lift = build_lift(product, 256)
+        assert lift.dpsi.max() == pytest.approx(496.0)
+        ts = TWO_PI * np.arange(64) / 64
+        reference, _ = preimage_grid(product, np.exp(1j * ts))
+        for row, t in enumerate(ts):
+            branch = np.exp(1j * np.array([branch_inverse(lift, k, float(t)) for k in range(1, 7)]))
+            dist = np.abs(branch[:, None] - reference[row][None, :])
+            assert np.max(np.min(dist, axis=1)) <= 1e-12
+            assert np.max(np.min(dist, axis=0)) <= 1e-12
+        assert conjugacy_to_power(product, 256).residual <= 1e-12
+
+    def test_newton_stays_in_the_bracketing_cell(self):
+        # max psi' = 1999 at grid 256: a plain Newton step from the
+        # interpolated seed leaves the cell and diverges, so it bisects
+        product = make_blaschke(np.exp(0.7j), [0, 0.999])
+        lift = build_lift(product, 256)
+        ts = TWO_PI * np.arange(64) / 64
+        reference, _ = preimage_grid(product, np.exp(1j * ts))
+        for row, t in enumerate(ts):
+            branch = np.exp(1j * np.array([branch_inverse(lift, k, float(t)) for k in (1, 2)]))
+            dist = np.abs(branch[:, None] - reference[row][None, :])
+            assert np.max(np.min(dist, axis=1)) <= 1e-12
+        assert conjugacy_to_power(product, 256).residual <= 1e-12
 
 
 class TestBranchInverse:

@@ -10,7 +10,7 @@ from blaschkeops import (
     composition_matrix,
     transfer_matrix,
 )
-from blaschkeops import tmbasis
+from blaschkeops import dynamics, tmbasis, verify
 from blaschkeops.hardy import _matrix_norm
 from blaschkeops.verify import (
     MANIFEST,
@@ -139,6 +139,30 @@ class TestRun:
         spec = next(s for s in MANIFEST if s.check_id == "module_inner_tails")
         cfg = RunConfig(**FAST)
         residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+        assert residual > spec.tolerance
+
+    def test_perturbed_argument_fails_lift_winding(self, monkeypatch):
+        # negative control: 1e-6 sin(theta) leaves the winding at 2 pi n but
+        # turns e^(i psi) away from R on the circle
+        exact = dynamics._argument
+        monkeypatch.setattr(
+            dynamics, "_argument", lambda product, theta: exact(product, theta) + 1e-6 * np.sin(theta)
+        )
+        spec = next(s for s in MANIFEST if s.check_id == "lift_winding")
+        cfg = RunConfig(**FAST)
+        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        assert residual > spec.tolerance
+        assert details["follow_defect"] > spec.tolerance
+
+    def test_repeated_branch_fails_branch_inverses(self, monkeypatch):
+        # negative control: branch n answered by branch 1 misses one preimage
+        exact = verify.branch_inverse
+        monkeypatch.setattr(
+            verify, "branch_inverse", lambda lift, k, t: exact(lift, 1 if k == lift.degree else k, t)
+        )
+        spec = next(s for s in MANIFEST if s.check_id == "branch_inverses")
+        cfg = RunConfig(**FAST)
+        residual, _ = spec.runner(cfg, cfg.product(), None, None)
         assert residual > spec.tolerance
 
     def test_corner_one_adjoint_transfer(self):
