@@ -9,6 +9,7 @@ to the open disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,11 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class CircleGrid:
-    """Uniform grid ``theta_j = 2 pi j / size`` with power-of-two size >= 4."""
+    """Uniform grid ``theta_j = 2 pi j / size`` with power-of-two size >= 4.
+
+    ``nodes`` and ``points`` are computed once per grid and read-only; a
+    caller that writes into one copies it first.
+    """
 
     size: int
 
@@ -27,13 +32,18 @@ class CircleGrid:
         if not isinstance(self.size, int) or self.size < 4 or not _is_power_of_two(self.size):
             raise ValueError("grid size must be a power of two, at least 4")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.size) / self.size
+        return _read_only(2.0 * np.pi * np.arange(self.size) / self.size)
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.exp(1j * self.nodes)
+        return _read_only(np.exp(1j * self.nodes))
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 def _check_length(x: np.ndarray) -> None:
@@ -115,11 +125,16 @@ class FourierSymbol:
         return FourierSymbol({k: v for k, v in self._terms() if abs(v) > tol})
 
     def evaluate(self, z):
-        """Pointwise value ``sum_k c_k z^k`` (z nonzero when negative k occur)."""
+        """Pointwise value ``sum_k c_k z^k`` (z nonzero when negative k occur).
+
+        One Horner pass over the dense coefficients, times ``z^low``.
+        """
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape, dtype=complex)
-        for k, v in self._terms():
-            out = out + v * z ** k
+        for v in self.values[::-1]:
+            out = out * z + v
+        if self.low:
+            out = out * z**self.low
         return out if out.ndim else complex(out)
 
 

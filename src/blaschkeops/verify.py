@@ -28,6 +28,7 @@ from .hardy import (
     tail_compactness_profile,
     _matrix_norm,
     _power_spectra,
+    _symbol_sup_bound,
 )
 from .tmbasis import (
     TMBasis,
@@ -330,17 +331,21 @@ def _frame_functions(product):
 
 
 def _check_module_inner_tails(cfg, product, grid, rng):
+    # sup |d| bounds the corner at every cut, so a bound within tolerance is a
+    # sound PASS; a pair above it takes the exact SVD of its corner at the last
+    # cut, so a FAIL value is exact
     funcs = _frame_functions(product)
-    cuts = (8, 16, 32, 64)
-    worst = 0.0
-    profiles = {}
+    cut, tol = 64, cfg.tolerances["module_inner_tails"]
+    bounds, corners = {}, {}
     for i, p in enumerate(funcs):
         for j, q in enumerate(funcs):
+            pair = f"v{i + 1},v{j + 1}"
             residual = inner_product_residual(product, p, q, cfg.truncation, grid)
-            profile = tail_compactness_profile(residual, cfg.truncation, cuts)
-            profiles[f"v{i + 1},v{j + 1}"] = profile
-            worst = max(worst, profile[-1])
-    return worst, {"cuts": list(cuts), "profiles": profiles}
+            bounds[pair] = _symbol_sup_bound(residual)
+            if bounds[pair] > tol:
+                corners[pair] = tail_compactness_profile(residual, cfg.truncation, [cut])[0]
+    worst = max(corners.get(pair, bound) for pair, bound in bounds.items())
+    return worst, {"cut": cut, "sup_bounds": bounds, "corner_norms": corners}
 
 
 def _check_monomial_shift_relations(cfg, product, grid, rng):
@@ -350,10 +355,16 @@ def _check_monomial_shift_relations(cfg, product, grid, rng):
     def shift(w):  # T_z w: every row moves down by one
         return np.vstack((zero_row, w[:-1]))
 
-    worst = max(_matrix_norm(shift(w) - w_next) for w, w_next in zip(family, family[1:]))
+    def norm(block):
+        # the Frobenius norm bounds the spectral norm of an N x N block at a
+        # fraction of an SVD's cost; only a block it cannot pass takes the SVD
+        bound = float(np.linalg.norm(block))
+        return bound if bound <= cfg.tolerances["monomial_shift_relations"] else _matrix_norm(block)
+
+    worst = max(norm(shift(w) - w_next) for w, w_next in zip(family, family[1:]))
     # W_1 T_z: every column moves left by one
     wrap = shift(family[-1]) - np.hstack((family[0][:, 1:], zero_row.T))
-    return float(max(worst, _matrix_norm(wrap))), {"relations": product.degree}
+    return float(max(worst, norm(wrap))), {"relations": product.degree}
 
 
 def _check_lift_expanding(cfg, product, grid, rng):

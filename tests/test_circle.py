@@ -22,6 +22,12 @@ class TestGrid:
         assert np.allclose(grid.nodes, [0, np.pi / 2, np.pi, 3 * np.pi / 2])
         assert np.allclose(grid.points, [1, 1j, -1, -1j])
 
+    def test_points_computed_once_and_read_only(self):
+        grid = CircleGrid(64)
+        assert grid.points is grid.points and grid.nodes is grid.nodes
+        assert not grid.points.flags.writeable and not grid.nodes.flags.writeable
+        assert grid == CircleGrid(64) and hash(grid) == hash(CircleGrid(64))
+
     @pytest.mark.parametrize("size", [3, 0, 12, 2])
     def test_bad_sizes_rejected(self, size):
         with pytest.raises(ValueError):
@@ -132,6 +138,15 @@ class TestCoefficients:
         assert symbol.band_limit == 5
         assert symbol.truncated(1.0).indices() == [5]
         assert symbol.evaluate(2.0) == pytest.approx(0.5j / 8 - 2.0 * 32)
+
+    def test_evaluate_matches_term_by_term_powers(self):
+        # reference: one complex power per term, the sum the Horner pass reorders
+        rng = np.random.default_rng(0)
+        symbol = FourierSymbol({k: complex(*rng.standard_normal(2)) for k in range(-8, 9)})
+        z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(64, 2)))
+        reference = sum(symbol.coefficient(k) * z**k for k in range(-8, 9))
+        np.testing.assert_allclose(symbol.evaluate(z), reference, rtol=0, atol=1e-13)
+        assert isinstance(symbol.evaluate(1j), complex)
 
     def test_empty_symbol(self):
         empty = FourierSymbol({})

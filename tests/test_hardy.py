@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blaschkeops import (
     CircleGrid,
@@ -21,7 +23,14 @@ from blaschkeops import (
     tail_compactness_profile,
     toeplitz_matrix,
 )
-from blaschkeops.hardy import _matrix_norm, _power_iteration, _power_spectra, _toeplitz_apply, _toeplitz_block
+from blaschkeops.hardy import (
+    _matrix_norm,
+    _power_iteration,
+    _power_spectra,
+    _symbol_sup_bound,
+    _toeplitz_apply,
+    _toeplitz_block,
+)
 from blaschkeops.transfer import TransferOperator
 from conftest import random_product
 
@@ -258,8 +267,60 @@ class TestOperatorNorm:
         rng = np.random.default_rng(seed)
         matrix = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         ours = operator_norm(TruncatedOperator(matrix, "X"))
-        reference = np.linalg.svd(matrix, compute_uv=False)[0]
-        assert ours == pytest.approx(reference, rel=1e-9)
+        assert ours == _matrix_norm(matrix) == np.linalg.svd(matrix, compute_uv=False)[0]
+
+    def test_small_and_empty_blocks(self):
+        # the power iteration's absolute stopping rule read this block as
+        # 1.67e-6, 17% below its largest singular value
+        rng = np.random.default_rng(0)
+        block = 1e-7 * (rng.standard_normal((64, 48)) + 1j * rng.standard_normal((64, 48)))
+        assert _matrix_norm(block) == np.linalg.svd(block, compute_uv=False)[0]
+        assert _matrix_norm(np.zeros((0, 5))) == 0.0
+
+    def test_block_that_stalls_the_power_iteration(self):
+        # the v2,v2 module-tail corner of [0,0.99i] at cut 64: clustered top
+        # singular values keep the iteration from settling in 10 000 steps
+        from blaschkeops.verify import _frame_functions
+
+        product = make_blaschke(np.exp(1.3j), [0, 0.99j])
+        v2 = _frame_functions(product)[1]
+        residual = inner_product_residual(product, v2, v2, 256, CircleGrid(16384))
+        block = _toeplitz_block(residual, 192, 192)
+        assert _power_iteration(block, 1e-12, 10_000)[1] is False
+        assert _matrix_norm(block) == np.linalg.svd(block, compute_uv=False)[0]
+        assert _matrix_norm(block) == pytest.approx(3.98, abs=5e-3)
+
+
+def _check_sup_bound(d: FourierSymbol, n: int) -> float:
+    """Asserts that the bound holds every section and stays within 1.25x of its samples."""
+    bound = _symbol_sup_bound(d)
+    for k in (1, n // 2, n):
+        assert np.linalg.norm(_toeplitz_block(d, k, k), 2) <= bound
+    samples = np.abs(np.fft.fft(d.values, 1 << (16 * n - 1).bit_length()))  # L >= 16 N points
+    assert bound <= 1.25 * np.max(samples)
+    return bound
+
+
+class TestSymbolSupBound:
+    """One FFT and Bernstein's inequality bound sup |d|, so every section of T_d."""
+
+    @given(st.integers(16, 256), st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
+    def test_bounds_every_section(self, n, seed, decay):
+        rng = np.random.default_rng(seed)
+        k = np.arange(1 - n, n)
+        values = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) * np.exp(-decay * np.abs(k))
+        _check_sup_bound(FourierSymbol._dense(1 - n, values), n)
+
+    @pytest.mark.parametrize("n", [16, 100, 256])
+    def test_peak_between_samples(self, n):
+        # a Dirichlet kernel peaking at 2n - 1 halfway between two of the samples
+        length = 1 << (16 * n - 1).bit_length()
+        k = np.arange(1 - n, n)
+        d = FourierSymbol._dense(1 - n, np.exp(-1j * np.pi * k / length))
+        assert np.max(np.abs(np.fft.fft(d.values, length))) < 2 * n - 1 <= _check_sup_bound(d, n)
+
+    def test_empty_symbol(self):
+        assert _symbol_sup_bound(FourierSymbol({})) == 0.0
 
 
 def _gram_power_iteration(block, tol, max_iter):

@@ -123,11 +123,19 @@ class TestRun:
         assert details["product_rule_deviation"] > spec.tolerance
 
     def test_tail_profile_cuts_past_a_small_truncation(self):
-        # N = 32 is below the largest cut (64): those cuts read as empty corners
-        cfg = RunConfig(truncation=32, corner=8, grid=256, basis_count=8)
-        check = next(c for c in run_verify(cfg).checks if c.check_id == "module_inner_tails")
-        assert not check.errored
-        assert check.details["profiles"]["v1,v1"][2:] == [0.0, 0.0]
+        # N = 32 is below the cut (64), so every corner is empty: the bound
+        # passes each pair without an SVD, and a tolerance no bound meets
+        # hands every pair to the exact route, which reads 0.0
+        def tails(**tolerances):
+            cfg = RunConfig(truncation=32, corner=8, grid=256, basis_count=8, tolerances=tolerances)
+            return next(c for c in run_verify(cfg).checks if c.check_id == "module_inner_tails")
+
+        on_bound, exact = tails(), tails(module_inner_tails=1e-300)
+        assert on_bound.passed and on_bound.details["cut"] == 64
+        assert on_bound.details["corner_norms"] == {}
+        assert on_bound.residual == max(on_bound.details["sup_bounds"].values())
+        assert exact.passed and exact.residual == 0.0
+        assert exact.details["corner_norms"] == {pair: 0.0 for pair in exact.details["sup_bounds"]}
 
     def test_scaled_pairing_fails_module_inner_tails(self, monkeypatch):
         # negative control: a pairing scaled by 1 + 1e-5 leaves n * 1e-5 on the
@@ -163,6 +171,46 @@ class TestRun:
         spec = next(s for s in MANIFEST if s.check_id == "branch_inverses")
         cfg = RunConfig(**FAST)
         residual, _ = spec.runner(cfg, cfg.product(), None, None)
+        assert residual > spec.tolerance
+
+    def test_moved_entry_fails_monomial_shift_relations(self, monkeypatch):
+        # negative control: W_2[5, 3] moved by 1e-9 breaks U W_1 = W_2 and
+        # U W_2 = W_3; their Frobenius bounds exceed 1e-12, so those two blocks,
+        # and only those, take the SVD, and the residual is the exact norm of
+        # the dense U W_k - W_(k+1), built here independently
+        exact = verify.cuntz_columns
+
+        def moved(*args):
+            family = [np.array(w) for w in exact(*args)]
+            family[1][5, 3] += 1e-9
+            return family
+
+        exact_norms = []
+        monkeypatch.setattr(verify, "cuntz_columns", moved)
+        monkeypatch.setattr(verify, "_matrix_norm", lambda block: exact_norms.append(_matrix_norm(block)) or exact_norms[-1])
+        spec = next(s for s in MANIFEST if s.check_id == "monomial_shift_relations")
+        cfg = RunConfig(zeros=(0j, 0j, 0j), **FAST)
+        residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+        family = moved(cfg.product(), cfg.truncation, cfg.truncation, CircleGrid(cfg.grid))
+        shift = np.eye(cfg.truncation, k=-1)
+        differences = [shift @ w - w_next for w, w_next in zip(family, family[1:])]
+        assert residual > spec.tolerance and len(exact_norms) == 2
+        assert residual == max(np.linalg.svd(d, compute_uv=False)[0] for d in differences)
+
+    def test_shifted_column_fails_adjoint_transfer(self, monkeypatch):
+        # negative control: column 1 of C moved down one row is no longer the
+        # adjoint of the transfer truncation's row
+        exact = verify._power_spectra
+
+        def shifted(*args):
+            cols = np.array(exact(*args))
+            cols[:, 1] = np.roll(cols[:, 1], 1)
+            return cols
+
+        monkeypatch.setattr(verify, "_power_spectra", shifted)
+        spec = next(s for s in MANIFEST if s.check_id == "adjoint_transfer")
+        cfg = RunConfig(**FAST)
+        residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
         assert residual > spec.tolerance
 
     def test_corner_one_adjoint_transfer(self):
