@@ -90,44 +90,48 @@ def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
     return CircleLift(product=product, theta0=theta0, thetas=thetas, psi=raw - raw[0], dpsi=dpsi)
 
 
-def _solve_lift(lift: CircleLift, s: float, c: float) -> float:
-    """The angle where ``psi(theta) - c theta = s``, for ``c`` in ``{0, 1}``.
+def _solve_lift(lift: CircleLift, s, c: float):
+    """The angles where ``psi(theta) - c theta = s``, for ``c`` in ``{0, 1}`` and levels s (float or array).
 
     ``psi - c theta`` is increasing because ``psi' > 1``, so the grid cell
-    whose exact samples straddle ``s`` brackets the root.  The seed
+    whose exact samples straddle a level brackets its root.  The seed
     interpolates the samples; Newton then runs on the exact argument with
-    slope ``psi' - c``, bisecting whenever a step leaves the bracket (a steep
-    lift can throw Newton out of its basin on a coarse grid), and takes one
-    step past ``_BRANCH_TOL``, so the answer keeps every digit the argument
-    has.
+    slope ``psi' - c``, every level at once and each in its own bracket,
+    bisecting whenever a step leaves it (a steep lift can throw Newton out of
+    its basin on a coarse grid), and takes one step past ``_BRANCH_TOL``, so
+    the answer keeps every digit the argument has.
     """
+    s = np.asarray(s, dtype=float)
     base = float(_argument(lift.product, lift.thetas[0]))
     level = lift.psi - c * lift.thetas
-    i = min(max(int(np.searchsorted(level, s)), 1), len(level) - 1)
+    i = np.clip(np.searchsorted(level, s), 1, len(level) - 1)
     lo, hi = lift.thetas[i - 1], lift.thetas[i]
-    theta = float(np.interp(s, level, lift.thetas))
+    theta = np.interp(s, level, lift.thetas)
+    root = np.full(s.shape, np.nan)  # NaN until the level's Newton settles
     for _ in range(64):
-        excess = float(_argument(lift.product, theta)) - base - c * theta - s
+        excess = _argument(lift.product, theta) - base - c * theta - s
         step = excess / (lift.product.log_derivative(theta) - c)
-        if abs(excess) <= _BRANCH_TOL:
-            return theta - step
-        lo, hi = (lo, theta) if excess > 0 else (theta, hi)
-        theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
+        root = np.where(np.isnan(root) & (np.abs(excess) <= _BRANCH_TOL), theta - step, root)
+        if not np.isnan(root).any():
+            return root if root.ndim else float(root)
+        lo, hi = np.where(excess > 0, lo, theta), np.where(excess > 0, theta, hi)
+        theta = np.where((lo < theta - step) & (theta - step < hi), theta - step, 0.5 * (lo + hi))
     raise ConvergenceError("lift inversion did not converge")
 
 
-def branch_inverse(lift: CircleLift, k: int, t: float) -> float:
-    """The k-th inverse branch ``sigma_k(t) = psi^(-1)(t + 2 (k-1) pi)``.
+def branch_inverse(lift: CircleLift, k: int, t):
+    """The k-th inverse branch ``sigma_k(t) = psi^(-1)(t + 2 (k-1) pi)``, for a scalar or an array t.
 
     ``e^(i sigma_k(t))`` is a preimage of ``e^(i t)``; over k = 1..n the
     branches enumerate the full preimage set.  Seeded by linear
     interpolation of the sampled lift, then Newton-refined on the exact
-    argument against the analytic derivative.
+    argument against the analytic derivative, every element of t at once.
     """
     n = lift.degree
     if not 1 <= k <= n:
         raise ValueError("branch index must lie in 1..degree")
-    if not 0.0 <= t <= _TWO_PI:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= _TWO_PI)):
         raise ValueError("branch parameter must lie in [0, 2 pi]")
     return _solve_lift(lift, t + _TWO_PI * (k - 1), 0.0)
 

@@ -49,10 +49,6 @@ class TruncatedOperator:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator(self.entries.conj().T, f"({self.label})*")
 
@@ -78,15 +74,16 @@ def _toeplitz_block(a: FourierSymbol, rows: int, cols: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(band, cols)[:rows][::-1].copy()
 
 
-def _toeplitz_apply(a: FourierSymbol, x: np.ndarray) -> np.ndarray:
-    """``T_a x`` for the N x N section of ``T_a`` and an N x k block x, by FFT convolution."""
+def _toeplitz_applies(symbols, x: np.ndarray):
+    """Yields ``T_a x``, N x N section times N x k block, per symbol a; one FFT of x serves all."""
     n = x.shape[0]
-    # row i of T_a x is entry N - 1 + i of x convolved with a_hat(1 - N), ..., a_hat(N - 1),
-    # the section's first row reversed and then its first column; at length 2N nothing wraps onto it
-    band = np.concatenate((_toeplitz_block(a, 1, n)[0, :0:-1], _toeplitz_block(a, n, 1)[:, 0]))
     spectrum = np.fft.fft(x, 2 * n, axis=0)
-    spectrum *= np.fft.fft(band, 2 * n)[:, None]
-    return np.fft.ifft(spectrum, axis=0)[n - 1 : 2 * n - 1].copy()
+    for a in symbols:
+        # row i of T_a x is entry N - 1 + i of x convolved with a_hat(1 - N), ..., a_hat(N - 1),
+        # the section's first row reversed and then its first column; at length 2N nothing wraps onto it
+        band = np.concatenate((_toeplitz_block(a, 1, n)[0, :0:-1], _toeplitz_block(a, n, 1)[:, 0]))
+        convolved = np.fft.ifft(spectrum * np.fft.fft(band, 2 * n)[:, None], axis=0)
+        yield convolved[n - 1 : 2 * n - 1].copy()
 
 
 def toeplitz_matrix(a: FourierSymbol, n_trunc: int, label: str = "T_a") -> TruncatedOperator:
@@ -185,44 +182,50 @@ def isometry_residual(c, m: int) -> float:
     return _matrix_norm(cols.conj().T @ cols - np.eye(m))
 
 
-def covariance_residual(
-    product: BlaschkeProduct,
-    a: FourierSymbol,
-    n_trunc: int,
-    m: int,
-    grid: CircleGrid,
-) -> float:
-    """Corner norm of ``C* T_a C - T_(L a)``.
+def covariance_residual(product: BlaschkeProduct, a, n_trunc: int, m: int, grid: CircleGrid):
+    """Corner norm of ``C* T_a C - T_(L a)``; for a sequence of symbols, the list of their norms.
 
-    The symbol of ``L a`` comes from the pointwise transfer oracle, keeping
-    the two sides of the identity on independent numerical routes.
+    ``L`` is linear, so every ``L a`` combines the monomial images of the
+    pointwise transfer oracle, which keeps the two sides of the identity on
+    independent numerical routes; one FFT of C's columns serves every ``T_a C``.
     """
     from .transfer import TransferOperator
 
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
+    symbols = [a] if isinstance(a, FourierSymbol) else list(a)
+    low = min(s.low for s in symbols)
+    coeffs = np.zeros((len(symbols), max(s.low + s.values.size for s in symbols) - low), dtype=complex)
+    for row, s in zip(coeffs, symbols):
+        row[s.low - low : s.low - low + s.values.size] = s.values
+    images = coeffs @ TransferOperator(product).monomial_samples(low, low + coeffs.shape[1], grid)
     cols = _power_spectra(product, n_trunc, m)
-    t_image = _toeplitz_block(TransferOperator(product).symbol_image(a.evaluate, grid), m, m)
-    return _matrix_norm(cols.conj().T @ _toeplitz_apply(a, cols) - t_image)
+    adjoint = cols.conj().T
+    norms = [
+        _matrix_norm(adjoint @ ta_cols - _toeplitz_block(fourier_coefficients(image), m, m))
+        for ta_cols, image in zip(_toeplitz_applies(symbols, cols), images)
+    ]
+    return norms[0] if isinstance(a, FourierSymbol) else norms
 
 
-def commutation_residual(
-    product: BlaschkeProduct,
-    b: FourierSymbol,
-    n_trunc: int,
-    m: int,
-    grid: CircleGrid,
-) -> float:
-    """Corner norm of ``C T_b - T_(b o R) C`` for an analytic symbol b."""
-    if not b.is_analytic():
+def commutation_residual(product: BlaschkeProduct, b, n_trunc: int, m: int, grid: CircleGrid):
+    """Corner norm of ``C T_b - T_(b o R) C`` for an analytic symbol b; for a sequence, the list."""
+    symbols = [b] if isinstance(b, FourierSymbol) else list(b)
+    if not all(s.is_analytic() for s in symbols):
         raise ValueError("commutation identity requires an analytic symbol")
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
     cols = _power_spectra(product, n_trunc, m)
-    pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
-    t_pull = _toeplitz_block(pullback, m, n_trunc)
+    images = product.evaluate(grid.points)
     # C[:m, :] = [C[:m, :m], 0], so (C T_b)[:m, :m] = C[:m, :m] T_b[:m, :m]
-    return _matrix_norm(cols[:m] @ _toeplitz_block(b, m, m) - t_pull @ cols)
+    norms = [
+        _matrix_norm(
+            cols[:m] @ _toeplitz_block(s, m, m)
+            - _toeplitz_block(fourier_coefficients(s.evaluate(images)), m, n_trunc) @ cols
+        )
+        for s in symbols
+    ]
+    return norms[0] if isinstance(b, FourierSymbol) else norms
 
 
 def tail_compactness_profile(d: FourierSymbol, n_trunc: int, cuts):

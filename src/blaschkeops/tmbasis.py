@@ -20,7 +20,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .circle import CircleGrid, FourierSymbol, fourier_coefficients
-from .hardy import TruncatedOperator, _matrix_norm, _power_spectra, _toeplitz_apply, isometry_residual
+from .hardy import TruncatedOperator, _matrix_norm, _power_spectra, _toeplitz_applies, isometry_residual
 from .transfer import TransferOperator, bimodule_inner_samples
 
 _MAX_GRAM_COUNT = 64
@@ -80,19 +80,29 @@ def factor_parts(basis: TMBasis, l: int, z):
     return complex(q), complex(r)
 
 
-def factorization_residual(basis: TMBasis, k: int, l: int, grid: CircleGrid) -> float:
-    """Sup over the grid of ``|e_{kn+l} - Q_l R_l R^k|``."""
+def factorization_residual(basis: TMBasis, powers: int, grid: CircleGrid) -> np.ndarray:
+    """Sup over the grid of ``|e_{kn+l} - Q_l R_l R^k|`` for ``k < powers``, as an array ``[k, l]``.
+
+    One pass: the direct side gains one factor per index, as in :func:`gram_residual`.
+    """
     n = basis.product.degree
-    if k < 0 or not 0 <= l <= n - 1:
-        raise ValueError("need k >= 0 and 0 <= l < degree")
-    index = k * n + l
-    if index > basis.count:
+    if powers * n - 1 > basis.count:
         raise ValueError("index exceeds the realized basis count")
     pts = grid.points
-    direct = tm_element(basis, index, pts)
-    q, r = factor_parts(basis, l, pts)
-    factored = q * r * basis.product.evaluate(pts) ** k
-    return float(np.max(np.abs(direct - factored)))
+    frame_vals = frame(basis.product)(pts)
+    comp = basis.product.evaluate(pts)
+    out = np.empty((powers, n))
+    partial = np.ones(grid.size, dtype=complex)
+    power = np.ones(grid.size, dtype=complex)
+    for index in range(powers * n):
+        k, l = divmod(index, n)
+        beta = basis.beta(index)
+        direct = basis.alpha(index) * _kernel_factor(beta, pts) * partial
+        out[k, l] = np.max(np.abs(direct - frame_vals[l] * power))
+        partial = partial * (pts - beta) / (1.0 - np.conj(beta) * pts)
+        if l == n - 1:
+            power = power * comp
+    return out
 
 
 def gram_residual(basis: TMBasis, count: int, grid: CircleGrid) -> float:
@@ -115,17 +125,9 @@ def gram_residual(basis: TMBasis, count: int, grid: CircleGrid) -> float:
     return float(np.max(np.abs(gram - np.eye(count))))
 
 
-def _factor_symbol(basis: TMBasis, k: int, grid: CircleGrid) -> FourierSymbol:
-    q, r = factor_parts(basis, k, grid.points)
-    return fourier_coefficients(q * r)
-
-
-def cuntz_columns(product: BlaschkeProduct, n_trunc: int, m: int, grid: CircleGrid):
-    """Yields the leading columns ``W_k[:, :m] = T_(Q_{k-1} R_{k-1}) C[:, :m]``, k = 1..n, each in ``O(N m log N)``."""
-    basis = TMBasis(product)
-    cols = _power_spectra(product, n_trunc, m)
-    for k in range(product.degree):
-        yield _toeplitz_apply(_factor_symbol(basis, k, grid), cols)
+def cuntz_columns(product: BlaschkeProduct, cols: np.ndarray, grid: CircleGrid):
+    """Yields ``T_(Q_{k-1} R_{k-1}) cols``, k = 1..n: the columns of ``W_k`` at an N x k block of C."""
+    yield from _toeplitz_applies(map(fourier_coefficients, frame(product)(grid.points)), cols)
 
 
 def cuntz_family(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid):
@@ -135,7 +137,7 @@ def cuntz_family(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid):
     ``j n + (k-1)``; together the family satisfies the Cuntz relations on a
     guarded corner.
     """
-    columns = cuntz_columns(product, n_trunc, n_trunc, grid)
+    columns = cuntz_columns(product, _power_spectra(product, n_trunc, n_trunc), grid)
     return [TruncatedOperator(w, label=f"W{k + 1}") for k, w in enumerate(columns)]
 
 
@@ -167,13 +169,13 @@ def cons_residual(family, m: int) -> ConsResidual:
     return ConsResidual(completeness, isometry, orthogonality)
 
 
-def inner_product_residual(
-    product: BlaschkeProduct,
-    p,
-    q,
-    n_trunc: int,
-    grid: CircleGrid,
-) -> FourierSymbol:
+def frame(product: BlaschkeProduct):
+    """The frame ``v_l = Q_l R_l``, l = 0..n-1, as one map from points to the stack of their values."""
+    basis = TMBasis(product)
+    return lambda z: np.array([np.multiply(*factor_parts(basis, l, z)) for l in range(product.degree)])
+
+
+def inner_product_residual(product: BlaschkeProduct, p, q, n_trunc: int, grid: CircleGrid):
     """Toeplitz symbol of ``V_p* V_q - T_<p,q>`` on the N x N truncation window.
 
     The coefficients are those of index ``|k| < N``, all that the N x N
@@ -185,25 +187,33 @@ def inner_product_residual(
     Gram matrix is Toeplitz and its symbol is two weighted power sums of
     length N, at cost ``O(N M)``.  The right side is the Fourier transform of
     the weighted pairing delivered by the pointwise transfer oracle, so the
-    two sides reach the symbol through independent routes.
+    two sides reach the symbol through independent routes.  When ``p`` and
+    ``q`` map points to stacks of functions (as :func:`frame` does), the
+    result is the nested list ``[i][j]`` over the pairs ``(p_i, q_j)``: one
+    power-sum pass serves every pair, and one contraction every pairing.
     """
     if 2 * n_trunc > grid.size:
         raise ValueError("truncation must not exceed half the grid")
     pts = grid.points
     p_vals = np.asarray(p(pts), dtype=complex)
-    q_vals = np.asarray(q(pts), dtype=complex)
-    weight = product.degree * np.conj(p_vals) * q_vals / grid.size
-    weights = np.stack((weight, weight.conj()))
+    q_vals = p_vals if q is p else np.asarray(q(pts), dtype=complex)
+    # one row per pair (p_i, q_j), i major, then their conjugates
+    weight = (product.degree * np.conj(p_vals)[..., None, :] * q_vals / grid.size).reshape(-1, grid.size)
+    weights = np.concatenate((weight, weight.conj()))
     comp_vals = product.evaluate(pts)
-    sums = np.empty((n_trunc, 2), dtype=complex)
+    sums = np.empty((n_trunc, len(weights)), dtype=complex)
     power = np.ones(grid.size, dtype=complex)
     for d in range(n_trunc):
         sums[d] = weights @ power
         power = power * comp_vals
     # upper[d] = weighted sum of R^d, the coefficient of index -d;
     # lower[d] = weighted sum of conj(R)^d, the coefficient of index d
-    upper, lower = sums[:, 0], sums[:, 1].conj()
-    band = np.concatenate((upper[:0:-1], lower))
-    pairing = fourier_coefficients(bimodule_inner_samples(TransferOperator(product), p, q, grid))
-    pairing_band = pairing.values[1 - n_trunc - pairing.low : n_trunc - pairing.low]
-    return FourierSymbol._dense(1 - n_trunc, band - pairing_band)
+    upper, lower = sums[:, : len(weight)], sums[:, len(weight) :].conj()
+    pairings = bimodule_inner_samples(TransferOperator(product), p, q, grid).reshape(len(weight), -1)
+    symbols = []
+    for band, pairing in zip(np.concatenate((upper[:0:-1], lower)).T, map(fourier_coefficients, pairings)):
+        pairing_band = pairing.values[1 - n_trunc - pairing.low : n_trunc - pairing.low]
+        symbols.append(FourierSymbol._dense(1 - n_trunc, band - pairing_band))
+    if p_vals.ndim == 1:
+        return symbols[0]
+    return [symbols[i : i + len(q_vals)] for i in range(0, len(symbols), len(q_vals))]

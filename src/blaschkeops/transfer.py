@@ -25,8 +25,10 @@ from .hardy import TruncatedOperator
 
 @lru_cache(maxsize=16)
 def _preimage_table(product: BlaschkeProduct, grid: CircleGrid):
-    """Preimage points and weights over all grid targets; arrays are read-only."""
+    """Preimage points and weights over all grid targets, read-only and branch-major:
+    shape ``(n, M)``, row b the b-th preimages, so a preimage sum is ``sum(axis=0)``."""
     points, _ = preimage_grid(product, grid.points)
+    points = np.ascontiguousarray(points.T)
     weights = preimage_weights(product, points)
     points.setflags(write=False)
     weights.setflags(write=False)
@@ -52,11 +54,22 @@ class TransferOperator:
     def apply_samples(self, f, grid: CircleGrid) -> np.ndarray:
         """Values of ``L(f)`` at every grid point, sharing one preimage solve."""
         points, weights = _preimage_table(self.product, grid)
-        return np.sum(weights * np.asarray(f(points), dtype=complex), axis=1)
+        return np.sum(weights * np.asarray(f(points), dtype=complex), axis=0)
 
     def symbol_image(self, f, grid: CircleGrid) -> FourierSymbol:
         """Fourier coefficients of ``L(f)`` extracted on the grid."""
         return fourier_coefficients(self.apply_samples(f, grid))
+
+    def monomial_samples(self, low: int, high: int, grid: CircleGrid) -> np.ndarray:
+        """Values of ``L(z^k)`` at every grid point, one row per ``low <= k < high``; ``L`` is
+        linear, so they give ``L(a)`` for every symbol in the band as one matrix product."""
+        points, weights = _preimage_table(self.product, grid)
+        rows = np.empty((high - low, grid.size), dtype=complex)
+        power = points**low
+        for row in rows:
+            row[:] = np.sum(weights * power, axis=0)
+            power = power * points
+        return rows
 
 
 def preimage_weights(product: BlaschkeProduct, points) -> np.ndarray:
@@ -83,10 +96,14 @@ def bimodule_inner(op: TransferOperator, p, q, w: complex) -> complex:
 
 
 def bimodule_inner_samples(op: TransferOperator, p, q, grid: CircleGrid) -> np.ndarray:
-    """Values of the weighted pairing at every grid point."""
+    """Values of the weighted pairing at every grid point.  When ``p`` and ``q`` map
+    points to stacks of P and Q functions, one contraction pairs them all: ``(P, Q, M)``."""
     points, weights = _preimage_table(op.product, grid)
-    vals = np.conj(np.asarray(p(points), dtype=complex)) * np.asarray(q(points), dtype=complex)
-    return op.degree * np.sum(weights * vals, axis=1)
+    p_vals = np.asarray(p(points), dtype=complex)
+    q_vals = p_vals if q is p else np.asarray(q(points), dtype=complex)
+    p_stack = weights * np.conj(p_vals.reshape(-1, *points.shape))
+    pairing = np.einsum("pbm,qbm->pqm", p_stack, q_vals.reshape(-1, *points.shape))
+    return op.degree * pairing.reshape(p_vals.shape[:-2] + q_vals.shape[:-2] + (grid.size,))
 
 
 def transfer_matrix(op: TransferOperator, n_trunc: int, grid: CircleGrid) -> TruncatedOperator:
@@ -99,12 +116,8 @@ def transfer_matrix(op: TransferOperator, n_trunc: int, grid: CircleGrid) -> Tru
     m = grid.size
     if n_trunc > m // 4:
         raise ValueError("truncation size must not exceed a quarter of the grid")
-    points, weights = _preimage_table(op.product, grid)
-    rows = np.empty((n_trunc, m), dtype=complex)
-    power = np.ones_like(points)
-    for j in range(n_trunc):
-        rows[j] = np.sum(weights * power, axis=1)
-        power = power * points
-    spectra = fft(rows) / m
-    entries = spectra[:, :n_trunc].T
+    entries = np.empty((n_trunc, n_trunc), dtype=complex)
+    for start in range(0, n_trunc, 8):  # a few rows at a time: only N coefficients of each are kept
+        stop = min(start + 8, n_trunc)
+        entries[:, start:stop] = (fft(op.monomial_samples(start, stop, grid)) / m)[:, :n_trunc].T
     return TruncatedOperator(entries=entries, label="L_R")

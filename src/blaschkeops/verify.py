@@ -34,8 +34,8 @@ from .tmbasis import (
     TMBasis,
     cons_residual,
     cuntz_columns,
-    factor_parts,
     factorization_residual,
+    frame,
     gram_residual,
     inner_product_residual,
 )
@@ -194,35 +194,31 @@ def _check_weight_positivity(cfg, product, grid, rng):
     return max(0.0, -min_h), {"min_weight": min_h, "max_weight": float(np.max(h))}
 
 
-def _small_grid(cfg) -> CircleGrid:
-    return CircleGrid(256)
-
-
 def _check_weight_sum(cfg, product, grid, rng):
-    _, weights = _preimage_table(product, _small_grid(cfg))
-    sums = np.sum(weights, axis=1)
-    return float(np.max(np.abs(sums - 1.0))), {"targets": int(weights.shape[0])}
+    _, weights = _preimage_table(product, CircleGrid(256))
+    sums = np.sum(weights, axis=0)
+    return float(np.max(np.abs(sums - 1.0))), {"targets": int(weights.shape[1])}
 
 
 def _check_transfer_unit(cfg, product, grid, rng):
     op = TransferOperator(product)
-    values = op.apply_samples(lambda z: np.ones_like(z), _small_grid(cfg))
+    values = op.apply_samples(lambda z: np.ones_like(z), CircleGrid(256))
     return float(np.max(np.abs(values - 1.0))), {"targets": int(values.shape[0])}
 
 
 def _check_transfer_covariance(cfg, product, grid, rng):
     band = 8
-    small = _small_grid(cfg)
+    small = CircleGrid(256)
     points, weights = _preimage_table(product, small)
     targets = small.points
     images = product.evaluate(points)
+    # weighted[q] = weights * z^q over the (n, M) table, |q| <= band
+    weighted = weights * points ** np.arange(-band, band + 1)[:, None, None]
+    transferred = np.sum(weighted, axis=1)  # L(z^q) at the targets
     worst = 0.0
     for p in range(-band, band + 1):
-        lhs_factor = weights * images**p
-        for q in range(-band, band + 1):
-            lhs = np.sum(lhs_factor * points**q, axis=1)
-            rhs = targets**p * np.sum(weights * points**q, axis=1)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = np.sum(weighted * images**p, axis=1)
+        worst = max(worst, float(np.max(np.abs(lhs - targets**p * transferred))))
     return worst, {"band": band, "targets": int(targets.shape[0])}
 
 
@@ -269,10 +265,8 @@ def _random_symbol(rng, band: int, analytic: bool) -> FourierSymbol:
 
 
 def _check_toeplitz_covariance(cfg, product, grid, rng):
-    residuals = []
-    for _ in range(10):
-        symbol = _random_symbol(rng, band=8, analytic=False)
-        residuals.append(covariance_residual(product, symbol, cfg.truncation, cfg.corner, grid))
+    symbols = [_random_symbol(rng, band=8, analytic=False) for _ in range(10)]
+    residuals = covariance_residual(product, symbols, cfg.truncation, cfg.corner, grid)
     details = {
         "symbols": 10,
         "per_symbol": [float(r) for r in residuals],
@@ -284,9 +278,7 @@ def _check_toeplitz_covariance(cfg, product, grid, rng):
 def _check_analytic_commutation(cfg, product, grid, rng):
     symbols = [FourierSymbol({j: 1.0}) for j in range(5)]
     symbols += [_random_symbol(rng, band=4, analytic=True) for _ in range(5)]
-    residuals = [
-        commutation_residual(product, b, cfg.truncation, cfg.corner, grid) for b in symbols
-    ]
+    residuals = commutation_residual(product, symbols, cfg.truncation, cfg.corner, grid)
     return float(max(residuals)), {"symbols": len(symbols)}
 
 
@@ -296,17 +288,12 @@ def _check_basis_orthonormality(cfg, product, grid, rng):
 
 
 def _check_basis_factorization(cfg, product, grid, rng):
-    n = product.degree
-    basis = TMBasis(product, count=max(cfg.basis_count, 9 * n))
-    worst = 0.0
-    for k in range(9):
-        for l in range(n):
-            worst = max(worst, factorization_residual(basis, k, l, grid))
-    return worst, {"max_power": 8}
+    basis = TMBasis(product, count=max(cfg.basis_count, 9 * product.degree))
+    return float(np.max(factorization_residual(basis, 9, grid))), {"max_power": 8}
 
 
 def _check_cuntz_relations(cfg, product, grid, rng):
-    columns = cuntz_columns(product, cfg.truncation, cfg.corner, grid)
+    columns = cuntz_columns(product, _power_spectra(product, cfg.truncation, cfg.corner), grid)
     result = cons_residual(columns, cfg.corner)
     details = {
         "completeness": result.completeness,
@@ -316,31 +303,17 @@ def _check_cuntz_relations(cfg, product, grid, rng):
     return result.worst, details
 
 
-def _frame_functions(product):
-    basis = TMBasis(product)
-    n = product.degree
-
-    def make(k):
-        def func(z):
-            q, r = factor_parts(basis, k, z)
-            return q * r
-
-        return func
-
-    return [make(k) for k in range(n)]
-
-
 def _check_module_inner_tails(cfg, product, grid, rng):
     # sup |d| bounds the corner at every cut, so a bound within tolerance is a
     # sound PASS; a pair above it takes the exact SVD of its corner at the last
     # cut, so a FAIL value is exact
-    funcs = _frame_functions(product)
+    frame_stack = frame(product)
+    residuals = inner_product_residual(product, frame_stack, frame_stack, cfg.truncation, grid)
     cut, tol = 64, cfg.tolerances["module_inner_tails"]
     bounds, corners = {}, {}
-    for i, p in enumerate(funcs):
-        for j, q in enumerate(funcs):
+    for i, row in enumerate(residuals):
+        for j, residual in enumerate(row):
             pair = f"v{i + 1},v{j + 1}"
-            residual = inner_product_residual(product, p, q, cfg.truncation, grid)
             bounds[pair] = _symbol_sup_bound(residual)
             if bounds[pair] > tol:
                 corners[pair] = tail_compactness_profile(residual, cfg.truncation, [cut])[0]
@@ -349,22 +322,24 @@ def _check_module_inner_tails(cfg, product, grid, rng):
 
 
 def _check_monomial_shift_relations(cfg, product, grid, rng):
-    family = list(cuntz_columns(product, cfg.truncation, cfg.truncation, grid))
-    zero_row = np.zeros((1, cfg.truncation))
+    n_trunc, tol = cfg.truncation, cfg.tolerances["monomial_shift_relations"]
+    comp = _power_spectra(product, n_trunc, n_trunc)
 
-    def shift(w):  # T_z w: every row moves down by one
-        return np.vstack((zero_row, w[:-1]))
+    def differences(start, stop):
+        # columns start:stop of U W_k - W_(k+1), k = 1..n, with W_(n+1) = W_1 U: U moves rows
+        # down by one and, on the right, columns left by one (a zero column enters last)
+        family = list(cuntz_columns(product, comp[:, start : stop + 1], grid))
+        wrap = np.hstack((family[0][:, 1:], np.zeros((n_trunc, stop + 1 - start - family[0].shape[1]))))
+        shifted = [np.vstack((np.zeros((1, stop - start)), w[:-1, : stop - start])) for w in family]
+        return [s - t[:, : stop - start] for s, t in zip(shifted, family[1:] + [wrap])]
 
-    def norm(block):
-        # the Frobenius norm bounds the spectral norm of an N x N block at a
-        # fraction of an SVD's cost; only a block it cannot pass takes the SVD
-        bound = float(np.linalg.norm(block))
-        return bound if bound <= cfg.tolerances["monomial_shift_relations"] else _matrix_norm(block)
-
-    worst = max(norm(shift(w) - w_next) for w, w_next in zip(family, family[1:]))
-    # W_1 T_z: every column moves left by one
-    wrap = shift(family[-1]) - np.hstack((family[0][:, 1:], zero_row.T))
-    return float(max(worst, norm(wrap))), {"relations": product.degree}
+    # the Frobenius norm bounds the spectral norm at a fraction of an SVD's cost and adds up
+    # over blocks of 64 columns; only a relation it cannot pass takes the SVD of its full difference
+    blocks = (differences(j, min(j + 64, n_trunc)) for j in range(0, n_trunc, 64))
+    bounds = np.sqrt(sum(np.array([np.vdot(d, d).real for d in block]) for block in blocks))
+    if np.any(bounds > tol):
+        bounds = [_matrix_norm(d) if b > tol else b for d, b in zip(differences(0, n_trunc), bounds)]
+    return float(np.max(bounds)), {"relations": product.degree}
 
 
 def _check_lift_expanding(cfg, product, grid, rng):
@@ -386,17 +361,12 @@ def _check_lift_winding(cfg, product, grid, rng):
 
 def _check_branch_inverses(cfg, product, grid, rng):
     lift = build_lift(product, cfg.grid)
-    n = product.degree
-    worst = 0.0
     ts = 2.0 * np.pi * np.arange(64) / 64
     reference, _ = preimage_grid(product, np.exp(1j * ts))
-    for row, t in enumerate(ts):
-        branch_pts = np.array(
-            [np.exp(1j * branch_inverse(lift, k, float(t))) for k in range(1, n + 1)]
-        )
-        dist = np.abs(branch_pts[:, None] - reference[row][None, :])
-        worst = max(worst, float(np.max(np.min(dist, axis=1))), float(np.max(np.min(dist, axis=0))))
-    return worst, {"targets": 64}
+    # branch_pts[t, k - 1] = e^(i sigma_k(t)), one Newton solve per branch
+    branch_pts = np.exp(1j * np.array([branch_inverse(lift, k, ts) for k in range(1, product.degree + 1)])).T
+    dist = np.abs(branch_pts[:, :, None] - reference[:, None, :])
+    return float(max(np.max(np.min(dist, axis=2)), np.max(np.min(dist, axis=1)))), {"targets": 64}
 
 
 def _check_power_conjugacy(cfg, product, grid, rng):

@@ -83,7 +83,7 @@ def test_criterion_2_transfer_lemma(products):
     worst_sum = worst_unit = worst_cov = 0.0
     for product in products.values():
         points, weights = _preimage_table(product, small)
-        worst_sum = max(worst_sum, float(np.max(np.abs(np.sum(weights, axis=1) - 1.0))))
+        worst_sum = max(worst_sum, float(np.max(np.abs(np.sum(weights, axis=0) - 1.0))))
         unit = TransferOperator(product).apply_samples(lambda z: np.ones_like(z), small)
         worst_unit = max(worst_unit, float(np.max(np.abs(unit - 1.0))))
         images = product.evaluate(points)
@@ -91,8 +91,8 @@ def test_criterion_2_transfer_lemma(products):
         for p in range(-8, 9):
             lhs_factor = weights * images**p
             for q in range(-8, 9):
-                lhs = np.sum(lhs_factor * points**q, axis=1)
-                rhs = targets**p * np.sum(weights * points**q, axis=1)
+                lhs = np.sum(lhs_factor * points**q, axis=0)
+                rhs = targets**p * np.sum(weights * points**q, axis=0)
                 worst_cov = max(worst_cov, float(np.max(np.abs(lhs - rhs))))
     _report("criterion 2a: weights sum to one", worst_sum, 1e-10, "256 targets")
     _report("criterion 2b: unit is fixed", worst_unit, 1e-10)
@@ -155,9 +155,7 @@ def test_criterion_7_basis(products, grid):
     for product in products.values():
         basis = TMBasis(product, count=max(BASIS_COUNT, 9 * product.degree))
         worst_gram = max(worst_gram, gram_residual(basis, BASIS_COUNT, grid))
-        for k in range(9):
-            for l in range(product.degree):
-                worst_fact = max(worst_fact, factorization_residual(basis, k, l, grid))
+        worst_fact = max(worst_fact, float(np.max(factorization_residual(basis, 9, grid))))
     _report("criterion 7a: basis orthonormality", worst_gram, 1e-8, f"L={BASIS_COUNT}")
     _report("criterion 7b: basis factorization", worst_fact, 1e-10, "k <= 8")
 

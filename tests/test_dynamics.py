@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from blaschkeops import branch_inverse, build_lift, conjugacy_to_power, k_groups, make_blaschke
 from blaschkeops.blaschke import preimage_grid
-from blaschkeops.dynamics import _power_certificate, _preimage_tree
+from blaschkeops.dynamics import _power_certificate, _preimage_tree, _solve_lift
 from blaschkeops.verify import DEFAULT_TOLERANCES
 from conftest import blaschke_products, random_product
 
@@ -198,6 +198,34 @@ def test_lift_and_conjugacy_properties(product):
     assert np.all(np.diff(result.thetas) > 0)
     assert result.min_gap > 1e-12
     assert result.residual <= 1e-12
+
+
+def _assert_array_solve_matches_scalar_loop(lift):
+    # every branch level t + 2 pi (k - 1) of 16 targets in one (n, 16) array,
+    # against one scalar solve per level; c = 1 is the fixed-point equation
+    n = lift.degree
+    levels = TWO_PI * (np.arange(16) / 16 + np.arange(n)[:, None])
+    batch = _solve_lift(lift, levels, 0.0)
+    assert batch.shape == levels.shape
+    scalar = np.array([[_solve_lift(lift, float(s), 0.0) for s in row] for row in levels])
+    np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-13)
+    for k in range(1, n + 1):
+        np.testing.assert_allclose(branch_inverse(lift, k, levels[0]), batch[k - 1], rtol=0, atol=1e-13)
+    fixed = TWO_PI * np.ceil(-lift.thetas[0] / TWO_PI)
+    assert _solve_lift(lift, np.array([fixed, fixed]), 1.0) == pytest.approx(_solve_lift(lift, fixed, 1.0), abs=1e-13)
+
+
+@given(blaschke_products())
+@settings(max_examples=25)
+def test_array_lift_solve_matches_scalar_loop(product):
+    _assert_array_solve_matches_scalar_loop(build_lift(product, 256))
+
+
+@pytest.mark.parametrize("zeros", [[0, 0.999], [0, 0.9999, -0.9999]])
+def test_array_lift_solve_bisects_per_level(zeros):
+    # max psi' reaches 2e3-4e4 at grid 256, so Newton leaves its cell at some
+    # levels and not at others: each level must keep its own bracket
+    _assert_array_solve_matches_scalar_loop(build_lift(make_blaschke(np.exp(0.7j), zeros), 256))
 
 
 class TestKGroups:

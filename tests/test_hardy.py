@@ -28,7 +28,7 @@ from blaschkeops.hardy import (
     _power_iteration,
     _power_spectra,
     _symbol_sup_bound,
-    _toeplitz_apply,
+    _toeplitz_applies,
     _toeplitz_block,
 )
 from blaschkeops.transfer import TransferOperator
@@ -68,9 +68,12 @@ class TestToeplitz:
         assert np.array_equal(_toeplitz_block(a, n, 2), expected[:, :2])
         assert np.array_equal(_toeplitz_block(a, 2, n), expected[:2])
         assert _toeplitz_block(a, 0, n).shape == (0, n) and _toeplitz_block(a, n, 0).shape == (n, 0)
-        # the column route applies the same section as one FFT convolution
+        # the column route applies the same section as one FFT convolution,
+        # and one FFT of x serves a second symbol as well
         x = np.random.default_rng(n).standard_normal((n, 3)) + 0j
-        np.testing.assert_allclose(_toeplitz_apply(a, x), expected @ x, rtol=0, atol=1e-13)
+        (applied, conjugated) = _toeplitz_applies([a, a.conjugate()], x)
+        np.testing.assert_allclose(applied, expected @ x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(conjugated, expected.conj().T @ x, rtol=0, atol=1e-13)
 
 
 class TestCompositionMatrix:
@@ -280,10 +283,10 @@ class TestOperatorNorm:
     def test_block_that_stalls_the_power_iteration(self):
         # the v2,v2 module-tail corner of [0,0.99i] at cut 64: clustered top
         # singular values keep the iteration from settling in 10 000 steps
-        from blaschkeops.verify import _frame_functions
+        from blaschkeops.tmbasis import frame
 
         product = make_blaschke(np.exp(1.3j), [0, 0.99j])
-        v2 = _frame_functions(product)[1]
+        v2 = lambda z: frame(product)(z)[1]
         residual = inner_product_residual(product, v2, v2, 256, CircleGrid(16384))
         block = _toeplitz_block(residual, 192, 192)
         assert _power_iteration(block, 1e-12, 10_000)[1] is False
@@ -446,3 +449,27 @@ class TestSlicedCorners:
         dense = comp @ t_b - toeplitz_matrix(pullback, self.N_TRUNC) @ comp
         sliced = commutation_residual(product, b, self.N_TRUNC, self.CORNER, grid)
         assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+
+    def test_covariance_batch_matches_per_symbol_references(self, setup):
+        # the batch shares L(z^k) over the union of the bands and one FFT of C;
+        # each entry must be the dense per-symbol corner, whatever its band
+        product, grid, comp = setup
+        symbols = [self._symbol(3, -8, 8), self._symbol(4, 0, 3), self._symbol(5, -5, -2), FourierSymbol({})]
+        batch = covariance_residual(product, symbols, self.N_TRUNC, self.CORNER, grid)
+        assert len(batch) == len(symbols)
+        for a, value in zip(symbols, batch):
+            image = TransferOperator(product).symbol_image(a.evaluate, grid)
+            dense = comp.adjoint() @ toeplitz_matrix(a, self.N_TRUNC) @ comp - toeplitz_matrix(image, self.N_TRUNC)
+            assert value == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+            assert covariance_residual(product, a, self.N_TRUNC, self.CORNER, grid) == pytest.approx(value, abs=1e-14)
+
+    def test_commutation_batch_matches_per_symbol_references(self, setup):
+        product, grid, comp = setup
+        symbols = [self._symbol(6, 0, 4), FourierSymbol({0: 1.0}), self._symbol(7, 2, 6)]
+        batch = commutation_residual(product, symbols, self.N_TRUNC, self.CORNER, grid)
+        for b, value in zip(symbols, batch):
+            pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
+            dense = comp @ toeplitz_matrix(b, self.N_TRUNC) - toeplitz_matrix(pullback, self.N_TRUNC) @ comp
+            assert value == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+        with pytest.raises(ValueError):
+            commutation_residual(product, symbols + [FourierSymbol({-1: 1.0})], self.N_TRUNC, self.CORNER, grid)

@@ -1,5 +1,7 @@
 """Adapted rational basis, its factorization, and the Cuntz isometry family."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from blaschkeops import (
     tm_element,
 )
 from blaschkeops.hardy import TruncatedOperator, _matrix_norm, composition_matrix, toeplitz_matrix
-from blaschkeops.tmbasis import _factor_symbol
+from blaschkeops.tmbasis import frame
 from blaschkeops.transfer import TransferOperator, bimodule_inner_samples
 from blaschkeops.verify import RunConfig, _check_cuntz_relations
 from conftest import random_product
@@ -80,21 +82,42 @@ class TestFactorParts:
 
 class TestFactorization:
     def test_monomial_exact(self, cube, grid_small):
-        basis = TMBasis(cube, count=40)
+        residuals = factorization_residual(TMBasis(cube, count=40), 6, grid_small)
+        assert residuals.shape == (6, 3)
         for k, l in [(0, 0), (2, 1), (5, 2)]:
-            assert factorization_residual(basis, k, l, grid_small) <= 1e-13
+            assert residuals[k, l] <= 1e-13
 
     @pytest.mark.parametrize("k,l", [(0, 0), (1, 1), (4, 0), (8, 1)])
     def test_half_identity(self, half, grid_small, k, l):
         basis = TMBasis(half, count=32)
-        assert factorization_residual(basis, k, l, grid_small) <= 1e-10
+        assert factorization_residual(basis, k + 1, grid_small)[k, l] <= 1e-10
 
     def test_spiral_identity(self, spiral, grid_small):
         basis = TMBasis(spiral, count=32)
-        worst = max(
-            factorization_residual(basis, k, l, grid_small) for k in range(9) for l in range(2)
-        )
-        assert worst <= 1e-10
+        assert np.max(factorization_residual(basis, 9, grid_small)) <= 1e-10
+
+
+    def test_batch_matches_per_index_reference(self, spiral, grid_small):
+        # the zero of index 5 moved by 0.1: from there on the direct side no
+        # longer factors, so entries carry O(1) values that the per-index
+        # route, tm_element against Q_l R_l R^k, must reproduce
+        @dataclass(frozen=True)
+        class MovedZero(TMBasis):
+            def beta(self, l):
+                return super().beta(l) + (0.1 if l == 5 else 0.0)
+
+        basis, pts = MovedZero(spiral, count=32), grid_small.points
+        batch = factorization_residual(basis, 9, grid_small)
+        assert batch.shape == (9, 2) and np.max(batch[:2]) <= 1e-13 and np.min(batch[3:]) > 1e-3
+        for k in range(9):
+            for l in range(2):
+                q, r = factor_parts(basis, l, pts)
+                per_index = np.max(np.abs(tm_element(basis, 2 * k + l, pts) - q * r * spiral.evaluate(pts) ** k))
+                assert batch[k, l] == pytest.approx(per_index, rel=1e-12, abs=1e-14)
+
+    def test_count_enforced(self, half, grid_small):
+        with pytest.raises(ValueError, match="basis count"):
+            factorization_residual(TMBasis(half, count=16), 9, grid_small)
 
 
 class TestGram:
@@ -195,8 +218,8 @@ class TestCuntzFamily:
         cfg, grid = RunConfig(truncation=64, corner=16, grid=1024), CircleGrid(1024)
         _, details = _check_cuntz_relations(cfg, product, grid, None)
         family = cons_residual(cuntz_family(product, 64, grid), 16)
-        basis, comp = TMBasis(product), composition_matrix(product, 64).entries
-        dense = [toeplitz_matrix(_factor_symbol(basis, k, grid), 64).entries @ comp for k in range(product.degree)]
+        comp = composition_matrix(product, 64).entries
+        dense = [toeplitz_matrix(fourier_coefficients(v), 64).entries @ comp for v in frame(product)(grid.points)]
         gram = [[(wi.conj().T @ wj)[:16, :16] for wj in dense] for wi in dense]
         eye = np.eye(16)
         expected = {
@@ -309,3 +332,34 @@ class TestInnerProductResidual:
                     # Weyl: two corners' norms differ by at most the norm of their difference
                     gap = _matrix_norm(section[m:, m:] - dense[m:, m:])
                     assert abs(value - _matrix_norm(dense[m:, m:])) <= gap
+
+    @pytest.mark.parametrize("case", ["half", "near-circle", "degree-4"])
+    def test_frame_stack_matches_per_pair_quadrature(self, half, case):
+        # one call on the stacked frame gives the n x n symbols at once; each
+        # must be the section of its own pair's dense quadrature, with the
+        # pairing taken pointwise through apply_samples
+        product = {
+            "half": half,
+            "near-circle": make_blaschke(np.exp(1.3j), [0, 0.9]),
+            "degree-4": random_product(4, degree=4),
+        }[case]
+        grid, n_trunc, n = CircleGrid(1024), 64, product.degree
+        pts = grid.points
+        powers = product.evaluate(pts)[:, None] ** np.arange(n_trunc)
+        op = TransferOperator(product)
+        stack = frame(product)
+        symbols = inner_product_residual(product, stack, stack, n_trunc, grid)
+        assert [len(row) for row in symbols] == [n] * n
+        for i in range(n):
+            for j in range(n):
+                p, q = self._frame_function(product, i), self._frame_function(product, j)
+                gram = n * ((p(pts)[:, None] * powers).conj().T @ (q(pts)[:, None] * powers)) / grid.size
+                pairing = fourier_coefficients(op.apply_samples(lambda z: n * np.conj(p(z)) * q(z), grid))
+                dense = gram - toeplitz_matrix(pairing, n_trunc).entries
+                section = toeplitz_matrix(symbols[i][j], n_trunc).entries
+                np.testing.assert_allclose(section, dense, rtol=0, atol=1e-13)
+        # a stack of one against the frame pairs the first member with each
+        first = inner_product_residual(product, lambda z: stack(z)[:1], stack, n_trunc, grid)
+        assert len(first) == 1 and len(first[0]) == n
+        for j in range(n):
+            np.testing.assert_allclose(first[0][j].values, symbols[0][j].values, rtol=0, atol=1e-14)

@@ -12,7 +12,9 @@ from blaschkeops import (
     partial_fraction_weights,
     transfer_matrix,
 )
+from blaschkeops.blaschke import preimage_grid
 from blaschkeops.tmbasis import TMBasis, factor_parts
+from blaschkeops.transfer import _preimage_table, bimodule_inner_samples
 from conftest import random_product
 
 
@@ -159,6 +161,37 @@ class TestBimoduleInner:
             assert value == pytest.approx(n, abs=1e-10)
             unit = op.apply(lambda z, k=k: np.abs(func(z, k)) ** 2, np.exp(0.25j))
             assert unit == pytest.approx(1.0, abs=1e-10)
+
+
+class TestPreimageTable:
+    def test_branch_major_layout(self, spiral, grid_small):
+        # row b holds the b-th preimage of every target, contiguously; the
+        # solver's (targets, n) rows are its columns
+        points, weights = _preimage_table(spiral, grid_small)
+        solved, _ = preimage_grid(spiral, grid_small.points)
+        assert points.shape == weights.shape == (2, grid_small.size)
+        assert points.flags.c_contiguous and not points.flags.writeable
+        assert np.array_equal(points, solved.T)
+        np.testing.assert_allclose(np.sum(weights, axis=0), 1.0, rtol=0, atol=1e-13)
+
+    def test_monomial_samples_are_images_of_powers(self, spiral, grid_small):
+        op = TransferOperator(spiral)
+        rows = op.monomial_samples(-3, 4, grid_small)
+        assert rows.shape == (7, grid_small.size)
+        for k, row in zip(range(-3, 4), rows):
+            np.testing.assert_allclose(row, op.apply_samples(lambda z: z**k, grid_small), rtol=0, atol=1e-14)
+
+    def test_stacked_pairing_matches_each_pair(self, spiral, grid_small):
+        op = TransferOperator(spiral)
+        funcs = [ones, lambda z: z, lambda z: np.conj(z) + 0.5 * z**2]
+        stack = lambda z: np.array([f(z) for f in funcs])
+        pairing = bimodule_inner_samples(op, stack, stack, grid_small)
+        assert pairing.shape == (3, 3, grid_small.size)
+        for i, p in enumerate(funcs):
+            for j, q in enumerate(funcs):
+                single = bimodule_inner_samples(op, p, q, grid_small)
+                np.testing.assert_allclose(pairing[i, j], single, rtol=0, atol=1e-14)
+                assert single[5] == pytest.approx(bimodule_inner(op, p, q, grid_small.points[5]), abs=1e-13)
 
 
 class TestTransferMatrix:
