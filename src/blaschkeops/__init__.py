@@ -36,17 +36,11 @@ from .tmbasis import (
     TMBasis,
     cons_residual,
     cuntz_family,
-    factor_parts,
     factorization_residual,
     gram_residual,
     inner_product_residual,
     tm_element,
 )
-from .transfer import (
-    TransferOperator,
-    bimodule_inner,
-    partial_fraction_weights,
-    transfer_matrix,
-)
+from .transfer import TransferOperator, partial_fraction_weights, transfer_matrix
 
 __version__ = "0.1.0"

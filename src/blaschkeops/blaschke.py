@@ -75,10 +75,10 @@ class BlaschkeProduct:
             raise ValueError("degree must be at least 2 (need two or more zeros)")
         if zeros[0] != 0:
             raise ValueError("zeros[0] must be exactly 0")
-        if any(abs(z) >= 1.0 for z in zeros):
+        if not all(abs(z) < 1.0 for z in zeros):  # also false for a non-finite zero
             raise ValueError("every zero must lie strictly inside the unit circle")
         mod = abs(complex(self.phase))
-        if abs(mod - 1.0) > _UNIT_TOL:
+        if not abs(mod - 1.0) <= _UNIT_TOL:  # also false for a non-finite phase
             raise ValueError(f"phase must be unimodular within {_UNIT_TOL:g}")
         object.__setattr__(self, "phase", complex(self.phase) / mod)
         object.__setattr__(self, "zeros", zeros)
@@ -170,15 +170,6 @@ class BlaschkeProduct:
             points=tuple(complex(p) for p in pts[0]),
             residuals=tuple(float(r) for r in res[0]),
         )
-
-    def iterate(self, m: int, z):
-        """m-fold composition ``R(R(...R(z)))`` for ``m >= 1``."""
-        if m < 1:
-            raise ValueError("iteration count must be a positive integer")
-        out = z
-        for _ in range(m):
-            out = self.evaluate(out)
-        return out
 
 
 def make_blaschke(lam: complex, zeros) -> BlaschkeProduct:

@@ -182,8 +182,8 @@ def isometry_residual(c, m: int) -> float:
     return _matrix_norm(cols.conj().T @ cols - np.eye(m))
 
 
-def covariance_residual(product: BlaschkeProduct, a, n_trunc: int, m: int, grid: CircleGrid):
-    """Corner norm of ``C* T_a C - T_(L a)``; for a sequence of symbols, the list of their norms.
+def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int, grid: CircleGrid) -> list:
+    """Corner norms of ``C* T_a C - T_(L a)``, one per symbol a of the sequence.
 
     ``L`` is linear, so every ``L a`` combines the monomial images of the
     pointwise transfer oracle, which keeps the two sides of the identity on
@@ -193,7 +193,6 @@ def covariance_residual(product: BlaschkeProduct, a, n_trunc: int, m: int, grid:
 
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
-    symbols = [a] if isinstance(a, FourierSymbol) else list(a)
     low = min(s.low for s in symbols)
     coeffs = np.zeros((len(symbols), max(s.low + s.values.size for s in symbols) - low), dtype=complex)
     for row, s in zip(coeffs, symbols):
@@ -201,16 +200,14 @@ def covariance_residual(product: BlaschkeProduct, a, n_trunc: int, m: int, grid:
     images = coeffs @ TransferOperator(product).monomial_samples(low, low + coeffs.shape[1], grid)
     cols = _power_spectra(product, n_trunc, m)
     adjoint = cols.conj().T
-    norms = [
+    return [
         _matrix_norm(adjoint @ ta_cols - _toeplitz_block(fourier_coefficients(image), m, m))
         for ta_cols, image in zip(_toeplitz_applies(symbols, cols), images)
     ]
-    return norms[0] if isinstance(a, FourierSymbol) else norms
 
 
-def commutation_residual(product: BlaschkeProduct, b, n_trunc: int, m: int, grid: CircleGrid):
-    """Corner norm of ``C T_b - T_(b o R) C`` for an analytic symbol b; for a sequence, the list."""
-    symbols = [b] if isinstance(b, FourierSymbol) else list(b)
+def commutation_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int, grid: CircleGrid) -> list:
+    """Corner norms of ``C T_b - T_(b o R) C``, one per analytic symbol b of the sequence."""
     if not all(s.is_analytic() for s in symbols):
         raise ValueError("commutation identity requires an analytic symbol")
     if m > n_trunc // 4:
@@ -218,14 +215,13 @@ def commutation_residual(product: BlaschkeProduct, b, n_trunc: int, m: int, grid
     cols = _power_spectra(product, n_trunc, m)
     images = product.evaluate(grid.points)
     # C[:m, :] = [C[:m, :m], 0], so (C T_b)[:m, :m] = C[:m, :m] T_b[:m, :m]
-    norms = [
+    return [
         _matrix_norm(
             cols[:m] @ _toeplitz_block(s, m, m)
             - _toeplitz_block(fourier_coefficients(s.evaluate(images)), m, n_trunc) @ cols
         )
         for s in symbols
     ]
-    return norms[0] if isinstance(b, FourierSymbol) else norms
 
 
 def tail_compactness_profile(d: FourierSymbol, n_trunc: int, cuts):

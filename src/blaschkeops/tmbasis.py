@@ -14,7 +14,7 @@ Toeplitz symbol of its residual, whose trailing-corner norms must decay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -44,83 +44,50 @@ class TMBasis:
         return self.product.zeros[l % self.product.degree]
 
 
-def _kernel_factor(beta: complex, z):
-    return np.sqrt(1.0 - abs(beta) ** 2) / (1.0 - np.conj(beta) * z)
+def _elements(basis: TMBasis, count: int, z):
+    """Yields the first ``count`` basis elements at z, ``alpha_l sqrt(1-|beta_l|^2)/(1 - conj(beta_l) z) B_l``:
+    the partial product ``B_l`` of the earlier Blaschke factors gains one factor per element."""
+    partial = np.ones(np.shape(z), dtype=complex)
+    for l in range(count):
+        beta = basis.beta(l)
+        den = 1.0 - np.conj(beta) * z
+        yield basis.alpha(l) * (np.sqrt(1.0 - abs(beta) ** 2) / den) * partial
+        partial = partial * (z - beta) / den
 
 
 def tm_element(basis: TMBasis, l: int, z):
     """Value of the l-th basis element at z (scalar or array, |z| <= 1)."""
     if l < 0:
         raise ValueError("basis index must be nonnegative")
-    z = np.asarray(z, dtype=complex)
-    out = np.full(z.shape, basis.alpha(l), dtype=complex) * _kernel_factor(basis.beta(l), z)
-    for k in range(l):
-        bk = basis.beta(k)
-        out = out * (z - bk) / (1.0 - np.conj(bk) * z)
+    out = next(islice(_elements(basis, l + 1, np.asarray(z, dtype=complex)), l, None))
     return out if out.ndim else complex(out)
 
 
-def factor_parts(basis: TMBasis, l: int, z):
-    """The pair ``(Q_l(z), R_l(z))`` for ``0 <= l <= n-1``.
-
-    ``Q_l`` is the normalised reproducing-kernel factor at the l-th zero and
-    ``R_l`` the partial Blaschke product over the earlier zeros.
-    """
-    n = basis.product.degree
-    if not 0 <= l <= n - 1:
-        raise ValueError("factor index must lie in [0, degree)")
-    z = np.asarray(z, dtype=complex)
-    q = _kernel_factor(basis.product.zeros[l], z)
-    r = np.ones(z.shape, dtype=complex)
-    for k in range(l):
-        zk = basis.product.zeros[k]
-        r = r * (z - zk) / (1.0 - np.conj(zk) * z)
-    if z.ndim:
-        return q, r
-    return complex(q), complex(r)
-
-
 def factorization_residual(basis: TMBasis, powers: int, grid: CircleGrid) -> np.ndarray:
-    """Sup over the grid of ``|e_{kn+l} - Q_l R_l R^k|`` for ``k < powers``, as an array ``[k, l]``.
-
-    One pass: the direct side gains one factor per index, as in :func:`gram_residual`.
-    """
+    """Sup over the grid of ``|e_{kn+l} - Q_l R_l R^k|`` for ``k < powers``, as an array ``[k, l]``."""
     n = basis.product.degree
-    if powers * n - 1 > basis.count:
+    if powers * n > basis.count:
         raise ValueError("index exceeds the realized basis count")
     pts = grid.points
     frame_vals = frame(basis.product)(pts)
     comp = basis.product.evaluate(pts)
     out = np.empty((powers, n))
-    partial = np.ones(grid.size, dtype=complex)
     power = np.ones(grid.size, dtype=complex)
-    for index in range(powers * n):
+    for index, direct in enumerate(_elements(basis, powers * n, pts)):
         k, l = divmod(index, n)
-        beta = basis.beta(index)
-        direct = basis.alpha(index) * _kernel_factor(beta, pts) * partial
         out[k, l] = np.max(np.abs(direct - frame_vals[l] * power))
-        partial = partial * (pts - beta) / (1.0 - np.conj(beta) * pts)
         if l == n - 1:
             power = power * comp
     return out
 
 
 def gram_residual(basis: TMBasis, count: int, grid: CircleGrid) -> float:
-    """Max deviation of the quadrature Gram matrix from the identity.
-
-    The rows are the first ``count`` basis elements on the grid, built in
-    one pass as ``alpha_l * k_(beta_l) * B_l``, where the partial product
-    ``B_l`` of the earlier Blaschke factors gains one factor per row.
-    """
+    """Max deviation of the quadrature Gram matrix of the first ``count`` basis elements from the identity."""
     if count < 1 or count > _MAX_GRAM_COUNT:
         raise ValueError(f"gram count must lie in [1, {_MAX_GRAM_COUNT}]")
-    pts = grid.points
     rows = np.empty((count, grid.size), dtype=complex)
-    partial = np.ones(grid.size, dtype=complex)
-    for l in range(count):
-        bl = basis.beta(l)
-        rows[l] = basis.alpha(l) * _kernel_factor(bl, pts) * partial
-        partial = partial * (pts - bl) / (1.0 - np.conj(bl) * pts)
+    for row, element in zip(rows, _elements(basis, count, grid.points)):
+        row[:] = element
     gram = rows @ rows.conj().T / grid.size
     return float(np.max(np.abs(gram - np.eye(count))))
 
@@ -170,13 +137,16 @@ def cons_residual(family, m: int) -> ConsResidual:
 
 
 def frame(product: BlaschkeProduct):
-    """The frame ``v_l = Q_l R_l``, l = 0..n-1, as one map from points to the stack of their values."""
+    """The frame ``v_l = Q_l R_l``, l = 0..n-1, as one map from points to the stack of their
+    values: the first n basis elements, since ``alpha_l = 1`` for ``l < n``."""
     basis = TMBasis(product)
-    return lambda z: np.array([np.multiply(*factor_parts(basis, l, z)) for l in range(product.degree)])
+    return lambda z: np.array(list(_elements(basis, product.degree, np.asarray(z, dtype=complex))))
 
 
-def inner_product_residual(product: BlaschkeProduct, p, q, n_trunc: int, grid: CircleGrid):
-    """Toeplitz symbol of ``V_p* V_q - T_<p,q>`` on the N x N truncation window.
+def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int, grid: CircleGrid):
+    """Toeplitz symbols of ``V_p* V_q - T_<p,q>`` on the N x N truncation window, for every
+    pair ``(p, q) = (v_i, v_j)`` of the functions that ``stack`` maps points to (as
+    :func:`frame` does): the nested list ``[i][j]``.
 
     The coefficients are those of index ``|k| < N``, all that the N x N
     section reads.  The left side is assembled by quadrature,
@@ -185,20 +155,17 @@ def inner_product_residual(product: BlaschkeProduct, p, q, n_trunc: int, grid: C
     on the circle, ``conj(R^i) R^j`` is ``R^(j-i)`` above the diagonal and
     ``conj(R)^(i-j)`` below it, so the entry depends only on ``j - i``: the
     Gram matrix is Toeplitz and its symbol is two weighted power sums of
-    length N, at cost ``O(N M)``.  The right side is the Fourier transform of
-    the weighted pairing delivered by the pointwise transfer oracle, so the
-    two sides reach the symbol through independent routes.  When ``p`` and
-    ``q`` map points to stacks of functions (as :func:`frame` does), the
-    result is the nested list ``[i][j]`` over the pairs ``(p_i, q_j)``: one
-    power-sum pass serves every pair, and one contraction every pairing.
+    length N, at cost ``O(N M)``; one power-sum pass serves every pair.  The
+    right side is the Fourier transform of the weighted pairing delivered by
+    the pointwise transfer oracle, so the two sides reach the symbol through
+    independent routes.
     """
     if 2 * n_trunc > grid.size:
         raise ValueError("truncation must not exceed half the grid")
     pts = grid.points
-    p_vals = np.asarray(p(pts), dtype=complex)
-    q_vals = p_vals if q is p else np.asarray(q(pts), dtype=complex)
-    # one row per pair (p_i, q_j), i major, then their conjugates
-    weight = (product.degree * np.conj(p_vals)[..., None, :] * q_vals / grid.size).reshape(-1, grid.size)
+    vals = np.asarray(stack(pts), dtype=complex)
+    # one row per pair (v_i, v_j), i major, then their conjugates
+    weight = (product.degree * np.conj(vals)[:, None, :] * vals / grid.size).reshape(-1, grid.size)
     weights = np.concatenate((weight, weight.conj()))
     comp_vals = product.evaluate(pts)
     sums = np.empty((n_trunc, len(weights)), dtype=complex)
@@ -209,11 +176,9 @@ def inner_product_residual(product: BlaschkeProduct, p, q, n_trunc: int, grid: C
     # upper[d] = weighted sum of R^d, the coefficient of index -d;
     # lower[d] = weighted sum of conj(R)^d, the coefficient of index d
     upper, lower = sums[:, : len(weight)], sums[:, len(weight) :].conj()
-    pairings = bimodule_inner_samples(TransferOperator(product), p, q, grid).reshape(len(weight), -1)
+    pairings = bimodule_inner_samples(TransferOperator(product), stack, grid).reshape(len(weight), -1)
     symbols = []
     for band, pairing in zip(np.concatenate((upper[:0:-1], lower)).T, map(fourier_coefficients, pairings)):
         pairing_band = pairing.values[1 - n_trunc - pairing.low : n_trunc - pairing.low]
         symbols.append(FourierSymbol._dense(1 - n_trunc, band - pairing_band))
-    if p_vals.ndim == 1:
-        return symbols[0]
-    return [symbols[i : i + len(q_vals)] for i in range(0, len(symbols), len(q_vals))]
+    return [symbols[i : i + len(vals)] for i in range(0, len(symbols), len(vals))]

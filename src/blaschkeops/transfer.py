@@ -87,23 +87,12 @@ def partial_fraction_weights(product: BlaschkeProduct, w: complex) -> np.ndarray
     return preimage_weights(product, product.preimages(w).points)
 
 
-def bimodule_inner(op: TransferOperator, p, q, w: complex) -> complex:
-    """Weighted pairing ``sum_z h(z) conj(p(z)) q(z) = n L(conj(p) q)(w)`` over the preimages of w.
-
-    With ``p = q = 1/sqrt(n)`` it is one.
-    """
-    return op.degree * op.apply(lambda z: np.conj(p(z)) * q(z), w)
-
-
-def bimodule_inner_samples(op: TransferOperator, p, q, grid: CircleGrid) -> np.ndarray:
-    """Values of the weighted pairing at every grid point.  When ``p`` and ``q`` map
-    points to stacks of P and Q functions, one contraction pairs them all: ``(P, Q, M)``."""
+def bimodule_inner_samples(op: TransferOperator, stack, grid: CircleGrid) -> np.ndarray:
+    """The weighted pairings ``n L(conj(p) q) = sum_z h(z) conj(p(z)) q(z)`` at every grid point,
+    for every pair of the P functions that ``stack`` maps points to: ``(P, P, M)``."""
     points, weights = _preimage_table(op.product, grid)
-    p_vals = np.asarray(p(points), dtype=complex)
-    q_vals = p_vals if q is p else np.asarray(q(points), dtype=complex)
-    p_stack = weights * np.conj(p_vals.reshape(-1, *points.shape))
-    pairing = np.einsum("pbm,qbm->pqm", p_stack, q_vals.reshape(-1, *points.shape))
-    return op.degree * pairing.reshape(p_vals.shape[:-2] + q_vals.shape[:-2] + (grid.size,))
+    vals = np.asarray(stack(points), dtype=complex)
+    return op.degree * np.einsum("pbm,qbm->pqm", weights * np.conj(vals), vals)
 
 
 def transfer_matrix(op: TransferOperator, n_trunc: int, grid: CircleGrid) -> TruncatedOperator:

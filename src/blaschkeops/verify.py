@@ -52,9 +52,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """Run parameters: the product, truncation sizes and per-check tolerances.
 
-    Invariants: ``1 <= corner <= truncation/4``, ``truncation <= grid/4``,
-    grid a power of two of at least 256 samples, every tolerance positive and
-    attached to a known check.
+    Invariants: integer sizes and seed, ``1 <= corner <= truncation/4``,
+    ``truncation <= grid/4``, grid a power of two of at least 256 samples,
+    every tolerance finite, positive and attached to a known check.
     """
 
     lambda_angle: float = 0.0
@@ -67,6 +67,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("truncation", "corner", "grid", "basis_count", "seed"):
+            if type(getattr(self, name)) is not int:  # not a float, a string or a bool
+                raise ConfigError(f"{name} must be an integer")
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
         try:
             self.product()
@@ -92,10 +95,9 @@ class RunConfig:
             if key not in known:
                 raise ConfigError(f"tolerance override for unknown check {key!r}")
             merged[key] = float(value)
-        if any(v <= 0 for v in merged.values()):
-            raise ConfigError("tolerances must be positive")
+        if not all(0.0 < v < np.inf for v in merged.values()):
+            raise ConfigError("tolerances must be finite and positive")
         object.__setattr__(self, "tolerances", merged)
-        object.__setattr__(self, "seed", int(self.seed))
 
     def product(self) -> BlaschkeProduct:
         return make_blaschke(np.exp(1j * self.lambda_angle), self.zeros)
@@ -131,7 +133,7 @@ class RunConfig:
                 raise ConfigError("zeros must be a list of [re, im] pairs") from None
         try:
             return RunConfig(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:  # ConfigError included: it is a ValueError
             raise ConfigError(str(exc)) from None
 
 
@@ -307,8 +309,7 @@ def _check_module_inner_tails(cfg, product, grid, rng):
     # sup |d| bounds the corner at every cut, so a bound within tolerance is a
     # sound PASS; a pair above it takes the exact SVD of its corner at the last
     # cut, so a FAIL value is exact
-    frame_stack = frame(product)
-    residuals = inner_product_residual(product, frame_stack, frame_stack, cfg.truncation, grid)
+    residuals = inner_product_residual(product, frame(product), cfg.truncation, grid)
     cut, tol = 64, cfg.tolerances["module_inner_tails"]
     bounds, corners = {}, {}
     for i, row in enumerate(residuals):
@@ -326,12 +327,13 @@ def _check_monomial_shift_relations(cfg, product, grid, rng):
     comp = _power_spectra(product, n_trunc, n_trunc)
 
     def differences(start, stop):
-        # columns start:stop of U W_k - W_(k+1), k = 1..n, with W_(n+1) = W_1 U: U moves rows
-        # down by one and, on the right, columns left by one (a zero column enters last)
+        # columns start:stop of U W_k - W_(k+1), k = 1..n, with W_(n+1) = conj(lambda) W_1 U, since
+        # W_k e_j = lambda^j z^(jn+k-1): U moves rows down by one and, on the right, columns left
+        # by one (a zero column enters last)
         family = list(cuntz_columns(product, comp[:, start : stop + 1], grid))
         wrap = np.hstack((family[0][:, 1:], np.zeros((n_trunc, stop + 1 - start - family[0].shape[1]))))
         shifted = [np.vstack((np.zeros((1, stop - start)), w[:-1, : stop - start])) for w in family]
-        return [s - t[:, : stop - start] for s, t in zip(shifted, family[1:] + [wrap])]
+        return [s - t[:, : stop - start] for s, t in zip(shifted, family[1:] + [np.conj(product.phase) * wrap])]
 
     # the Frobenius norm bounds the spectral norm at a fraction of an SVD's cost and adds up
     # over blocks of 64 columns; only a relation it cannot pass takes the SVD of its full difference
@@ -475,7 +477,7 @@ MANIFEST = (
     ),
     CheckSpec(
         "monomial_shift_relations",
-        "shift relations U W_k = W_(k+1) and U W_n = W_1 U hold exactly",
+        "shift relations U W_k = W_(k+1) and U W_n = conj(lambda) W_1 U hold exactly",
         1e-12,
         _check_monomial_shift_relations,
         condition="monomial",
@@ -513,10 +515,6 @@ MANIFEST = (
 )
 
 DEFAULT_TOLERANCES = {spec.check_id: spec.tolerance for spec in MANIFEST}
-
-
-def enabled_check_ids(cfg: RunConfig):
-    return [spec.check_id for spec in MANIFEST if spec.enabled_for(cfg)]
 
 
 def _run_one(spec: CheckSpec, cfg: RunConfig, product, grid, index: int) -> CheckResult:

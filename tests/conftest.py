@@ -22,6 +22,17 @@ def random_product(seed, degree=3, max_radius=0.6):
     return make_blaschke(lam, zeros)
 
 
+def closed_form_element(basis, l, z):
+    """Basis element written out as its closed-form product, one factor at a time:
+    ``alpha_l sqrt(1 - |beta_l|^2) / (1 - conj(beta_l) z) * prod_(k < l) (z - beta_k) / (1 - conj(beta_k) z)``."""
+    z = np.asarray(z, dtype=complex)
+    beta = basis.beta(l)
+    out = basis.alpha(l) * np.sqrt(1.0 - abs(beta) ** 2) / (1.0 - np.conj(beta) * z)
+    for k in range(l):
+        out = out * (z - basis.beta(k)) / (1.0 - np.conj(basis.beta(k)) * z)
+    return out
+
+
 @st.composite
 def blaschke_products(draw):
     """Degree 2-16, zeros in the closed disk of radius 0.98, random phase."""

@@ -22,7 +22,6 @@ from blaschkeops import (
     conjugacy_to_power,
     covariance_residual,
     cuntz_family,
-    factor_parts,
     factorization_residual,
     gram_residual,
     inner_product_residual,
@@ -35,6 +34,7 @@ from blaschkeops import (
 )
 from blaschkeops.blaschke import preimage_grid
 from blaschkeops.hardy import _matrix_norm
+from blaschkeops.tmbasis import frame
 from blaschkeops.transfer import _preimage_table
 from conftest import random_product
 
@@ -125,14 +125,14 @@ def test_criterion_5_covariance_identity(products, grid):
                 k: complex(rng.standard_normal(), rng.standard_normal()) / (2.0 * (1 + abs(k)))
                 for k in range(-8, 9)
             }
-            res = covariance_residual(product, FourierSymbol(coeffs), N, CORNER, grid)
+            res = covariance_residual(product, [FourierSymbol(coeffs)], N, CORNER, grid)[0]
             worst = max(worst, res)
     _report("criterion 5a: covariance identity", worst, 1e-6, "10 seeded symbols x 5 products")
 
     worst_exact = 0.0
     for name in ("z2", "z3"):
         for j in range(9):
-            res = covariance_residual(products[name], FourierSymbol({j: 1.0}), N, CORNER, grid)
+            res = covariance_residual(products[name], [FourierSymbol({j: 1.0})], N, CORNER, grid)[0]
             worst_exact = max(worst_exact, res)
     _report("criterion 5b: monomial covariance exact", worst_exact, EXACT, "machine zero")
 
@@ -165,20 +165,8 @@ def test_criterion_8_module_inner_tails(products, grid):
     worst_final = 0.0
     worst_bump = 0.0
     for product in products.values():
-        basis = TMBasis(product)
-        n = product.degree
-
-        def frame(k):
-            def func(z):
-                q, r = factor_parts(basis, k, z)
-                return q * r
-
-            return func
-
-        funcs = [frame(k) for k in range(n)]
-        for i in range(n):
-            for j in range(n):
-                residual = inner_product_residual(product, funcs[i], funcs[j], N, grid)
+        for row in inner_product_residual(product, frame(product), N, grid):
+            for residual in row:
                 profile = tail_compactness_profile(residual, N, cuts)
                 worst_final = max(worst_final, profile[-1])
                 worst_bump = max(
@@ -246,6 +234,5 @@ def test_criterion_10_monomial_example_relations(products, grid):
         symbols.append(
             FourierSymbol({k: complex(rng.standard_normal(), rng.standard_normal()) for k in range(5)})
         )
-        for b in symbols:
-            worst_comm = max(worst_comm, commutation_residual(product, b, N, CORNER, grid))
+        worst_comm = max(worst_comm, *commutation_residual(product, symbols, N, CORNER, grid))
     _report("criterion 10b: analytic commutation", worst_comm, 1e-8, "degree <= 4")

@@ -54,6 +54,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unimodular"):
             make_blaschke(1.5, [0, 0.5])
 
+    @pytest.mark.parametrize("zero", [complex("nan"), complex("nan+nanj"), complex("inf"), complex(0.5, np.inf)])
+    def test_nonfinite_zero_rejected(self, zero):
+        with pytest.raises(ValueError, match="inside the unit circle"):
+            make_blaschke(1.0, [0, zero])
+
+    @pytest.mark.parametrize("lam", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])
+    def test_nonfinite_phase_rejected(self, lam):
+        with pytest.raises(ValueError, match="unimodular"):
+            make_blaschke(lam, [0, 0.5])
+
     def test_phase_renormalized_exactly(self):
         lam = np.exp(0.3j) * (1 + 5e-13)
         b = make_blaschke(lam, [0, 0.5])
@@ -210,23 +220,6 @@ class TestPreimages:
     def test_off_circle_target_rejected(self, half):
         with pytest.raises(ValueError, match="unit circle"):
             half.preimages(1.5 + 0j)
-
-
-class TestIterate:
-    def test_angle_doubling(self, square):
-        z = np.exp(1j * np.pi / 8)
-        assert square.iterate(3, z) == pytest.approx(-1.0)
-
-    def test_single_step_is_evaluation(self, half):
-        z = 0.3 + 0.2j
-        assert half.iterate(1, z) == pytest.approx(half.evaluate(z))
-
-    def test_origin_stays_fixed(self, half):
-        assert half.iterate(2, 0.0) == 0.0
-
-    def test_nonpositive_count_rejected(self, half):
-        with pytest.raises(ValueError):
-            half.iterate(0, 0.3)
 
 
 def test_near_degenerate_zero_still_solves():

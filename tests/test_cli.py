@@ -52,6 +52,28 @@ class TestVerifyCommand:
         assert main(["verify", "--truncation", "128", "--corner", corner, "--grid", "1024"]) == 2
         assert "corner must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"truncation": 64.0},
+            {"truncation": 64.5},
+            {"corner": 8.0},
+            {"basis_count": 8.0},
+            {"grid": "4096"},
+            {"tolerances": {"weight_sum": float("nan")}},
+            {"tolerances": {"weight_sum": "x"}},
+            {"lambda_angle": float("nan")},
+            {"lambda_angle": "x"},
+            {"zeros": [[0, 0], [float("nan"), 0]]},
+        ],
+    )
+    def test_invalid_config_values_exit_code(self, tmp_path, fields, capsys):
+        # JSON carries NaN as a bare literal, which json.dumps writes and json.load reads
+        assert main(["verify", "--config", write_config(tmp_path, **fields)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["verify", "--config", "/no/such/file.json"]) == 2
 

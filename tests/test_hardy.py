@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from blaschkeops import (
     CircleGrid,
     FourierSymbol,
-    TMBasis,
     TruncatedOperator,
     commutation_residual,
     composition_matrix,
     covariance_residual,
-    factor_parts,
     fourier_coefficients,
     inner_product_residual,
     isometry_residual,
@@ -31,6 +29,7 @@ from blaschkeops.hardy import (
     _toeplitz_applies,
     _toeplitz_block,
 )
+from blaschkeops.tmbasis import frame
 from blaschkeops.transfer import TransferOperator
 from conftest import random_product
 
@@ -164,23 +163,23 @@ class TestIsometry:
 
 class TestCovarianceResidual:
     def test_unit_symbol_matches_isometry(self, half, grid_big):
-        res = covariance_residual(half, FourierSymbol({0: 1.0}), 256, 32, grid_big)
+        res = covariance_residual(half, [FourierSymbol({0: 1.0})], 256, 32, grid_big)[0]
         iso = isometry_residual(composition_matrix(half, 256), 32)
         assert res == pytest.approx(iso, abs=1e-12)
 
     def test_square_with_square_symbol_vanishes(self, square, grid_big):
         # index chase: m -> 2m -> 2m+2 -> m+1 against L(z^2) = w
-        res = covariance_residual(square, FourierSymbol({2: 1.0}), 256, 32, grid_big)
+        res = covariance_residual(square, [FourierSymbol({2: 1.0})], 256, 32, grid_big)[0]
         assert res <= 1e-13
 
     def test_half_with_linear_symbol(self, half, grid_big):
-        res = covariance_residual(half, FourierSymbol({1: 1.0}), 256, 32, grid_big)
+        res = covariance_residual(half, [FourierSymbol({1: 1.0})], 256, 32, grid_big)[0]
         assert res <= 1e-6
 
     def test_antianalytic_via_adjoint_symmetry(self, half, grid_big):
         # conjugate symbol residual equals the analytic one by T_a* = T_conj(a)
-        res_plus = covariance_residual(half, FourierSymbol({2: 1.0}), 256, 32, grid_big)
-        res_minus = covariance_residual(half, FourierSymbol({-2: 1.0}), 256, 32, grid_big)
+        res_plus = covariance_residual(half, [FourierSymbol({2: 1.0})], 256, 32, grid_big)[0]
+        res_minus = covariance_residual(half, [FourierSymbol({-2: 1.0})], 256, 32, grid_big)[0]
         assert res_minus == pytest.approx(res_plus, abs=1e-9)
 
     def test_seeded_symbols(self, spiral, grid_big):
@@ -190,28 +189,28 @@ class TestCovarianceResidual:
                 k: complex(rng.standard_normal(), rng.standard_normal()) / (1 + abs(k))
                 for k in range(-8, 9)
             }
-            res = covariance_residual(spiral, FourierSymbol(coeffs), 256, 32, grid_big)
+            res = covariance_residual(spiral, [FourierSymbol(coeffs)], 256, 32, grid_big)[0]
             assert res <= 1e-6
 
     def test_corner_guard(self, half, grid_big):
         with pytest.raises(ValueError):
-            covariance_residual(half, FourierSymbol({0: 1.0}), 256, 100, grid_big)
+            covariance_residual(half, [FourierSymbol({0: 1.0})], 256, 100, grid_big)
 
 
 class TestCommutationResidual:
     def test_unit_symbol(self, half, grid_big):
-        assert commutation_residual(half, FourierSymbol({0: 1.0}), 256, 32, grid_big) <= 1e-13
+        assert commutation_residual(half, [FourierSymbol({0: 1.0})], 256, 32, grid_big)[0] <= 1e-13
 
     def test_square_with_shift(self, square, grid_big):
         # both routes send e_m to e_(2m+2)
-        assert commutation_residual(square, FourierSymbol({1: 1.0}), 256, 32, grid_big) <= 1e-13
+        assert commutation_residual(square, [FourierSymbol({1: 1.0})], 256, 32, grid_big)[0] <= 1e-13
 
     def test_half_with_shift(self, half, grid_big):
-        assert commutation_residual(half, FourierSymbol({1: 1.0}), 256, 32, grid_big) <= 1e-8
+        assert commutation_residual(half, [FourierSymbol({1: 1.0})], 256, 32, grid_big)[0] <= 1e-8
 
     def test_rejects_antianalytic_symbol(self, half, grid_big):
         with pytest.raises(ValueError, match="analytic"):
-            commutation_residual(half, FourierSymbol({-1: 1.0}), 256, 32, grid_big)
+            commutation_residual(half, [FourierSymbol({-1: 1.0})], 256, 32, grid_big)
 
 
 class TestTailProfile:
@@ -230,13 +229,8 @@ class TestTailProfile:
         # a frame-pair residual on a coarse grid: the quadrature error fills
         # its leading corner, and every deeper cut reads a sub-block of the one
         # before; the power iteration's jitter on tiny blocks is below 1e-12
-        basis, grid = TMBasis(half), CircleGrid(256)
-
-        def frame(z):
-            q, r = factor_parts(basis, 1, z)
-            return q * r
-
-        residual = inner_product_residual(half, frame, frame, 64, grid)
+        v2 = lambda z: frame(half)(z)[1:]
+        [[residual]] = inner_product_residual(half, v2, 64, CircleGrid(256))
         profile = tail_compactness_profile(residual, 64, range(0, 65, 4))
         assert profile[0] > 1e-2 and profile[8] < 1e-10 and profile[-1] == 0.0
         assert all(b <= a + 1e-12 for a, b in zip(profile, profile[1:]))
@@ -283,11 +277,9 @@ class TestOperatorNorm:
     def test_block_that_stalls_the_power_iteration(self):
         # the v2,v2 module-tail corner of [0,0.99i] at cut 64: clustered top
         # singular values keep the iteration from settling in 10 000 steps
-        from blaschkeops.tmbasis import frame
-
         product = make_blaschke(np.exp(1.3j), [0, 0.99j])
-        v2 = lambda z: frame(product)(z)[1]
-        residual = inner_product_residual(product, v2, v2, 256, CircleGrid(16384))
+        v2 = lambda z: frame(product)(z)[1:]
+        [[residual]] = inner_product_residual(product, v2, 256, CircleGrid(16384))
         block = _toeplitz_block(residual, 192, 192)
         assert _power_iteration(block, 1e-12, 10_000)[1] is False
         assert _matrix_norm(block) == np.linalg.svd(block, compute_uv=False)[0]
@@ -438,7 +430,7 @@ class TestSlicedCorners:
         image = TransferOperator(product).symbol_image(a.evaluate, grid)
         t_a = toeplitz_matrix(a, self.N_TRUNC)
         dense = comp.adjoint() @ t_a @ comp - toeplitz_matrix(image, self.N_TRUNC)
-        sliced = covariance_residual(product, a, self.N_TRUNC, self.CORNER, grid)
+        sliced = covariance_residual(product, [a], self.N_TRUNC, self.CORNER, grid)[0]
         assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
 
     def test_commutation(self, setup):
@@ -447,7 +439,7 @@ class TestSlicedCorners:
         pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
         t_b = toeplitz_matrix(b, self.N_TRUNC)
         dense = comp @ t_b - toeplitz_matrix(pullback, self.N_TRUNC) @ comp
-        sliced = commutation_residual(product, b, self.N_TRUNC, self.CORNER, grid)
+        sliced = commutation_residual(product, [b], self.N_TRUNC, self.CORNER, grid)[0]
         assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
 
     def test_covariance_batch_matches_per_symbol_references(self, setup):
@@ -461,7 +453,8 @@ class TestSlicedCorners:
             image = TransferOperator(product).symbol_image(a.evaluate, grid)
             dense = comp.adjoint() @ toeplitz_matrix(a, self.N_TRUNC) @ comp - toeplitz_matrix(image, self.N_TRUNC)
             assert value == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
-            assert covariance_residual(product, a, self.N_TRUNC, self.CORNER, grid) == pytest.approx(value, abs=1e-14)
+            single = covariance_residual(product, [a], self.N_TRUNC, self.CORNER, grid)
+            assert single == [pytest.approx(value, abs=1e-14)]
 
     def test_commutation_batch_matches_per_symbol_references(self, setup):
         product, grid, comp = setup

@@ -11,7 +11,6 @@ from blaschkeops import (
     TMBasis,
     cons_residual,
     cuntz_family,
-    factor_parts,
     factorization_residual,
     fourier_coefficients,
     gram_residual,
@@ -27,7 +26,7 @@ from blaschkeops.hardy import TruncatedOperator, _matrix_norm, composition_matri
 from blaschkeops.tmbasis import frame
 from blaschkeops.transfer import TransferOperator, bimodule_inner_samples
 from blaschkeops.verify import RunConfig, _check_cuntz_relations
-from conftest import random_product
+from conftest import closed_form_element, random_product
 
 
 class TestElements:
@@ -56,28 +55,27 @@ class TestElements:
 
 
 class TestFactorParts:
+    # the frame member v_l = Q_l R_l: Q_l the normalised kernel factor at the l-th zero,
+    # R_l the partial product over the earlier zeros
+
     def test_l_zero(self, half):
-        q, r = factor_parts(TMBasis(half), 0, 0.7j)
-        assert q == pytest.approx(1.0)
-        assert r == pytest.approx(1.0)
+        # Q_0 = R_0 = 1
+        assert frame(half)(0.7j)[0] == pytest.approx(1.0)
 
     def test_half_at_one(self, half):
         # Q_1(1) = sqrt(0.75)/0.5 = sqrt(3), R_1(1) = 1
-        q, r = factor_parts(TMBasis(half), 1, 1.0 + 0j)
-        assert q == pytest.approx(np.sqrt(3.0))
-        assert r == pytest.approx(1.0)
+        assert frame(half)(1.0 + 0j)[1] == pytest.approx(np.sqrt(3.0))
 
     def test_monomial_parts(self, cube):
-        basis = TMBasis(cube)
+        # Q_l = 1 and R_l = z^l
         z = np.exp(0.8j)
-        for l in range(3):
-            q, r = factor_parts(basis, l, z)
-            assert q == pytest.approx(1.0)
-            assert r == pytest.approx(z**l)
+        np.testing.assert_allclose(frame(cube)(z), z ** np.arange(3), atol=1e-15)
 
     def test_index_range_enforced(self, half):
-        with pytest.raises(ValueError):
-            factor_parts(TMBasis(half), 2, 0.0)
+        # one member per zero
+        assert frame(half)(np.zeros(5)).shape == (2, 5)
+        with pytest.raises(IndexError):
+            frame(half)(0.0)[2]
 
 
 class TestFactorization:
@@ -100,7 +98,7 @@ class TestFactorization:
     def test_batch_matches_per_index_reference(self, spiral, grid_small):
         # the zero of index 5 moved by 0.1: from there on the direct side no
         # longer factors, so entries carry O(1) values that the per-index
-        # route, tm_element against Q_l R_l R^k, must reproduce
+        # route, closed-form products for e_(2k+l) and Q_l R_l R^k, must reproduce
         @dataclass(frozen=True)
         class MovedZero(TMBasis):
             def beta(self, l):
@@ -111,13 +109,16 @@ class TestFactorization:
         assert batch.shape == (9, 2) and np.max(batch[:2]) <= 1e-13 and np.min(batch[3:]) > 1e-3
         for k in range(9):
             for l in range(2):
-                q, r = factor_parts(basis, l, pts)
-                per_index = np.max(np.abs(tm_element(basis, 2 * k + l, pts) - q * r * spiral.evaluate(pts) ** k))
+                factored = closed_form_element(TMBasis(spiral), l, pts) * spiral.evaluate(pts) ** k
+                per_index = np.max(np.abs(closed_form_element(basis, 2 * k + l, pts) - factored))
                 assert batch[k, l] == pytest.approx(per_index, rel=1e-12, abs=1e-14)
 
     def test_count_enforced(self, half, grid_small):
-        with pytest.raises(ValueError, match="basis count"):
-            factorization_residual(TMBasis(half, count=16), 9, grid_small)
+        # powers 9 read the indices up to 9 n - 1 = 17, so the basis must realize 18 elements
+        for count in (16, 17):
+            with pytest.raises(ValueError, match="basis count"):
+                factorization_residual(TMBasis(half, count=count), 9, grid_small)
+        assert factorization_residual(TMBasis(half, count=18), 9, grid_small).shape == (9, 2)
 
 
 class TestGram:
@@ -133,11 +134,11 @@ class TestGram:
     @pytest.mark.parametrize("size", [128, 1024])
     @pytest.mark.parametrize("count", [1, 32])
     def test_matches_gram_of_element_rows(self, size, count):
-        # reference: one tm_element call per row; on 128 points the count-32
+        # reference: each row its closed-form product; on 128 points the count-32
         # Gram is aliased (residual ~1e-4), so it depends on every row
         basis = TMBasis(random_product(0, degree=5, max_radius=0.9), count=count)
         grid = CircleGrid(size)
-        rows = np.array([tm_element(basis, l, grid.points) for l in range(count)])
+        rows = np.array([closed_form_element(basis, l, grid.points) for l in range(count)])
         gram = rows @ rows.conj().T / grid.size
         expected = float(np.max(np.abs(gram - np.eye(count))))
         assert abs(gram_residual(basis, count, grid) - expected) <= 1e-14
@@ -259,46 +260,36 @@ class TestQuotientGenerators:
 
 class TestInnerProductResidual:
     def _frame_function(self, product, k):
-        basis = TMBasis(product)
-
-        def func(z):
-            q, r = factor_parts(basis, k, z)
-            return q * r
-
-        return func
+        # v_k = Q_k R_k, written out as the closed-form product of the k-th basis element
+        return lambda z: closed_form_element(TMBasis(product), k, z)
 
     def test_half_frame_pairs_have_tiny_tails(self, half, grid_big):
         cuts = [8, 16, 32, 64]
-        for i in range(2):
-            for j in range(2):
-                residual = inner_product_residual(
-                    half, self._frame_function(half, i), self._frame_function(half, j), 256, grid_big
-                )
+        for row in inner_product_residual(half, frame(half), 256, grid_big):
+            for residual in row:
                 profile = tail_compactness_profile(residual, 256, cuts)
                 assert profile[-1] <= 1e-6
                 assert all(b <= a + 1e-11 for a, b in zip(profile, profile[1:]))
 
     def test_unit_pair_recovers_isometry_identity(self, square, grid_big):
         # p = q = 1: V* V = n C* C and <1,1> = n, so the residual is ~ 0
-        one = lambda z: np.ones_like(z)
-        residual = inner_product_residual(square, one, one, 256, grid_big)
+        one = lambda z: np.ones((1,) + np.shape(z), dtype=complex)
+        [[residual]] = inner_product_residual(square, one, 256, grid_big)
         assert operator_norm(toeplitz_matrix(residual, 256)) <= 1e-10
 
     def test_truncation_past_half_the_grid_rejected(self, half):
         # the symbol reads the pairing coefficients |k| < N, which a grid of M points holds only for N <= M/2
-        one = lambda z: np.ones_like(z)
-        assert inner_product_residual(half, one, one, 128, CircleGrid(256)).values.size == 255
+        one = lambda z: np.ones((1,) + np.shape(z), dtype=complex)
+        assert inner_product_residual(half, one, 128, CircleGrid(256))[0][0].values.size == 255
         with pytest.raises(ValueError, match="half the grid"):
-            inner_product_residual(half, one, one, 129, CircleGrid(256))
+            inner_product_residual(half, one, 129, CircleGrid(256))
 
     def test_pairing_symbol_route_is_independent(self, half, grid_big):
         # cross-check the Toeplitz side against a direct pointwise evaluation
         # of the weighted pairing: <v_k, v_k> = n (the isometry normalisation)
-        from blaschkeops import TransferOperator, bimodule_inner
-
         func = self._frame_function(half, 1)
         op = TransferOperator(half)
-        value = bimodule_inner(op, func, func, 1.0 + 0j)
+        value = op.degree * op.apply(lambda z: np.conj(func(z)) * func(z), 1.0 + 0j)
         assert value == pytest.approx(half.degree, abs=1e-10)
 
     @pytest.mark.parametrize("case", ["half", "near-circle", "degree-4"])
@@ -318,11 +309,12 @@ class TestInnerProductResidual:
         for i in range(product.degree):
             for j in range(product.degree):
                 p, q = self._frame_function(product, i), self._frame_function(product, j)
+                pair = lambda z: np.array([p(z), q(z)])  # the pair (p, q) is entry [0][1] of its stack
                 left, right = p(pts)[:, None] * powers, q(pts)[:, None] * powers
                 gram = product.degree * (left.conj().T @ right) / grid.size
-                pairing = fourier_coefficients(bimodule_inner_samples(op, p, q, grid))
+                pairing = fourier_coefficients(bimodule_inner_samples(op, pair, grid)[0, 1])
                 dense = gram - toeplitz_matrix(pairing, n_trunc).entries
-                residual = inner_product_residual(product, p, q, n_trunc, grid)
+                residual = inner_product_residual(product, pair, n_trunc, grid)[0][1]
                 assert (residual.low, residual.values.size) == (1 - n_trunc, 2 * n_trunc - 1)
                 section = toeplitz_matrix(residual, n_trunc).entries
                 np.testing.assert_allclose(section, dense, rtol=0, atol=1e-13)
@@ -348,7 +340,7 @@ class TestInnerProductResidual:
         powers = product.evaluate(pts)[:, None] ** np.arange(n_trunc)
         op = TransferOperator(product)
         stack = frame(product)
-        symbols = inner_product_residual(product, stack, stack, n_trunc, grid)
+        symbols = inner_product_residual(product, stack, n_trunc, grid)
         assert [len(row) for row in symbols] == [n] * n
         for i in range(n):
             for j in range(n):
@@ -358,8 +350,7 @@ class TestInnerProductResidual:
                 dense = gram - toeplitz_matrix(pairing, n_trunc).entries
                 section = toeplitz_matrix(symbols[i][j], n_trunc).entries
                 np.testing.assert_allclose(section, dense, rtol=0, atol=1e-13)
-        # a stack of one against the frame pairs the first member with each
-        first = inner_product_residual(product, lambda z: stack(z)[:1], stack, n_trunc, grid)
-        assert len(first) == 1 and len(first[0]) == n
-        for j in range(n):
-            np.testing.assert_allclose(first[0][j].values, symbols[0][j].values, rtol=0, atol=1e-14)
+        # a stack of one is the first member paired with itself
+        first = inner_product_residual(product, lambda z: stack(z)[:1], n_trunc, grid)
+        assert len(first) == 1 and len(first[0]) == 1
+        np.testing.assert_allclose(first[0][0].values, symbols[0][0].values, rtol=0, atol=1e-14)

@@ -6,20 +6,24 @@ import pytest
 from blaschkeops import (
     CircleGrid,
     TransferOperator,
-    bimodule_inner,
     composition_matrix,
     fourier_coefficients,
     partial_fraction_weights,
     transfer_matrix,
 )
 from blaschkeops.blaschke import preimage_grid
-from blaschkeops.tmbasis import TMBasis, factor_parts
+from blaschkeops.tmbasis import frame
 from blaschkeops.transfer import _preimage_table, bimodule_inner_samples
 from conftest import random_product
 
 
 def ones(z):
     return np.ones_like(z)
+
+
+def weighted_pairing(op, p, q, w):
+    """``sum_z h(z) conj(p(z)) q(z) = n L(conj(p) q)(w)`` over the preimages of w."""
+    return op.degree * op.apply(lambda z: np.conj(p(z)) * q(z), w)
 
 
 class TestPointwise:
@@ -137,12 +141,12 @@ class TestBimoduleInner:
     def test_normalized_constant(self, half):
         op = TransferOperator(half)
         scale = 1.0 / np.sqrt(half.degree)
-        value = bimodule_inner(op, lambda z: scale * np.ones_like(z), lambda z: scale * np.ones_like(z), 1j)
+        value = weighted_pairing(op, lambda z: scale * np.ones_like(z), lambda z: scale * np.ones_like(z), 1j)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_square_branch_cancellation(self, square):
         op = TransferOperator(square)
-        value = bimodule_inner(op, ones, lambda z: z, np.exp(0.7j))
+        value = weighted_pairing(op, ones, lambda z: z, np.exp(0.7j))
         assert abs(value) <= 1e-13
 
     def test_frame_elements_normalized(self, half):
@@ -150,16 +154,12 @@ class TestBimoduleInner:
         # pairing of the frame element with itself is n; dividing by sqrt(n)
         # normalises the family.
         op = TransferOperator(half)
-        basis = TMBasis(half)
         n = half.degree
         for k in range(n):
-            def func(z, k=k):
-                q, r = factor_parts(basis, k, z)
-                return q * r
-
-            value = bimodule_inner(op, func, func, np.exp(0.25j))
+            func = lambda z, k=k: frame(half)(z)[k]
+            value = weighted_pairing(op, func, func, np.exp(0.25j))
             assert value == pytest.approx(n, abs=1e-10)
-            unit = op.apply(lambda z, k=k: np.abs(func(z, k)) ** 2, np.exp(0.25j))
+            unit = op.apply(lambda z: np.abs(func(z)) ** 2, np.exp(0.25j))
             assert unit == pytest.approx(1.0, abs=1e-10)
 
 
@@ -185,13 +185,14 @@ class TestPreimageTable:
         op = TransferOperator(spiral)
         funcs = [ones, lambda z: z, lambda z: np.conj(z) + 0.5 * z**2]
         stack = lambda z: np.array([f(z) for f in funcs])
-        pairing = bimodule_inner_samples(op, stack, stack, grid_small)
+        pairing = bimodule_inner_samples(op, stack, grid_small)
         assert pairing.shape == (3, 3, grid_small.size)
         for i, p in enumerate(funcs):
             for j, q in enumerate(funcs):
-                single = bimodule_inner_samples(op, p, q, grid_small)
+                single = op.degree * op.apply_samples(lambda z: np.conj(p(z)) * q(z), grid_small)
                 np.testing.assert_allclose(pairing[i, j], single, rtol=0, atol=1e-14)
-                assert single[5] == pytest.approx(bimodule_inner(op, p, q, grid_small.points[5]), abs=1e-13)
+                w = grid_small.points[5]
+                assert pairing[i, j, 5] == pytest.approx(weighted_pairing(op, p, q, w), abs=1e-13)
 
 
 class TestTransferMatrix:

@@ -17,7 +17,6 @@ from blaschkeops.verify import (
     ConfigError,
     RunConfig,
     emit_report,
-    enabled_check_ids,
     parse_report,
     run_verify,
 )
@@ -26,6 +25,10 @@ from blaschkeops.verify import (
 # band edge: column j of C carries frequencies up to j * max(psi'), so for
 # the default product (max psi' = 4) a corner of 16 needs N well above 64.
 FAST = dict(truncation=128, corner=16, grid=1024, basis_count=16)
+
+
+def enabled_ids(cfg):
+    return [spec.check_id for spec in MANIFEST if spec.enabled_for(cfg)]
 
 
 class TestConfig:
@@ -63,6 +66,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="positive"):
             RunConfig(tolerances={"weight_sum": 0.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_tolerance_rejected(self, value):
+        # a NaN tolerance would make every comparison, so every check, FAIL
+        with pytest.raises(ConfigError, match="finite and positive"):
+            RunConfig(tolerances={"weight_sum": value})
+
+    @pytest.mark.parametrize("name", ["truncation", "corner", "grid", "basis_count", "seed"])
+    @pytest.mark.parametrize("value", [8.0, 8.5, "8", True, None])
+    def test_sizes_and_seed_must_be_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            RunConfig(**{**FAST, name: value})
+
     def test_dict_roundtrip(self):
         cfg = RunConfig(zeros=(0j, 0.3 + 0.4j), seed=7, **FAST)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -80,13 +95,13 @@ class TestManifest:
     def test_monomial_enables_shift_relations(self):
         monomial = RunConfig(zeros=(0j, 0j), **FAST)
         generic = RunConfig(**FAST)
-        assert "monomial_shift_relations" in enabled_check_ids(monomial)
-        assert "monomial_shift_relations" not in enabled_check_ids(generic)
+        assert "monomial_shift_relations" in enabled_ids(monomial)
+        assert "monomial_shift_relations" not in enabled_ids(generic)
 
     def test_report_covers_exactly_the_enabled_checks(self):
         cfg = RunConfig(**FAST)
         report = run_verify(cfg)
-        assert [c.check_id for c in report.checks] == enabled_check_ids(cfg)
+        assert [c.check_id for c in report.checks] == enabled_ids(cfg)
 
 
 class TestRun:
@@ -199,6 +214,29 @@ class TestRun:
         differences = [shift @ w - w_next for w, w_next in zip(family, family[1:])]
         assert residual > spec.tolerance and len(exact_norms) == 2
         assert residual == max(np.linalg.svd(d, compute_uv=False)[0] for d in differences)
+
+    @pytest.mark.parametrize("angle", [0.0, 1.0])
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_phased_monomial_passes_shift_relations(self, degree, angle):
+        # for R = lambda z^n, W_k e_j = lambda^j z^(jn+k-1), so U W_n = conj(lambda) W_1 U
+        cfg = RunConfig(lambda_angle=angle, zeros=(0j,) * degree, **FAST)
+        report = run_verify(cfg)
+        check = next(c for c in report.checks if c.check_id == "monomial_shift_relations")
+        assert check.passed and check.residual <= 1e-14
+        assert report.overall_pass
+
+    def test_dropped_phase_factor_fails_shift_relations(self, monkeypatch):
+        # negative control: the family of lambda z^2 checked against the wrap relation
+        # U W_n = W_1 U, without conj(lambda), reads |1 - lambda| (0.9589 at angle 1)
+        lam = np.exp(1j)
+        exact = verify._power_spectra
+        phased = RunConfig(lambda_angle=1.0, zeros=(0j, 0j), **FAST).product()
+        monkeypatch.setattr(verify, "_power_spectra", lambda product, *args: exact(phased, *args))
+        spec = next(s for s in MANIFEST if s.check_id == "monomial_shift_relations")
+        cfg = RunConfig(zeros=(0j, 0j), **FAST)
+        residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+        assert residual > spec.tolerance
+        assert residual == pytest.approx(abs(1.0 - lam), rel=1e-12)
 
     def test_shifted_column_fails_adjoint_transfer(self, monkeypatch):
         # negative control: column 1 of C moved down one row is no longer the
