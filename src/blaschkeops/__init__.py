@@ -14,11 +14,8 @@ from .circle import (
     FourierSymbol,
     fft,
     fourier_coefficients,
-    ifft,
     l2_inner,
     poisson_extension,
-    sample,
-    synthesize,
 )
 from .dynamics import CircleLift, ConjugacyMap, branch_inverse, build_lift, conjugacy_to_power, k_groups
 from .hardy import (

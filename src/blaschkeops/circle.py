@@ -46,11 +46,6 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_length(x: np.ndarray) -> None:
-    if not _is_power_of_two(x.shape[-1]):
-        raise ValueError("transform length must be a power of two")
-
-
 def fft(x) -> np.ndarray:
     """Discrete Fourier transform along the last axis (numpy's FFT).
 
@@ -58,15 +53,9 @@ def fft(x) -> np.ndarray:
     the last axis must be a power of two.
     """
     x = np.asarray(x, dtype=complex)
-    _check_length(x)
+    if not _is_power_of_two(x.shape[-1]):
+        raise ValueError("transform length must be a power of two")
     return np.fft.fft(x, axis=-1)
-
-
-def ifft(x) -> np.ndarray:
-    """Inverse of :func:`fft`, normalised by 1/n."""
-    x = np.asarray(x, dtype=complex)
-    _check_length(x)
-    return np.fft.ifft(x, axis=-1)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -106,20 +95,12 @@ class FourierSymbol:
         i = k - self.low
         return complex(self.values[i]) if 0 <= i < self.values.size else 0j
 
-    @property
-    def band_limit(self) -> int:
-        return max(-self.low, self.low + self.values.size - 1) if self.values.size else 0
-
     def indices(self):
         """Indices of the nonzero coefficients, ascending."""
         return [k for k, _ in self._terms()]
 
     def is_analytic(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.values[: max(0, -self.low)]) <= tol))
-
-    def conjugate(self) -> "FourierSymbol":
-        """Symbol of the complex conjugate function: k -> conj(c_{-k})."""
-        return FourierSymbol._dense(1 - self.low - self.values.size, self.values[::-1].conj())
 
     def truncated(self, tol: float) -> "FourierSymbol":
         return FourierSymbol({k: v for k, v in self._terms() if abs(v) > tol})
@@ -138,23 +119,6 @@ class FourierSymbol:
         return out if out.ndim else complex(out)
 
 
-def sample(f, grid: CircleGrid) -> np.ndarray:
-    """Values of ``f`` at the grid points ``e^(i theta_j)``.
-
-    ``f`` is called once with the whole point array; a callable that only
-    supports scalars is evaluated pointwise instead.  Evaluation failures
-    propagate.
-    """
-    pts = grid.points
-    try:
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.shape != pts.shape:
-            raise TypeError
-    except (TypeError, AttributeError):
-        vals = np.array([complex(f(p)) for p in pts])
-    return vals
-
-
 def fourier_coefficients(samples) -> FourierSymbol:
     """Trapezoidal Fourier coefficients ``c_k = (1/M) sum_j f_j e^(-i k theta_j)``.
 
@@ -164,16 +128,6 @@ def fourier_coefficients(samples) -> FourierSymbol:
     (m,) = np.shape(samples)  # a one-dimensional sequence of samples
     shift = (m - 1) // 2  # the roll moves frequency -shift from index m - shift to 0
     return FourierSymbol._dense(-shift, np.roll(fft(samples) / m, shift))
-
-
-def synthesize(symbol: FourierSymbol, grid: CircleGrid) -> np.ndarray:
-    """Samples of the symbol on the grid (inverse of coefficient extraction)."""
-    m = grid.size
-    if symbol.band_limit > m // 2:
-        raise ValueError("band limit exceeds the grid Nyquist frequency")
-    spectrum = np.zeros(m, dtype=complex)
-    np.add.at(spectrum, (symbol.low + np.arange(symbol.values.size)) % m, symbol.values)
-    return ifft(spectrum) * m
 
 
 def l2_inner(f, g) -> complex:

@@ -172,11 +172,11 @@ def operator_norm(x: TruncatedOperator) -> float:
 def isometry_residual(c, m: int) -> float:
     """Norm of the top-left m x m block of ``C* C - I``.
 
-    ``c`` is a TruncatedOperator or its leading N x k columns, ``k >= m``.
+    ``c`` holds the leading N x k columns of the truncated C, ``k >= m``.
     Zero for an isometry whose columns stay inside the truncation window;
     requires a guard band ``m <= N/2``.
     """
-    cols = np.asarray(getattr(c, "entries", c))[:, :m]
+    cols = np.asarray(c)[:, :m]
     if m > cols.shape[0] // 2:
         raise ValueError("corner size must leave a guard band (m <= N/2)")
     return _matrix_norm(cols.conj().T @ cols - np.eye(m))

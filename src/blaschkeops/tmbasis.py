@@ -85,6 +85,8 @@ def gram_residual(basis: TMBasis, count: int, grid: CircleGrid) -> float:
     """Max deviation of the quadrature Gram matrix of the first ``count`` basis elements from the identity."""
     if count < 1 or count > _MAX_GRAM_COUNT:
         raise ValueError(f"gram count must lie in [1, {_MAX_GRAM_COUNT}]")
+    if count > basis.count:
+        raise ValueError("index exceeds the realized basis count")
     rows = np.empty((count, grid.size), dtype=complex)
     for row, element in zip(rows, _elements(basis, count, grid.points)):
         row[:] = element
@@ -124,10 +126,10 @@ class ConsResidual:
 def cons_residual(family, m: int) -> ConsResidual:
     """Cuntz-relation residuals of an isometry family on the m x m corner.
 
-    Each member is a truncated ``W_k`` or its leading N x k columns, ``k >= m``.
+    Each member holds the leading N x k columns of a truncated ``W_k``, ``k >= m``.
     ``W_k = T_(Q R) C`` is lower triangular, so completeness reads ``W_k[:m, :m]``.
     """
-    cols = [np.asarray(getattr(w, "entries", w))[:, :m] for w in family]
+    cols = [np.asarray(w)[:, :m] for w in family]
     if m > cols[0].shape[0] // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
     completeness = _matrix_norm(sum(c[:m] @ c[:m].conj().T for c in cols) - np.eye(m))

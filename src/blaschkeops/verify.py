@@ -390,10 +390,10 @@ class CheckSpec:
     statement: str
     tolerance: float
     runner: object
-    condition: str = "always"  # "always" or "monomial"
+    monomial_only: bool = False
 
     def enabled_for(self, cfg: RunConfig) -> bool:
-        return self.condition == "always" or (self.condition == "monomial" and cfg.is_monomial)
+        return cfg.is_monomial or not self.monomial_only
 
 
 MANIFEST = (
@@ -480,7 +480,7 @@ MANIFEST = (
         "shift relations U W_k = W_(k+1) and U W_n = conj(lambda) W_1 U hold exactly",
         1e-12,
         _check_monomial_shift_relations,
-        condition="monomial",
+        monomial_only=True,
     ),
     CheckSpec(
         "lift_expanding",
@@ -523,25 +523,16 @@ def _run_one(spec: CheckSpec, cfg: RunConfig, product, grid, index: int) -> Chec
     started = time.perf_counter()
     try:
         residual, details = spec.runner(cfg, product, grid, rng)
+        residual = float(residual)
+        outcome = {"residual": residual, "passed": residual <= tolerance, "details": _jsonable(details)}
     except Exception as exc:  # noqa: BLE001 - captured per check by design
-        return CheckResult(
-            check_id=spec.check_id,
-            statement=spec.statement,
-            residual=None,
-            tolerance=tolerance,
-            passed=False,
-            errored=True,
-            error=f"{type(exc).__name__}: {exc}",
-            runtime=time.perf_counter() - started,
-        )
+        outcome = {"residual": None, "passed": False, "errored": True, "error": f"{type(exc).__name__}: {exc}"}
     return CheckResult(
         check_id=spec.check_id,
         statement=spec.statement,
-        residual=float(residual),
         tolerance=tolerance,
-        passed=float(residual) <= tolerance,
-        details=_jsonable(details),
         runtime=time.perf_counter() - started,
+        **outcome,
     )
 
 
@@ -589,33 +580,18 @@ def _jsonable(value):
 
 
 def _canonical_dict(report: VerificationReport) -> dict:
-    # Runtimes are deliberately excluded: the canonical form is byte-stable
-    # for a fixed configuration and seed.
+    # Every compared field of a check; the runtime is not compared, so the
+    # canonical form is byte-stable for a fixed configuration and seed.
     return {
         "config": report.config.to_dict(),
         "metadata": dict(report.metadata),
-        "checks": [
-            {
-                "check_id": c.check_id,
-                "statement": c.statement,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                "errored": c.errored,
-                "error": c.error,
-                "details": c.details,
-            }
-            for c in report.checks
-        ],
+        "checks": [{f.name: getattr(c, f.name) for f in fields(CheckResult) if f.compare} for c in report.checks],
         "overall_pass": report.overall_pass,
     }
 
 
-def emit_report(report: VerificationReport, fmt: str, path: str | None = None) -> str:
-    """Render the report as ``human``, ``canonical`` (JSON) or ``table`` (CSV).
-
-    Returns the rendered text and, when ``path`` is given, also writes it.
-    """
+def emit_report(report: VerificationReport, fmt: str) -> str:
+    """Render the report as ``human``, ``canonical`` (JSON) or ``table`` (CSV)."""
     if fmt == "canonical":
         text = json.dumps(_canonical_dict(report), indent=2, sort_keys=True) + "\n"
     elif fmt == "table":
@@ -655,27 +631,4 @@ def emit_report(report: VerificationReport, fmt: str, path: str | None = None) -
         text = "\n".join(lines) + "\n"
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
     return text
-
-
-def parse_report(text: str) -> VerificationReport:
-    """Rebuild a report from its canonical JSON rendering."""
-    data = json.loads(text)
-    config = RunConfig.from_dict(data["config"])
-    checks = tuple(
-        CheckResult(
-            check_id=c["check_id"],
-            statement=c["statement"],
-            residual=c["residual"],
-            tolerance=c["tolerance"],
-            passed=c["passed"],
-            errored=c["errored"],
-            error=c["error"],
-            details=c["details"],
-        )
-        for c in data["checks"]
-    )
-    return VerificationReport(config=config, checks=checks, metadata=data["metadata"])

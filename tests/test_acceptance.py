@@ -112,7 +112,7 @@ def test_criterion_3_adjoint_lemma(products, grid):
 def test_criterion_4_isometry(products):
     worst = 0.0
     for product in products.values():
-        worst = max(worst, isometry_residual(composition_matrix(product, N), CORNER))
+        worst = max(worst, isometry_residual(composition_matrix(product, N).entries, CORNER))
     _report("criterion 4: composition isometry", worst, 1e-8, f"corner {CORNER}")
 
 
@@ -141,7 +141,7 @@ def test_criterion_6_cuntz_relations(products, grid):
     worst = 0.0
     worst_monomial = 0.0
     for name, product in products.items():
-        result = cons_residual(cuntz_family(product, N, grid), CORNER)
+        result = cons_residual([w.entries for w in cuntz_family(product, N, grid)], CORNER)
         worst = max(worst, result.worst)
         if name in ("z2", "z3"):
             worst_monomial = max(worst_monomial, result.worst)

@@ -8,11 +8,8 @@ from blaschkeops import (
     FourierSymbol,
     fft,
     fourier_coefficients,
-    ifft,
     l2_inner,
     poisson_extension,
-    sample,
-    synthesize,
 )
 
 
@@ -58,32 +55,12 @@ class TestTransform:
     def test_roundtrip(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        np.testing.assert_allclose(ifft(fft(x)), x, atol=1e-13)
+        np.testing.assert_allclose(np.fft.ifft(fft(x)), x, atol=1e-13)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             fft(np.ones(12))
 
-    def test_inverse_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            ifft(np.ones(12))
-
-
-class TestSampling:
-    def test_constant(self):
-        assert np.allclose(sample(lambda z: np.ones_like(z), CircleGrid(4)), 1.0)
-
-    def test_identity_function(self):
-        values = sample(lambda z: z, CircleGrid(4))
-        assert np.allclose(values, [1, 1j, -1, -1j])
-
-    def test_scalar_only_callable(self):
-        values = sample(lambda z: complex(z) ** 2, CircleGrid(8))
-        assert np.allclose(values, CircleGrid(8).points ** 2)
-
-    def test_blaschke_samples_match_direct_evaluation(self, half):
-        grid = CircleGrid(8)
-        np.testing.assert_allclose(sample(half.evaluate, grid), half.evaluate(grid.points))
 
 
 class TestCoefficients:
@@ -107,7 +84,7 @@ class TestCoefficients:
             oracle[m + 1] += -0.5 * 0.5**m
             oracle[m + 2] += 0.5**m
         oracle = oracle[:32]
-        symbol = fourier_coefficients(sample(half.evaluate, grid_big))
+        symbol = fourier_coefficients(half.evaluate(grid_big.points))
         got = np.array([symbol.coefficient(k).real for k in range(32)])
         np.testing.assert_allclose(got, oracle, atol=1e-12)
         assert symbol.coefficient(1) == pytest.approx(-0.5)
@@ -122,7 +99,6 @@ class TestCoefficients:
         oracle = {(k if k <= m // 2 else k - m): complex(spectrum[k]) for k in range(m)}
         symbol = fourier_coefficients(samples)
         assert (symbol.low, symbol.values.size) == (1 - m // 2, m)
-        assert symbol.band_limit == m // 2
         assert [symbol.coefficient(k) for k in sorted(oracle)] == [oracle[k] for k in sorted(oracle)]
         assert symbol.coefficient(m // 2 + 1) == 0j and symbol.coefficient(-m // 2) == 0j
 
@@ -135,7 +111,6 @@ class TestCoefficients:
         assert symbol.low == -3 and symbol.values.size == 9
         assert not symbol.values.flags.writeable
         assert symbol.indices() == [-3, 5]
-        assert symbol.band_limit == 5
         assert symbol.truncated(1.0).indices() == [5]
         assert symbol.evaluate(2.0) == pytest.approx(0.5j / 8 - 2.0 * 32)
 
@@ -150,27 +125,23 @@ class TestCoefficients:
 
     def test_empty_symbol(self):
         empty = FourierSymbol({})
-        assert empty.values.size == 0 and empty.band_limit == 0 and empty.indices() == []
+        assert empty.values.size == 0 and empty.indices() == []
         assert empty.coefficient(0) == 0j and empty.evaluate(0.5) == 0j
-        assert empty.is_analytic() and empty.conjugate().values.size == 0
-        np.testing.assert_array_equal(synthesize(empty, CircleGrid(8)), np.zeros(8))
+        assert empty.is_analytic()
 
     def test_roundtrip_below_nyquist(self):
-        grid = CircleGrid(16)
+        # the samples are synthesized by numpy's inverse FFT of the wrapped spectrum
         symbol = FourierSymbol({-3: 0.5j, 0: 1.0, 5: -2.0})
-        recovered = fourier_coefficients(synthesize(symbol, grid))
+        spectrum = np.zeros(16, dtype=complex)
+        for k in symbol.indices():
+            spectrum[k % 16] = symbol.coefficient(k)
+        recovered = fourier_coefficients(np.fft.ifft(spectrum) * 16)
         for k in range(-7, 8):
             assert recovered.coefficient(k) == pytest.approx(symbol.coefficient(k), abs=1e-13)
 
     def test_analyticity_flag(self):
         assert FourierSymbol({0: 1.0, 3: 2.0}).is_analytic()
         assert not FourierSymbol({-1: 1.0}).is_analytic()
-
-    def test_conjugate_symbol(self):
-        symbol = FourierSymbol({1: 1 + 2j, -2: 3.0})
-        conj = symbol.conjugate()
-        assert conj.coefficient(-1) == 1 - 2j
-        assert conj.coefficient(2) == 3.0
 
 
 class TestInnerProduct:
@@ -192,14 +163,15 @@ class TestInnerProduct:
             l2_inner(np.ones(4), np.ones(8))
 
     def test_parseval(self, half, grid_big):
-        values = sample(half.evaluate, grid_big)
+        values = half.evaluate(grid_big.points)
         symbol = fourier_coefficients(values)
         power = np.sum(np.abs(symbol.values) ** 2)
         assert l2_inner(values, values) == pytest.approx(power, abs=1e-12)
 
     def test_basis_element_has_unit_norm(self, half, grid_big):
         # quadrature oracle: e_1 = sqrt(0.75) z/(1 - 0.5 z) is normalised
-        e1 = sample(lambda z: np.sqrt(0.75) * z / (1 - 0.5 * z), grid_big)
+        z = grid_big.points
+        e1 = np.sqrt(0.75) * z / (1 - 0.5 * z)
         assert l2_inner(e1, e1) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -215,7 +187,7 @@ class TestPoisson:
     def test_extends_blaschke_analytically(self, half, grid_big):
         # Fatou/Poisson identification: the coefficient sum at radius r
         # reproduces the direct evaluation inside the disk
-        symbol = fourier_coefficients(sample(half.evaluate, grid_big))
+        symbol = fourier_coefficients(half.evaluate(grid_big.points))
         for r, theta in [(0.9, np.pi / 3), (0.95, 2.0), (0.5, 0.1)]:
             direct = half.evaluate(r * np.exp(1j * theta))
             assert poisson_extension(symbol, r, theta) == pytest.approx(direct, abs=1e-8)

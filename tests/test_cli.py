@@ -81,11 +81,14 @@ class TestVerifyCommand:
         assert main(["verify", *FAST_FLAGS, "--tol-override", "weight_sum"]) == 2
 
     def test_report_file_and_canonical_format(self, tmp_path, capsys):
+        # the report file holds exactly the text the same run prints to stdout
+        assert main(["verify", *FAST_FLAGS, "--format", "canonical"]) == 0
+        printed = capsys.readouterr().out
         target = tmp_path / "out.json"
         code = main(["verify", *FAST_FLAGS, "--format", "canonical", "--report", str(target)])
         assert code == 0
-        data = json.loads(target.read_text())
-        assert data["overall_pass"] is True
+        assert target.read_text() == printed
+        assert json.loads(printed)["overall_pass"] is True
         assert "report written" in capsys.readouterr().out
 
     def test_config_file_with_flag_overrides(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Verification runs: configuration, determinism, report formats."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,14 +13,15 @@ from blaschkeops import (
     composition_matrix,
     transfer_matrix,
 )
-from blaschkeops import dynamics, tmbasis, verify
+from blaschkeops import dynamics, tmbasis, transfer, verify
 from blaschkeops.hardy import _matrix_norm, _power_spectra
 from blaschkeops.verify import (
     MANIFEST,
+    CheckResult,
+    CheckSpec,
     ConfigError,
     RunConfig,
     emit_report,
-    parse_report,
     run_verify,
 )
 
@@ -122,6 +126,33 @@ class TestRun:
         assert not report.overall_pass
         failed = {c.check_id for c in report.checks if not c.passed}
         assert failed == {"weight_sum"}
+
+    def test_unconvertible_residual_is_an_error(self):
+        # the conversion of the residual runs inside the check's capture, so it
+        # yields an ERROR result instead of aborting the run
+        spec = CheckSpec("weight_sum", "residual that is not a number", 1.0, lambda *args: (None, {}))
+        cfg = RunConfig(**FAST)
+        result = verify._run_one(spec, cfg, cfg.product(), CircleGrid(cfg.grid), 0)
+        assert result.errored and not result.passed and result.residual is None
+        assert result.error.startswith("TypeError:")
+
+    @pytest.mark.parametrize("check_id", ["weight_sum", "transfer_unit"])
+    def test_scaled_weights_fail(self, check_id, monkeypatch):
+        # negative control: weights scaled by 1 + 1e-6 sum to 1 + 1e-6 over every
+        # preimage set; the preimage table is cached, so it is cleared before the
+        # scaled weights enter it and after they leave
+        exact = transfer.preimage_weights
+        spec = next(s for s in MANIFEST if s.check_id == check_id)
+        cfg = RunConfig(**FAST)
+        transfer._preimage_table.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(transfer, "preimage_weights", lambda *args: exact(*args) * (1.0 + 1e-6))
+                residual, _ = spec.runner(cfg, cfg.product(), None, None)
+        finally:
+            transfer._preimage_table.cache_clear()
+        assert residual > spec.tolerance
+        assert residual == pytest.approx(1e-6, rel=1e-6)
 
     def test_scaled_log_derivative_fails_derivative_identity(self, monkeypatch):
         # negative control: the closed-form sum scaled by 1 + 1e-6 disagrees
@@ -308,9 +339,16 @@ def report():
 
 
 class TestReports:
-    def test_canonical_roundtrip(self, report):
-        text = emit_report(report, "canonical")
-        assert parse_report(text) == report
+    def test_canonical_checks_hold_the_compared_fields(self, report):
+        # each check renders exactly the CheckResult fields that take part in
+        # equality (not the runtime), with their values
+        data = json.loads(emit_report(report, "canonical"))
+        compared = [f.name for f in fields(CheckResult) if f.compare]
+        assert "runtime" not in compared
+        assert data["checks"] == [{name: getattr(c, name) for name in compared} for c in report.checks]
+        assert RunConfig.from_dict(data["config"]) == report.config
+        assert data["metadata"] == report.metadata
+        assert data["overall_pass"] is report.overall_pass
 
     def test_table_has_one_row_per_check(self, report):
         lines = emit_report(report, "table").strip().splitlines()
@@ -320,11 +358,6 @@ class TestReports:
     def test_human_mentions_overall(self, report):
         text = emit_report(report, "human")
         assert "overall: PASS" in text
-
-    def test_write_to_path(self, report, tmp_path):
-        target = tmp_path / "report.json"
-        emit_report(report, "canonical", str(target))
-        assert parse_report(target.read_text()) == report
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ConfigError):
