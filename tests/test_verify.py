@@ -14,6 +14,7 @@ from blaschkeops import (
     transfer_matrix,
 )
 from blaschkeops import dynamics, tmbasis, transfer, verify
+from blaschkeops.cli import main
 from blaschkeops.hardy import _matrix_norm, _power_spectra
 from blaschkeops.verify import (
     MANIFEST,
@@ -358,6 +359,14 @@ class TestReports:
     def test_human_mentions_overall(self, report):
         text = emit_report(report, "human")
         assert "overall: PASS" in text
+
+    def test_write_to_path(self, report, tmp_path, capsys):
+        # reports reach a file through the CLI's one writer, byte for byte
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(FAST))
+        target = tmp_path / "report.json"
+        assert main(["verify", "--config", str(config), "--format", "canonical", "--report", str(target)]) == 0
+        assert target.read_text() == emit_report(report, "canonical")
 
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ConfigError):
