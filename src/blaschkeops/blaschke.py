@@ -102,50 +102,31 @@ class BlaschkeProduct:
         return out if out.ndim else complex(out)
 
     def derivative(self, z):
-        """Complex derivative, via the logarithmic-derivative identity.
+        """Complex derivative by the product rule, exact in the closed disk, zeros of R included.
 
-        ``R' = R * sum_k [1/(z - z_k) + conj(z_k)/(1 - conj(z_k) z)]`` where
-        the value of R is bounded away from zero; near a zero of R the
-        identity degenerates and the derivative is assembled by the product
-        rule instead.
+        One factor ``f_k = (z - z_k)/(1 - conj(z_k) z)`` at a time, with
+        ``f_k' = (1 - |z_k|^2)/(1 - conj(z_k) z)^2``: the partial product P and
+        its derivative D become ``P f_k`` and ``D f_k + P f_k'``.  Nothing divides
+        by R, and the work is O(n) per point with two arrays of the shape of z.
         """
         z = np.asarray(z, dtype=complex)
-        val = np.asarray(self.evaluate(z), dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logsum = np.zeros(z.shape, dtype=complex)
-            for zk in self.zeros:
-                logsum = logsum + 1.0 / (z - zk) + np.conj(zk) / (1.0 - np.conj(zk) * z)
-            out = val * logsum
-        small = np.abs(val) < 1e-10
-        if np.any(small):
-            fallback = self._derivative_product_rule(z)
-            out = np.where(small, fallback, out)
-        return out if out.ndim else complex(out)
-
-    def _derivative_product_rule(self, z):
-        # Exact in the closed disk, O(n) per point by prefix and suffix products;
-        # the fallback where R(z) ~ 0 and an independent route in identity checks.
-        z = np.asarray(z, dtype=complex)
-        n = self.degree
-        factors = np.empty((n,) + z.shape, dtype=complex)
-        dfactors = np.empty_like(factors)
-        for k, zk in enumerate(self.zeros):
+        value = np.full(z.shape, self.phase, dtype=complex)
+        slope = np.zeros(z.shape, dtype=complex)
+        for zk in self.zeros:
             den = 1.0 - np.conj(zk) * z
-            factors[k] = (z - zk) / den
-            dfactors[k] = (1.0 - abs(zk) ** 2) / den**2
-        prefix = np.ones_like(factors)
-        suffix = np.ones_like(factors)
-        for k in range(1, n):
-            prefix[k] = prefix[k - 1] * factors[k - 1]
-            suffix[n - 1 - k] = suffix[n - k] * factors[n - k]
-        return self.phase * np.sum(dfactors * prefix * suffix, axis=0)
+            if np.any(den == 0):
+                raise ValueError("evaluation at a pole of the product")
+            factor = (z - zk) / den
+            slope = slope * factor + value * (1.0 - abs(zk) ** 2) / den**2
+            value = value * factor
+        return slope if slope.ndim else complex(slope)
 
     def log_derivative(self, theta):
         """Real value of ``z R'(z)/R(z)`` at ``z = e^(i theta)``.
 
         Computed from the positive sum ``1 + sum_k (1-|z_k|^2)/|z-z_k|^2``;
         the ``derivative_identity`` check of ``verify`` compares it with the
-        quotient of independently evaluated R' and R.
+        quotient of R' (product rule) and R.
         """
         theta = np.asarray(theta, dtype=float)
         value = self._log_derivative_at(np.exp(1j * theta))

@@ -178,28 +178,23 @@ class VerificationReport:
 def _check_derivative_identity(cfg, product, grid, rng):
     thetas = 2.0 * np.pi * np.arange(1024) / 1024
     z = np.exp(1j * thetas)
-    closed_form = product.log_derivative(thetas)
-    value = product.evaluate(z)
-    deviations = {
-        "log_sum_deviation": float(np.max(np.abs(z * product.derivative(z) / value - closed_form))),
-        "product_rule_deviation": float(
-            np.max(np.abs(z * product._derivative_product_rule(z) / value - closed_form))
-        ),
-    }
-    return max(deviations.values()), {"points": 1024, **deviations}
+    quotient = z * product.derivative(z) / product.evaluate(z)
+    return float(np.max(np.abs(quotient - product.log_derivative(thetas)))), {"points": 1024}
 
 
 def _check_weight_positivity(cfg, product, grid, rng):
-    thetas = 2.0 * np.pi * np.arange(1024) / 1024
-    h = product.weight(thetas)
+    # through R', not the closed-form sum, which is at least 1 by construction
+    z = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    h = (product.degree * product.evaluate(z) / (z * product.derivative(z))).real
     min_h = float(np.min(h))
     return max(0.0, -min_h), {"min_weight": min_h, "max_weight": float(np.max(h))}
 
 
 def _check_weight_sum(cfg, product, grid, rng):
-    _, weights = _preimage_table(product, CircleGrid(256))
-    sums = np.sum(weights, axis=0)
-    return float(np.max(np.abs(sums - 1.0))), {"targets": int(weights.shape[1])}
+    # the residues R/(z R') from R', not the cached weights that transfer_unit sums
+    points, _ = _preimage_table(product, CircleGrid(256))
+    sums = np.sum(product.evaluate(points) / (points * product.derivative(points)), axis=0)
+    return float(np.max(np.abs(sums - 1.0))), {"targets": int(points.shape[1])}
 
 
 def _check_transfer_unit(cfg, product, grid, rng):
@@ -224,17 +219,10 @@ def _check_transfer_covariance(cfg, product, grid, rng):
     return worst, {"band": band, "targets": int(targets.shape[0])}
 
 
-def _max_expansion(product) -> float:
-    thetas = 2.0 * np.pi * np.arange(512) / 512
-    return float(np.max(product.log_derivative(thetas)))
-
-
-def _truncation_quality(cfg, product) -> dict:
-    # Columns of the composition matrix carry frequencies up to roughly
-    # index * max(psi'); the guard records how far the corner stays from
-    # the truncation boundary.
-    edge = cfg.corner * _max_expansion(product)
-    return {"corner_band_edge": edge, "guard": float(cfg.truncation) - edge}
+def _column_tail_mass(cfg, product) -> float:
+    # ||R^j|| = 1, so this is the exact mass the corner columns lose past N
+    cols = _power_spectra(product, cfg.truncation, cfg.corner)
+    return float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0)))
 
 
 def _check_adjoint_transfer(cfg, product, grid, rng):
@@ -249,13 +237,10 @@ def _check_adjoint_transfer(cfg, product, grid, rng):
 
 def _check_composition_isometry(cfg, product, grid, rng):
     cols = _power_spectra(product, cfg.truncation, cfg.corner)
-    details = {
+    return isometry_residual(cols, cfg.corner), {
         "corner": cfg.corner,
-        # ||R^j|| = 1, so this is the exact mass the corner columns lose past N
-        "column_tail_mass": float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0))),
-        **_truncation_quality(cfg, product),
+        "column_tail_mass": _column_tail_mass(cfg, product),
     }
-    return isometry_residual(cols, cfg.corner), details
 
 
 def _random_symbol(rng, band: int, analytic: bool) -> FourierSymbol:
@@ -269,12 +254,11 @@ def _random_symbol(rng, band: int, analytic: bool) -> FourierSymbol:
 def _check_toeplitz_covariance(cfg, product, grid, rng):
     symbols = [_random_symbol(rng, band=8, analytic=False) for _ in range(10)]
     residuals = covariance_residual(product, symbols, cfg.truncation, cfg.corner, grid)
-    details = {
+    return float(max(residuals)), {
         "symbols": 10,
         "per_symbol": [float(r) for r in residuals],
-        **_truncation_quality(cfg, product),
+        "column_tail_mass": _column_tail_mass(cfg, product),
     }
-    return float(max(residuals)), details
 
 
 def _check_analytic_commutation(cfg, product, grid, rng):
@@ -323,30 +307,33 @@ def _check_module_inner_tails(cfg, product, grid, rng):
 
 
 def _check_monomial_shift_relations(cfg, product, grid, rng):
-    n_trunc, tol = cfg.truncation, cfg.tolerances["monomial_shift_relations"]
-    comp = _power_spectra(product, n_trunc, n_trunc)
+    tol = cfg.tolerances["monomial_shift_relations"]
+    # W_k e_j = lambda^j z^(jn+k-1) is zero in the first N rows once jn >= N, so the relations
+    # live in the columns j < ceil(N/n); the wrap reads one column more
+    width = -(-cfg.truncation // product.degree)
+    comp = _power_spectra(product, cfg.truncation, width + 1)
 
     def differences(start, stop):
-        # columns start:stop of U W_k - W_(k+1), k = 1..n, with W_(n+1) = conj(lambda) W_1 U, since
-        # W_k e_j = lambda^j z^(jn+k-1): U moves rows down by one and, on the right, columns left
-        # by one (a zero column enters last)
+        # columns start:stop of U W_k - W_(k+1), k = 1..n, with W_(n+1) = conj(lambda) W_1 U:
+        # U moves rows down by one and, on the right, columns left by one
         family = list(cuntz_columns(product, comp[:, start : stop + 1], grid))
-        wrap = np.hstack((family[0][:, 1:], np.zeros((n_trunc, stop + 1 - start - family[0].shape[1]))))
         shifted = [np.vstack((np.zeros((1, stop - start)), w[:-1, : stop - start])) for w in family]
-        return [s - t[:, : stop - start] for s, t in zip(shifted, family[1:] + [np.conj(product.phase) * wrap])]
+        wrap = np.conj(product.phase) * family[0][:, 1:]
+        return [s - t[:, : stop - start] for s, t in zip(shifted, family[1:] + [wrap])]
 
     # the Frobenius norm bounds the spectral norm at a fraction of an SVD's cost and adds up
     # over blocks of 64 columns; only a relation it cannot pass takes the SVD of its full difference
-    blocks = (differences(j, min(j + 64, n_trunc)) for j in range(0, n_trunc, 64))
+    blocks = (differences(j, min(j + 64, width)) for j in range(0, width, 64))
     bounds = np.sqrt(sum(np.array([np.vdot(d, d).real for d in block]) for block in blocks))
     if np.any(bounds > tol):
-        bounds = [_matrix_norm(d) if b > tol else b for d, b in zip(differences(0, n_trunc), bounds)]
+        bounds = [_matrix_norm(d) if b > tol else b for d, b in zip(differences(0, width), bounds)]
     return float(np.max(bounds)), {"relations": product.degree}
 
 
 def _check_lift_expanding(cfg, product, grid, rng):
+    # |R'| = psi' on the circle, read through R' rather than the lift's own closed-form samples
     lift = build_lift(product, cfg.grid)
-    margin = float(np.min(lift.dpsi) - 1.0)
+    margin = float(np.min(np.abs(product.derivative(np.exp(1j * lift.thetas)))) - 1.0)
     return max(0.0, -margin), {"margin": margin, "theta0": float(lift.theta0)}
 
 
@@ -552,17 +539,10 @@ def run_verify(cfg: RunConfig, parallel: bool = False) -> VerificationReport:
         for index, spec in enumerate(MANIFEST)
         if spec.enabled_for(cfg)
     ]
-    largest_zero = max((abs(z) for z in cfg.zeros), default=0.0)
     metadata = {
         "package": f"blaschkeops {_VERSION}",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        # zeros close to the circle condition the preimage solves badly
-        "ill_conditioned_zeros": bool(largest_zero > 0.95),
-        # geometric tail mass folded back by the finite grid
-        "aliasing_bound": float(largest_zero ** (cfg.grid // 2) / (1.0 - largest_zero))
-        if largest_zero > 0
-        else 0.0,
     }
     return VerificationReport(config=cfg, checks=tuple(results), metadata=metadata)
 

@@ -94,6 +94,8 @@ class TestEvaluation:
     def test_pole_rejected(self, half):
         with pytest.raises(ValueError, match="pole"):
             half.evaluate(2.0)
+        with pytest.raises(ValueError, match="pole"):
+            half.derivative(2.0)
 
     def test_derivative_matches_finite_differences(self, spiral):
         # central finite-difference oracle, step tuned for ~1e-8 truth
@@ -103,9 +105,29 @@ class TestEvaluation:
         assert spiral.derivative(z) == pytest.approx(fd, abs=1e-8)
 
     def test_derivative_at_zero_of_product(self, half):
-        # log-derivative route degenerates at z = 0.5; product rule takes over
+        # the product rule needs no division by R, so a zero of R is an ordinary point
         fd = (half.evaluate(0.5 + 1e-6) - half.evaluate(0.5 - 1e-6)) / 2e-6
         assert half.derivative(0.5) == pytest.approx(fd, abs=1e-6)
+
+    @staticmethod
+    def _central_difference(b, z, step=1e-5):
+        return (b.evaluate(z + step) - b.evaluate(z - step)) / (2 * step)
+
+    def test_derivative_at_every_zero_of_a_seeded_product(self):
+        b = random_product(5, degree=4, max_radius=0.8)
+        for zk in b.zeros:
+            assert b.derivative(zk) == pytest.approx(self._central_difference(b, zk), abs=1e-8)
+
+    def test_derivative_at_the_origin_of_a_cube(self, cube):
+        # R' = 3 z^2 vanishes at the triple zero; the difference quotient reads step^2
+        assert cube.derivative(0.0) == 0.0
+        assert abs(self._central_difference(cube, 0.0)) <= 1e-9
+
+    def test_derivative_next_to_a_zero(self, spiral):
+        # |R| is about 1e-11 here, and the product rule serves this point like any other
+        z = 0.3 + 0.4j + 1e-11 * np.exp(0.7j)
+        assert abs(spiral.evaluate(z)) < 1e-10
+        assert spiral.derivative(z) == pytest.approx(self._central_difference(spiral, z), abs=1e-8)
 
 
 class TestLogDerivative:

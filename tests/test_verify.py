@@ -17,6 +17,7 @@ from blaschkeops import dynamics, tmbasis, transfer, verify
 from blaschkeops.cli import main
 from blaschkeops.hardy import _matrix_norm, _power_spectra
 from blaschkeops.verify import (
+    DEFAULT_TOLERANCES,
     MANIFEST,
     CheckResult,
     CheckSpec,
@@ -137,11 +138,11 @@ class TestRun:
         assert result.errored and not result.passed and result.residual is None
         assert result.error.startswith("TypeError:")
 
-    @pytest.mark.parametrize("check_id", ["weight_sum", "transfer_unit"])
+    @pytest.mark.parametrize("check_id", ["transfer_unit"])
     def test_scaled_weights_fail(self, check_id, monkeypatch):
         # negative control: weights scaled by 1 + 1e-6 sum to 1 + 1e-6 over every
         # preimage set; the preimage table is cached, so it is cleared before the
-        # scaled weights enter it and after they leave
+        # scaled weights enter it and after they leave (weight_sum reads R', not these weights)
         exact = transfer.preimage_weights
         spec = next(s for s in MANIFEST if s.check_id == check_id)
         cfg = RunConfig(**FAST)
@@ -157,17 +158,51 @@ class TestRun:
 
     def test_scaled_log_derivative_fails_derivative_identity(self, monkeypatch):
         # negative control: the closed-form sum scaled by 1 + 1e-6 disagrees
-        # with the quotient of R' and R along both derivative routes
+        # with the quotient of R' (product rule) and R
         exact = BlaschkeProduct._log_derivative_at
         monkeypatch.setattr(
             BlaschkeProduct, "_log_derivative_at", lambda self, z: exact(self, z) * (1.0 + 1e-6)
         )
         spec = next(s for s in MANIFEST if s.check_id == "derivative_identity")
         cfg = RunConfig(**FAST)
+        residual, _ = spec.runner(cfg, cfg.product(), None, None)
+        assert residual > spec.tolerance
+
+    def test_scaled_derivative_fails_weight_sum_not_transfer_unit(self, monkeypatch):
+        # negative control: R' scaled by 1 + 1e-6 shrinks every residue R/(z R'), so the
+        # residues sum to 1/(1 + 1e-6); transfer_unit sums the closed-form weights and passes
+        exact = BlaschkeProduct.derivative
+        monkeypatch.setattr(BlaschkeProduct, "derivative", lambda self, z: exact(self, z) * (1.0 + 1e-6))
+        cfg = RunConfig(**FAST)
+        residuals = {
+            spec.check_id: spec.runner(cfg, cfg.product(), None, None)[0]
+            for spec in MANIFEST
+            if spec.check_id in ("weight_sum", "derivative_identity", "transfer_unit")
+        }
+        assert residuals["weight_sum"] == pytest.approx(1e-6, rel=1e-5)
+        assert residuals["derivative_identity"] > DEFAULT_TOLERANCES["derivative_identity"]
+        assert residuals["transfer_unit"] <= DEFAULT_TOLERANCES["transfer_unit"]
+
+    def test_rotated_derivative_fails_weight_positivity(self, monkeypatch):
+        # negative control: R' turned by e^(2i) turns h = n R/(z R') by e^(-2i), and
+        # cos(2) < 0 makes its real part negative everywhere
+        exact = BlaschkeProduct.derivative
+        monkeypatch.setattr(BlaschkeProduct, "derivative", lambda self, z: exact(self, z) * np.exp(2j))
+        spec = next(s for s in MANIFEST if s.check_id == "weight_positivity")
+        cfg = RunConfig(**FAST)
         residual, details = spec.runner(cfg, cfg.product(), None, None)
         assert residual > spec.tolerance
-        assert details["log_sum_deviation"] > spec.tolerance
-        assert details["product_rule_deviation"] > spec.tolerance
+        assert details["max_weight"] < 0
+
+    def test_halved_derivative_fails_lift_expanding(self, monkeypatch):
+        # negative control: half of |R'| = psi' >= 4/3 on [0, 0.5] dips to 2/3 below one
+        exact = BlaschkeProduct.derivative
+        monkeypatch.setattr(BlaschkeProduct, "derivative", lambda self, z: exact(self, z) / 2.0)
+        spec = next(s for s in MANIFEST if s.check_id == "lift_expanding")
+        cfg = RunConfig(**FAST)
+        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        assert residual > spec.tolerance
+        assert details["margin"] == pytest.approx(2.0 / 3.0 - 1.0, abs=1e-6)
 
     def test_tail_profile_cuts_past_a_small_truncation(self):
         # N = 32 is below the cut (64), so every corner is empty: the bound
