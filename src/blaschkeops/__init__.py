@@ -29,7 +29,6 @@ from .hardy import (
     toeplitz_matrix,
 )
 from .tmbasis import (
-    ConsResidual,
     TMBasis,
     cons_residual,
     cuntz_family,

@@ -36,25 +36,14 @@ class ConvergenceError(RuntimeError):
 class PreimageSet:
     """The n circle solutions of ``R(z) = target``, sorted by principal argument.
 
-    ``residuals[i]`` records ``|R(points[i]) - target)|`` as solved; the
-    constructor re-checks the structural invariants (distinct points, all on
-    the unit circle).
+    ``residuals[i]`` records ``|R(points[i]) - target|`` as solved;
+    :func:`preimage_grid` has already rejected a solve whose points leave the
+    circle or collide.
     """
 
     target: complex
     points: tuple[complex, ...]
     residuals: tuple[float, ...]
-
-    def __post_init__(self):
-        pts = np.asarray(self.points)
-        if len(pts) < 2:
-            raise ValueError("a preimage set holds at least two points")
-        if np.max(np.abs(np.abs(pts) - 1.0)) > _CIRCLE_TOL:
-            raise ValueError("preimage points must lie on the unit circle")
-        diff = pts[:, None] - pts[None, :]
-        diff[np.diag_indices(len(pts))] = 1.0
-        if np.min(np.abs(diff)) <= _SEPARATION_TOL:
-            raise ValueError("preimage points must be pairwise distinct")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .circle import CircleGrid, FourierSymbol, fourier_coefficients
+from .transfer import TransferOperator
 
 _TINY = 1e-150
 
@@ -189,8 +190,6 @@ def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int,
     pointwise transfer oracle, which keeps the two sides of the identity on
     independent numerical routes; one FFT of C's columns serves every ``T_a C``.
     """
-    from .transfer import TransferOperator
-
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
     low = min(s.low for s in symbols)

@@ -64,16 +64,17 @@ def tm_element(basis: TMBasis, l: int, z):
 
 
 def factorization_residual(basis: TMBasis, powers: int, grid: CircleGrid) -> np.ndarray:
-    """Sup over the grid of ``|e_{kn+l} - Q_l R_l R^k|`` for ``k < powers``, as an array ``[k, l]``."""
+    """Sup over the grid of ``|e_{kn+l} - Q_l R_l R^k|`` for ``1 <= k <= powers``, as an array ``[k - 1, l]``
+    (``k = 0`` would compare the frame ``Q_l R_l = e_l`` with itself); reads ``(powers + 1) n`` elements."""
     n = basis.product.degree
-    if powers * n > basis.count:
+    if (powers + 1) * n > basis.count:
         raise ValueError("index exceeds the realized basis count")
     pts = grid.points
     frame_vals = frame(basis.product)(pts)
     comp = basis.product.evaluate(pts)
     out = np.empty((powers, n))
-    power = np.ones(grid.size, dtype=complex)
-    for index, direct in enumerate(_elements(basis, powers * n, pts)):
+    power = comp
+    for index, direct in enumerate(islice(_elements(basis, (powers + 1) * n, pts), n, None)):
         k, l = divmod(index, n)
         out[k, l] = np.max(np.abs(direct - frame_vals[l] * power))
         if l == n - 1:
@@ -110,21 +111,10 @@ def cuntz_family(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid):
     return [TruncatedOperator(w, label=f"W{k + 1}") for k, w in enumerate(columns)]
 
 
-@dataclass(frozen=True)
-class ConsResidual:
-    """Corner norms for the three Cuntz-relation checks."""
-
-    completeness: float   # || sum_k W_k W_k* - I ||
-    isometry: float       # max_k || W_k* W_k - I ||
-    orthogonality: float  # max_{k != j} || W_k* W_j ||
-
-    @property
-    def worst(self) -> float:
-        return max(self.completeness, self.isometry, self.orthogonality)
-
-
-def cons_residual(family, m: int) -> ConsResidual:
-    """Cuntz-relation residuals of an isometry family on the m x m corner.
+def cons_residual(family, m: int) -> dict:
+    """Cuntz-relation residuals of an isometry family on the m x m corner: the dict of
+    ``completeness`` ``||sum_k W_k W_k* - I||``, ``isometry`` ``max_k ||W_k* W_k - I||`` and
+    ``orthogonality`` ``max_(k != j) ||W_k* W_j||``.
 
     Each member holds the leading N x k columns of a truncated ``W_k``, ``k >= m``.
     ``W_k = T_(Q R) C`` is lower triangular, so completeness reads ``W_k[:m, :m]``.
@@ -132,10 +122,11 @@ def cons_residual(family, m: int) -> ConsResidual:
     cols = [np.asarray(w)[:, :m] for w in family]
     if m > cols[0].shape[0] // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
-    completeness = _matrix_norm(sum(c[:m] @ c[:m].conj().T for c in cols) - np.eye(m))
-    isometry = max(isometry_residual(c, m) for c in cols)
-    orthogonality = max(_matrix_norm(ci.conj().T @ cj) for ci, cj in permutations(cols, 2))
-    return ConsResidual(completeness, isometry, orthogonality)
+    return {
+        "completeness": _matrix_norm(sum(c[:m] @ c[:m].conj().T for c in cols) - np.eye(m)),
+        "isometry": max(isometry_residual(c, m) for c in cols),
+        "orthogonality": max(_matrix_norm(ci.conj().T @ cj) for ci, cj in permutations(cols, 2)),
+    }
 
 
 def frame(product: BlaschkeProduct):

@@ -20,7 +20,6 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, preimage_grid
 from .circle import CircleGrid, FourierSymbol, fft, fourier_coefficients
-from .hardy import TruncatedOperator
 
 
 @lru_cache(maxsize=16)
@@ -95,8 +94,8 @@ def bimodule_inner_samples(op: TransferOperator, stack, grid: CircleGrid) -> np.
     return op.degree * np.einsum("pbm,qbm->pqm", weights * np.conj(vals), vals)
 
 
-def transfer_matrix(op: TransferOperator, n_trunc: int, grid: CircleGrid) -> TruncatedOperator:
-    """Truncation of the operator to ``span{1, z, ..., z^(N-1)}``.
+def transfer_matrix(op: TransferOperator, n_trunc: int, grid: CircleGrid) -> np.ndarray:
+    """Truncation of the operator to ``span{1, z, ..., z^(N-1)}``, as a read-only N x N array.
 
     Column j holds the first N Fourier coefficients of ``L(z^j)``, extracted
     on the grid from preimage sums.  Requires ``N <= grid.size / 4`` so the
@@ -109,4 +108,5 @@ def transfer_matrix(op: TransferOperator, n_trunc: int, grid: CircleGrid) -> Tru
     for start in range(0, n_trunc, 8):  # a few rows at a time: only N coefficients of each are kept
         stop = min(start + 8, n_trunc)
         entries[:, start:stop] = (fft(op.monomial_samples(start, stop, grid)) / m)[:, :n_trunc].T
-    return TruncatedOperator(entries=entries, label="L_R")
+    entries.setflags(write=False)
+    return entries

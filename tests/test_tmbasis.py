@@ -79,13 +79,15 @@ class TestFactorParts:
 
 class TestFactorization:
     def test_monomial_exact(self, cube, grid_small):
+        # row k - 1 holds the power k = 1..6
         residuals = factorization_residual(TMBasis(cube, count=40), 6, grid_small)
         assert residuals.shape == (6, 3)
-        for k, l in [(0, 0), (2, 1), (5, 2)]:
-            assert residuals[k, l] <= 1e-13
+        for k, l in [(1, 0), (3, 1), (6, 2)]:
+            assert residuals[k - 1, l] <= 1e-13
 
     @pytest.mark.parametrize("k,l", [(0, 0), (1, 1), (4, 0), (8, 1)])
     def test_half_identity(self, half, grid_small, k, l):
+        # the last row holds the power k + 1, the index (k + 1) n + l
         basis = TMBasis(half, count=32)
         assert factorization_residual(basis, k + 1, grid_small)[k, l] <= 1e-10
 
@@ -104,20 +106,20 @@ class TestFactorization:
                 return super().beta(l) + (0.1 if l == 5 else 0.0)
 
         basis, pts = MovedZero(spiral, count=32), grid_small.points
-        batch = factorization_residual(basis, 9, grid_small)
-        assert batch.shape == (9, 2) and np.max(batch[:2]) <= 1e-13 and np.min(batch[3:]) > 1e-3
-        for k in range(9):
+        batch = factorization_residual(basis, 8, grid_small)
+        assert batch.shape == (8, 2) and np.max(batch[:1]) <= 1e-13 and np.min(batch[2:]) > 1e-3
+        for k in range(1, 9):
             for l in range(2):
                 factored = closed_form_element(TMBasis(spiral), l, pts) * spiral.evaluate(pts) ** k
                 per_index = np.max(np.abs(closed_form_element(basis, 2 * k + l, pts) - factored))
-                assert batch[k, l] == pytest.approx(per_index, rel=1e-12, abs=1e-14)
+                assert batch[k - 1, l] == pytest.approx(per_index, rel=1e-12, abs=1e-14)
 
     def test_count_enforced(self, half, grid_small):
-        # powers 9 read the indices up to 9 n - 1 = 17, so the basis must realize 18 elements
+        # powers 1..8 read the indices up to 9 n - 1 = 17, so the basis must realize 18 elements
         for count in (16, 17):
             with pytest.raises(ValueError, match="basis count"):
-                factorization_residual(TMBasis(half, count=count), 9, grid_small)
-        assert factorization_residual(TMBasis(half, count=18), 9, grid_small).shape == (9, 2)
+                factorization_residual(TMBasis(half, count=count), 8, grid_small)
+        assert factorization_residual(TMBasis(half, count=18), 8, grid_small).shape == (8, 2)
 
 
 class TestGram:
@@ -177,14 +179,14 @@ class TestCuntzFamily:
     def test_relations_monomial_exact(self, cube, grid_big):
         family = cuntz_family(cube, 256, grid_big)
         result = cons_residual([w.entries for w in family], 32)
-        assert result.worst <= 1e-12
+        assert max(result.values()) <= 1e-12
 
     def test_relations_half(self, half, grid_big):
         family = cuntz_family(half, 256, grid_big)
         result = cons_residual([w.entries for w in family], 32)
-        assert result.completeness <= 1e-6
-        assert result.isometry <= 1e-6
-        assert result.orthogonality <= 1e-6
+        assert result["completeness"] <= 1e-6
+        assert result["isometry"] <= 1e-6
+        assert result["orthogonality"] <= 1e-6
 
     def test_corner_guard(self, half, grid_big):
         family = cuntz_family(half, 256, grid_big)
@@ -210,9 +212,9 @@ class TestCuntzFamily:
             if i != j
         )
         result = cons_residual([w.entries for w in family], 16)
-        assert result.completeness == pytest.approx(completeness, abs=1e-14)
-        assert result.isometry == pytest.approx(isometry, abs=1e-14)
-        assert result.orthogonality == pytest.approx(orthogonality, abs=1e-14)
+        assert result["completeness"] == pytest.approx(completeness, abs=1e-14)
+        assert result["isometry"] == pytest.approx(isometry, abs=1e-14)
+        assert result["orthogonality"] == pytest.approx(orthogonality, abs=1e-14)
 
 
     @pytest.mark.parametrize("seed", [None, 0])
@@ -236,7 +238,7 @@ class TestCuntzFamily:
             ),
         }
         for name, value in expected.items():
-            assert details[name] == pytest.approx(getattr(family, name), abs=1e-14)
+            assert details[name] == pytest.approx(family[name], abs=1e-14)
             assert details[name] == pytest.approx(value, abs=1e-14)
 
 

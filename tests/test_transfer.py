@@ -201,19 +201,19 @@ class TestTransferMatrix:
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         expected[1, 2] = 1.0
-        np.testing.assert_allclose(matrix.entries, expected, atol=1e-13)
+        np.testing.assert_allclose(matrix, expected, atol=1e-13)
 
     def test_monomial_selection(self, cube):
         matrix = transfer_matrix(TransferOperator(cube), 8, CircleGrid(64))
         for i in range(8):
             for j in range(8):
                 expected = 1.0 if j == 3 * i else 0.0
-                assert abs(matrix.entries[i, j] - expected) <= 1e-12
+                assert abs(matrix[i, j] - expected) <= 1e-12
 
     def test_equals_adjoint_of_composition(self, half, grid_small):
         lmat = transfer_matrix(TransferOperator(half), 32, grid_small)
         comp = composition_matrix(half, 32)
-        diff = lmat.entries - comp.entries.conj().T
+        diff = lmat - comp.entries.conj().T
         assert np.max(np.abs(diff)) <= 1e-8
 
     @pytest.mark.parametrize("which", ["half", "degree3"])
@@ -222,8 +222,8 @@ class TestTransferMatrix:
         # of the N x N truncation is the m x m truncation, bit for bit
         op = TransferOperator(half if which == "half" else random_product(0))
         grid = CircleGrid(1024)
-        corner = transfer_matrix(op, 256, grid).entries[:16, :16]
-        assert np.array_equal(transfer_matrix(op, 16, grid).entries, corner)
+        corner = transfer_matrix(op, 256, grid)[:16, :16]
+        assert np.array_equal(transfer_matrix(op, 16, grid), corner)
 
     def test_truncation_requires_margin(self, half):
         with pytest.raises(ValueError):

@@ -244,6 +244,52 @@ class TestRun:
         assert residual > spec.tolerance
         assert details["follow_defect"] > spec.tolerance
 
+    def test_drifted_argument_fails_lift_winding_without_errors(self, monkeypatch):
+        # negative control: an argument drifting by 1e-6 theta climbs 2 pi 1e-6 too far; the lift
+        # is plain data, so the drift reads as a FAIL of the checks that see it, never as an ERROR
+        exact = dynamics._argument
+        monkeypatch.setattr(dynamics, "_argument", lambda product, theta: exact(product, theta) + 1e-6 * theta)
+        report = run_verify(RunConfig(**FAST))
+        winding = next(c for c in report.checks if c.check_id == "lift_winding")
+        assert not winding.passed and winding.residual == pytest.approx(2e-6 * np.pi, rel=1e-3)
+        assert not report.any_errored
+
+    def test_rolled_column_fails_composition_isometry_and_cuntz_relations(self, monkeypatch):
+        # negative control: column 3 of C moved down one row, z R^3, stays a unit vector but
+        # meets R^4 in |<z, R>| = |R'(0)| = 1/2, and W_k = T_(Q R) C inherits the overlap
+        exact = verify._power_spectra
+
+        def rolled(*args):
+            cols = np.array(exact(*args))
+            cols[:, 3] = np.roll(cols[:, 3], 1)
+            return cols
+
+        monkeypatch.setattr(verify, "_power_spectra", rolled)
+        cfg = RunConfig(**FAST)
+        residuals = {
+            spec.check_id: spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)[0]
+            for spec in MANIFEST
+            if spec.check_id in ("composition_isometry", "cuntz_relations")
+        }
+        assert residuals["composition_isometry"] == pytest.approx(0.5, rel=1e-9)
+        assert residuals["cuntz_relations"] > DEFAULT_TOLERANCES["cuntz_relations"]
+
+    def test_scaled_element_fails_basis_factorization(self, monkeypatch):
+        # negative control: e_(n+1) scaled by 1 + 1e-6 no longer factors as Q_1 R_1 R, by
+        # 1e-6 sup|e_(n+1)| = 1e-6 sqrt(3) for the zero 0.5, and has norm 1 + 1e-6; the
+        # frame, the first n elements, is unchanged
+        exact = tmbasis._elements
+
+        def scaled(basis, count, z):
+            for l, element in enumerate(exact(basis, count, z)):
+                yield element * (1.0 + 1e-6) if l == basis.product.degree + 1 else element
+
+        monkeypatch.setattr(tmbasis, "_elements", scaled)
+        report = run_verify(RunConfig(zeros=(0j, 0.5, 0.3 + 0.4j), **FAST))
+        failed = {c.check_id: c.residual for c in report.checks if not c.passed}
+        assert set(failed) == {"basis_factorization", "basis_orthonormality"}
+        assert failed["basis_factorization"] == pytest.approx(np.sqrt(3.0) * 1e-6, rel=1e-6)
+
     def test_repeated_branch_fails_branch_inverses(self, monkeypatch):
         # negative control: branch n answered by branch 1 misses one preimage
         exact = verify.branch_inverse
@@ -322,14 +368,14 @@ class TestRun:
         assert residual > spec.tolerance
 
     def test_corner_one_adjoint_transfer(self):
-        # the 1 x 1 corner is below the smallest TruncatedOperator; its
-        # residual is the one the full N x N truncations give at that corner
+        # the check builds the 1 x 1 transfer truncation; its residual is the
+        # one the full N x N truncations give at that corner
         cfg = RunConfig(**{**FAST, "corner": 1})
         report = run_verify(cfg)
         assert report.overall_pass
         check = next(c for c in report.checks if c.check_id == "adjoint_transfer")
         product, grid = cfg.product(), CircleGrid(cfg.grid)
-        lmat = transfer_matrix(TransferOperator(product), cfg.truncation, grid).entries
+        lmat = transfer_matrix(TransferOperator(product), cfg.truncation, grid)
         comp = composition_matrix(product, cfg.truncation).entries
         assert check.residual == _matrix_norm((lmat - comp.conj().T)[:1, :1])
 
