@@ -4,8 +4,9 @@ A degree-n product ``lambda * prod_k (z - z_k)/(1 - conj(z_k) z)`` with
 ``z_0 = 0`` maps the closed unit disk to itself and the unit circle onto
 itself n-to-1.  This module provides evaluation, differentiation, the
 logarithmic derivative on the circle (a strictly positive real quantity),
-the normalised expansion weight ``h = n / (z R'/R)`` and a simultaneous
-root solver for the n circle preimages of a circle point.
+the normalised expansion weight ``h = n / (z R'/R)``, the closed-form
+continuous argument on the circle, and the one bracketed Newton that inverts
+it: for the n circle preimages of circle points, and for the lift.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import numpy as np
 
 # |phase| has to sit this close to 1 at construction time.
 _UNIT_TOL = 1e-12
-# Aberth stopping threshold on the largest root move, and iteration cap.
-_ROOT_STEP_TOL = 1e-13
-_ROOT_MAX_ITER = 60
-_NEWTON_POLISH_STEPS = 2
+_TWO_PI = 2.0 * np.pi
+# Newton on the continuous argument stops one step past this excess, within this many steps.
+_LEVEL_TOL = 1e-11
+_LEVEL_MAX_ITER = 64
 # Post-hoc acceptance thresholds for a preimage solve.
 _RESIDUAL_TOL = 1e-9
-_CIRCLE_TOL = 1e-9
 _SEPARATION_TOL = 1e-12
 # Target must sit this close to the circle before we attempt a solve.
 _TARGET_TOL = 1e-8
@@ -37,8 +37,7 @@ class PreimageSet:
     """The n circle solutions of ``R(z) = target``, sorted by principal argument.
 
     ``residuals[i]`` records ``|R(points[i]) - target|`` as solved;
-    :func:`preimage_grid` has already rejected a solve whose points leave the
-    circle or collide.
+    :func:`preimage_grid` has already rejected a solve whose points collide.
     """
 
     target: complex
@@ -147,34 +146,76 @@ def make_blaschke(lam: complex, zeros) -> BlaschkeProduct:
     return BlaschkeProduct(phase=complex(lam), zeros=tuple(complex(z) for z in zeros))
 
 
-def _polynomial_pair(product: BlaschkeProduct):
-    # R = num/den with num(z) = phase * prod (z - z_k), den(z) = prod (1 - conj(z_k) z).
-    # Coefficients are stored lowest order first.
-    num = np.array([product.phase], dtype=complex)
-    den = np.array([1.0 + 0j])
-    for zk in product.zeros:
-        num = np.convolve(num, np.array([-zk, 1.0]))
-        den = np.convolve(den, np.array([1.0, -np.conj(zk)]))
-    return num, den
+def _argument(product: BlaschkeProduct, theta):
+    """Continuous argument ``A`` of ``R(e^(i theta))`` in closed form, and its derivative ``psi'``.
+
+    On the circle a factor ``(z - a)/(1 - conj(a) z)`` is ``z conj(u)/u`` with
+    ``u = 1 - conj(a) z``, and ``Re u >= 1 - |a| > 0``, so its argument is
+    ``theta - 2 arg u`` with the principal ``arg u`` continuous in theta.
+    Since ``|z - a| = |u|`` there, the same ``u`` gives the factor's share
+    ``(1 - |a|^2)/|u|^2`` of ``psi' = z R'/R``.
+    """
+    z = np.exp(1j * theta)
+    total = np.angle(product.phase) + product.degree * theta
+    slope = np.ones(np.shape(theta))
+    for zk in product.zeros[1:]:
+        u = 1.0 - np.conj(zk) * z
+        total = total - 2.0 * np.angle(u)
+        slope = slope + (1.0 - abs(zk) ** 2) / np.abs(u) ** 2
+    return total, slope
+
+
+def _solve_increasing(f, grid, samples, levels):
+    """The angles where an increasing ``f`` meets each level, every level at once.
+
+    ``f(theta)`` returns the value and the slope, and ``samples`` are its
+    exact values on the increasing ``grid``, so the grid cell whose samples
+    straddle a level brackets its root.  The seed interpolates the samples;
+    Newton then runs each level in its own bracket, bisecting whenever a step
+    leaves it (a steep ``f`` can throw Newton out of its basin on a coarse
+    grid), and takes one step past ``_LEVEL_TOL``, so the answer keeps every
+    digit ``f`` has.  Returns an array shaped like ``levels``.
+    """
+    levels = np.asarray(levels, dtype=float)
+    flat = levels.ravel()
+    i = np.clip(np.searchsorted(samples, flat), 1, len(samples) - 1)
+    lo, hi = grid[i - 1], grid[i]
+    theta = np.interp(flat, samples, grid)
+    root = np.empty_like(flat)
+    live = np.arange(flat.size)  # the levels still iterating
+    for _ in range(_LEVEL_MAX_ITER):
+        value, slope = f(theta)
+        excess = value - flat[live]
+        step = theta - excess / slope
+        settled = np.abs(excess) <= _LEVEL_TOL
+        root[live[settled]] = step[settled]
+        keep = ~settled
+        live, theta, step, excess, lo, hi = (a[keep] for a in (live, theta, step, excess, lo, hi))
+        if not live.size:
+            return root.reshape(levels.shape)
+        lo, hi = np.where(excess > 0, lo, theta), np.where(excess > 0, theta, hi)
+        theta = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    raise ConvergenceError("argument inversion did not converge")
 
 
 def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     """Circle preimages of many unit-circle targets at once.
 
-    Runs the Aberth--Ehrlich simultaneous iteration on the degree-n
-    polynomial ``num(z) - w * den(z)`` for every target w, starting from the
-    n-th roots of ``w / phase`` (exact for monomial products); a sweep moves
-    only the rows whose own largest step is still above ``_ROOT_STEP_TOL``.
-    A fixed number of Newton steps on the product form,
-    ``z <- z - z (R(z) - w) / (R(z) psi'(z))`` with the circle log-derivative
-    ``psi' >= 1``, then polish every root and keep its digits when zeros
-    approach the circle.  Returns a pair of arrays of shape
+    The continuous argument ``A`` of ``R(e^(i theta))`` climbs by ``2 pi n``
+    over ``[-pi, pi]``, so the preimages of ``w`` sit at the n angles where
+    ``A`` meets the levels ``A(pi) - ((A(pi) - arg w) mod 2 pi) - 2 pi k``,
+    ``k < n``; these lie in ``(A(-pi), A(pi)]``, so the angles are principal
+    arguments.  ``A`` is sampled on ``max(64, 8 n)`` angles, and the levels
+    of every target are solved together by the bracketed Newton of
+    :func:`_solve_increasing`.  A root is carried as its angle, so its
+    residual floor is about ``psi' ulp(theta) / 2``, and a principal angle
+    keeps that ulp at most ``ulp(pi)``.  Returns a pair of arrays of shape
     ``(len(targets), n)``: the roots of each row sorted by principal
     argument, and the direct residuals ``|R(root) - w|``.
 
-    Raises :class:`ConvergenceError` when a root ends up off the circle, a
-    residual exceeds tolerance, or two roots collide - all of which signal a
-    numerical breakdown rather than a valid state.
+    Raises :class:`ConvergenceError` when a residual exceeds tolerance or two
+    roots collide - either signals a numerical breakdown rather than a valid
+    state.
     """
     targets = np.asarray(targets, dtype=complex)
     if targets.ndim != 1:
@@ -182,50 +223,19 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     if np.max(np.abs(np.abs(targets) - 1.0)) > _TARGET_TOL:
         raise ValueError("preimage targets must lie on the unit circle")
     n = product.degree
-    num, den = _polynomial_pair(product)
-    w_col = targets[:, None]
-    coeffs = num[None, :] - w_col * den[None, :]
+    thetas = np.linspace(-np.pi, np.pi, max(64, 8 * n))
+    samples, _ = _argument(product, thetas)
+    top = samples[-1] - (samples[-1] - np.angle(targets)) % _TWO_PI
+    levels = top[:, None] - _TWO_PI * np.arange(n)
+    roots = np.exp(1j * _solve_increasing(lambda t: _argument(product, t), thetas, samples, levels))
+    roots = np.take_along_axis(roots, np.argsort(np.angle(roots), axis=1), axis=1)
 
-    phases = np.exp(2j * np.pi * np.arange(n) / n)
-    roots = (w_col / product.phase) ** (1.0 / n) * phases[None, :]
-
-    diag = np.arange(n)
-    active = np.arange(len(targets))
-    for _ in range(_ROOT_MAX_ITER):
-        live = roots[active]
-        # value and derivative of each row's polynomial in one Horner pass
-        value = np.repeat(coeffs[active, -1:], n, axis=1)
-        slope = np.zeros_like(live)
-        for c in coeffs[active, -2::-1].T:
-            slope = slope * live + value
-            value = value * live + c[:, None]
-        newton = value / slope
-        diff = live[:, :, None] - live[:, None, :]
-        diff[:, diag, diag] = np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            repulsion = (1.0 / diff).sum(axis=2)
-        step = newton / (1.0 - newton * repulsion)
-        roots[active] = live - step
-        active = active[np.max(np.abs(step), axis=1) >= _ROOT_STEP_TOL]
-        if not active.size:
-            break
-    for _ in range(_NEWTON_POLISH_STEPS):
-        value = product.evaluate(roots)
-        roots = roots - roots * (value - w_col) / (value * product._log_derivative_at(roots))
-
-    order = np.argsort(np.angle(roots), axis=1)
-    roots = np.take_along_axis(roots, order, axis=1)
-
-    residuals = np.abs(product.evaluate(roots) - w_col)
+    residuals = np.abs(product.evaluate(roots) - targets[:, None])
     worst = float(np.max(residuals))
     if worst > _RESIDUAL_TOL:
         raise ConvergenceError(f"preimage solve residual {worst:.3e} exceeds {_RESIDUAL_TOL:g}")
-    off_circle = float(np.max(np.abs(np.abs(roots) - 1.0)))
-    if off_circle > _CIRCLE_TOL:
-        raise ConvergenceError(f"preimage root left the circle by {off_circle:.3e}")
-    diff = roots[:, :, None] - roots[:, None, :]
-    diff[:, diag, diag] = 1.0
-    closest = float(np.min(np.abs(diff)))
+    # sorted by angle, each root's nearest is a neighbour (the last and first included)
+    closest = float(np.min(np.abs(roots - np.roll(roots, 1, axis=1))))
     if closest <= _SEPARATION_TOL:
         raise ConvergenceError(f"preimage roots collided (separation {closest:.3e})")
     return roots, residuals

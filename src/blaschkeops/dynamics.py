@@ -15,25 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import _SEPARATION_TOL, BlaschkeProduct, ConvergenceError, preimage_grid
+from .blaschke import _SEPARATION_TOL, _TWO_PI, BlaschkeProduct, _argument, _solve_increasing, preimage_grid
 
-_TWO_PI = 2.0 * np.pi
-_BRANCH_TOL = 1e-11
 _MIN_LIFT_GRID = 256
-
-
-def _argument(product: BlaschkeProduct, theta):
-    """Continuous argument of ``R(e^(i theta))`` in closed form.
-
-    On the circle a factor ``(z - a)/(1 - conj(a) z)`` is ``z conj(u)/u`` with
-    ``u = 1 - conj(a) z``, and ``Re u >= 1 - |a| > 0``, so its argument is
-    ``theta - 2 arg u`` with the principal ``arg u`` continuous in theta.
-    """
-    z = np.exp(1j * theta)
-    total = np.angle(product.phase) + product.degree * theta
-    for zk in product.zeros[1:]:
-        total = total - 2.0 * np.angle(1.0 - np.conj(zk) * z)
-    return total
 
 
 @dataclass(frozen=True)
@@ -77,37 +61,26 @@ def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
     start = float(np.min(anchors))
     theta0 = start + _TWO_PI
     thetas = np.linspace(start, theta0, grid_size)
-    raw = _argument(product, thetas)
+    raw, _ = _argument(product, thetas)
     return CircleLift(product=product, theta0=theta0, thetas=thetas, psi=raw - raw[0])
 
 
 def _solve_lift(lift: CircleLift, s, c: float):
     """The angles where ``psi(theta) - c theta = s``, for ``c`` in ``{0, 1}`` and levels s (float or array).
 
-    ``psi - c theta`` is increasing because ``psi' > 1``, so the grid cell
-    whose exact samples straddle a level brackets its root.  The seed
-    interpolates the samples; Newton then runs on the exact argument with
-    slope ``psi' - c``, every level at once and each in its own bracket,
-    bisecting whenever a step leaves it (a steep lift can throw Newton out of
-    its basin on a coarse grid), and takes one step past ``_BRANCH_TOL``, so
-    the answer keeps every digit the argument has.
+    ``psi - c theta`` is increasing because ``psi' > 1``, and its exact
+    samples are ``lift.psi - c lift.thetas``, so the bracketed Newton of
+    :func:`blaschke._solve_increasing` inverts it on the closed-form
+    argument with slope ``psi' - c``, every level at once.
     """
-    s = np.asarray(s, dtype=float)
-    base = float(_argument(lift.product, lift.thetas[0]))
-    level = lift.psi - c * lift.thetas
-    i = np.clip(np.searchsorted(level, s), 1, len(level) - 1)
-    lo, hi = lift.thetas[i - 1], lift.thetas[i]
-    theta = np.interp(s, level, lift.thetas)
-    root = np.full(s.shape, np.nan)  # NaN until the level's Newton settles
-    for _ in range(64):
-        excess = _argument(lift.product, theta) - base - c * theta - s
-        step = excess / (lift.product.log_derivative(theta) - c)
-        root = np.where(np.isnan(root) & (np.abs(excess) <= _BRANCH_TOL), theta - step, root)
-        if not np.isnan(root).any():
-            return root if root.ndim else float(root)
-        lo, hi = np.where(excess > 0, lo, theta), np.where(excess > 0, theta, hi)
-        theta = np.where((lo < theta - step) & (theta - step < hi), theta - step, 0.5 * (lo + hi))
-    raise ConvergenceError("lift inversion did not converge")
+    base = float(_argument(lift.product, lift.thetas[0])[0])
+
+    def shifted(theta):
+        value, slope = _argument(lift.product, theta)
+        return value - base - c * theta, slope - c
+
+    root = _solve_increasing(shifted, lift.thetas, lift.psi - c * lift.thetas, s)
+    return root if root.ndim else float(root)
 
 
 def branch_inverse(lift: CircleLift, k: int, t):

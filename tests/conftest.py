@@ -33,10 +33,29 @@ def closed_form_element(basis, l, z):
     return out
 
 
+def polynomial_roots(product, w, polish=0):
+    """Independent oracle for the preimages of w: companion-matrix roots of ``num - w den``.
+
+    ``R = num/den`` with ``num = phase prod (z - z_k)`` and
+    ``den = prod (1 - conj(z_k) z)``; coefficients highest order first.
+    ``polish`` Newton steps on ``R - w`` itself, through ``evaluate`` and the
+    product-rule ``derivative``, restore the digits that the coefficient form
+    loses next to a repeated zero near the circle.
+    """
+    num = product.phase * np.poly(product.zeros)
+    den = np.array([1.0 + 0j])
+    for zk in product.zeros:
+        den = np.polymul(den, [-np.conj(zk), 1.0])
+    roots = np.roots(np.polysub(num, w * den))
+    for _ in range(polish):
+        roots = roots - (product.evaluate(roots) - w) / product.derivative(roots)
+    return roots
+
+
 @st.composite
-def blaschke_products(draw):
-    """Degree 2-16, zeros in the closed disk of radius 0.98, random phase."""
-    degree = draw(st.integers(2, 16))
+def blaschke_products(draw, max_degree=16):
+    """Degree 2 to ``max_degree`` (16 unless given), zeros in the closed disk of radius 0.98, random phase."""
+    degree = draw(st.integers(2, max_degree))
     unit = st.floats(0.0, 1.0)
     zeros = [0j] + [
         0.98 * draw(unit) * np.exp(2j * np.pi * draw(unit)) for _ in range(degree - 1)

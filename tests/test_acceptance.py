@@ -32,11 +32,10 @@ from blaschkeops import (
     toeplitz_matrix,
     transfer_matrix,
 )
-from blaschkeops.blaschke import preimage_grid
 from blaschkeops.hardy import _matrix_norm
 from blaschkeops.tmbasis import frame
 from blaschkeops.transfer import _preimage_table
-from conftest import random_product
+from conftest import polynomial_roots, random_product
 
 N, CORNER, GRID_SIZE, BASIS_COUNT = 256, 32, 4096, 32
 # Machine-noise ceiling standing in for "exactly zero": monomial cases have
@@ -191,14 +190,12 @@ def test_criterion_9_dynamics(products):
         worst_wind = max(
             worst_wind, abs(float(lift.psi[-1] - lift.psi[0]) - 2 * np.pi * product.degree)
         )
-        ts = 2 * np.pi * np.arange(64) / 64
-        reference, _ = preimage_grid(product, np.exp(1j * ts))
         n = product.degree
-        for row, t in enumerate(ts):
+        for t in 2 * np.pi * np.arange(64) / 64:
             branch = np.array(
                 [np.exp(1j * branch_inverse(lift, k, float(t))) for k in range(1, n + 1)]
             )
-            dist = np.abs(branch[:, None] - reference[row][None, :])
+            dist = np.abs(branch[:, None] - polynomial_roots(product, np.exp(1j * t))[None, :])
             worst_branch = max(
                 worst_branch,
                 float(np.max(np.min(dist, axis=1))),

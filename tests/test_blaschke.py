@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from blaschkeops import CircleGrid, ConvergenceError, make_blaschke, partial_fraction_weights
 from blaschkeops.blaschke import preimage_grid
-from conftest import blaschke_products, random_product
+from conftest import blaschke_products, polynomial_roots, random_product
 
 
 def _near_circle_product(degree):
@@ -17,15 +17,6 @@ def _near_circle_product(degree):
     far = max(range(1, degree), key=lambda k: abs(zeros[k]))
     zeros[far] = 0.98 * zeros[far] / abs(zeros[far])
     return make_blaschke(b.phase, zeros)
-
-
-def _polynomial_roots(product, w):
-    # independent oracle: companion-matrix roots of num - w den, highest order first
-    num = product.phase * np.poly(product.zeros)
-    den = np.array([1.0 + 0j])
-    for zk in product.zeros:
-        den = np.polymul(den, [-np.conj(zk), 1.0])
-    return np.roots(np.polysub(num, w * den))
 
 
 class TestConstruction:
@@ -203,22 +194,23 @@ class TestPreimages:
 
     @pytest.mark.parametrize("degree", range(2, 17))
     def test_roots_match_companion_matrix(self, degree):
-        # np.roots itself is off by up to 2.1e-13 here (measured over degrees
-        # 2-16 at radius 0.98, three seeds); the solver's residuals stay
-        # below 1.1e-14, so 1e-11 separates a wrong root from oracle noise.
+        # np.roots itself is off by up to 5.3e-13 here (the largest distance
+        # measured over these products); the solver's residuals stay below
+        # 7.8e-14, so 1e-11 separates a wrong root from oracle noise.
         b = _near_circle_product(degree)
         targets = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
         points, residuals = preimage_grid(b, targets)
         assert points.shape == (64, degree)
         assert np.max(residuals) <= 1e-12
         for w, row in zip(targets, points):
-            dist = np.abs(row[:, None] - _polynomial_roots(b, w)[None, :])
+            dist = np.abs(row[:, None] - polynomial_roots(b, w)[None, :])
             assert np.max(np.min(dist, axis=1)) <= 1e-11
             assert len(set(np.argmin(dist, axis=1))) == degree
 
-    def test_polish_keeps_digits_near_the_circle(self):
-        # degree 14 with |z_k| up to 0.9785: polishing the polynomial form
-        # left one of these 1024 rows at residual 1.077e-9 and raised
+    def test_argument_solve_keeps_digits_near_the_circle(self):
+        # degree 14 with |z_k| up to 0.9785: a Newton polish of the polynomial
+        # form once left one of these 1024 rows at residual 1.077e-9 and raised;
+        # the continuous argument keeps the digits of R itself
         zeros = [
             0,
             0.5884891338420678 - 0.7251259713776401j,
@@ -257,6 +249,25 @@ def test_convergence_error_is_runtime_error():
 @st.composite
 def _products_and_targets(draw):
     return draw(blaschke_products()), np.exp(2j * np.pi * draw(st.floats(0.0, 1.0)))
+
+
+@given(blaschke_products(max_degree=64), st.floats(0.0, 1.0))
+def test_grid_solve_properties_up_to_degree_64(b, turn):
+    # never raises, residuals within the solver's tolerance, n distinct roots per
+    # target; up to degree 32 the roots match np.roots (within 7.7e-12 on these
+    # examples), which misses by 1.5e-7 at degree 64
+    n = b.degree
+    targets = np.exp(2j * np.pi * (turn + np.arange(4) / 4))
+    points, residuals = preimage_grid(b, targets)
+    assert points.shape == (4, n)
+    assert np.max(residuals) <= 1e-9
+    gaps = np.abs(points[:, :, None] - points[:, None, :]) + np.eye(n)
+    assert np.min(gaps) > 1e-12
+    if n <= 32:
+        for w, row in zip(targets, points):
+            dist = np.abs(row[:, None] - polynomial_roots(b, w)[None, :])
+            assert np.max(np.min(dist, axis=1)) <= 1e-10
+            assert len(set(np.argmin(dist, axis=1))) == n
 
 
 @given(_products_and_targets())

@@ -235,9 +235,12 @@ class TestRun:
         # negative control: 1e-6 sin(theta) leaves the winding at 2 pi n but
         # turns e^(i psi) away from R on the circle
         exact = dynamics._argument
-        monkeypatch.setattr(
-            dynamics, "_argument", lambda product, theta: exact(product, theta) + 1e-6 * np.sin(theta)
-        )
+
+        def perturbed(product, theta):
+            value, slope = exact(product, theta)
+            return value + 1e-6 * np.sin(theta), slope + 1e-6 * np.cos(theta)
+
+        monkeypatch.setattr(dynamics, "_argument", perturbed)
         spec = next(s for s in MANIFEST if s.check_id == "lift_winding")
         cfg = RunConfig(**FAST)
         residual, details = spec.runner(cfg, cfg.product(), None, None)
@@ -248,7 +251,12 @@ class TestRun:
         # negative control: an argument drifting by 1e-6 theta climbs 2 pi 1e-6 too far; the lift
         # is plain data, so the drift reads as a FAIL of the checks that see it, never as an ERROR
         exact = dynamics._argument
-        monkeypatch.setattr(dynamics, "_argument", lambda product, theta: exact(product, theta) + 1e-6 * theta)
+
+        def drifted(product, theta):
+            value, slope = exact(product, theta)
+            return value + 1e-6 * theta, slope + 1e-6
+
+        monkeypatch.setattr(dynamics, "_argument", drifted)
         report = run_verify(RunConfig(**FAST))
         winding = next(c for c in report.checks if c.check_id == "lift_winding")
         assert not winding.passed and winding.residual == pytest.approx(2e-6 * np.pi, rel=1e-3)
@@ -297,6 +305,34 @@ class TestRun:
             verify, "branch_inverse", lambda lift, k, t: exact(lift, 1 if k == lift.degree else k, t)
         )
         spec = next(s for s in MANIFEST if s.check_id == "branch_inverses")
+        cfg = RunConfig(**FAST)
+        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        assert residual > spec.tolerance
+        assert details["min_gap"] == 0.0
+
+    def test_turned_branches_fail_branch_inverses(self, monkeypatch):
+        # negative control: every branch angle turned by 1e-6 stays distinct, but
+        # misses R(z) = e^(it) by about 1e-6 psi', which the certificate reads through R
+        exact = verify.branch_inverse
+        monkeypatch.setattr(verify, "branch_inverse", lambda lift, k, t: exact(lift, k, t) + 1e-6)
+        spec = next(s for s in MANIFEST if s.check_id == "branch_inverses")
+        cfg = RunConfig(**FAST)
+        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        assert residual > spec.tolerance
+        assert details["min_gap"] > 1e-12
+
+    def test_rotated_preimages_fail_transfer_covariance(self, monkeypatch):
+        # negative control: points turned by e^(1e-6 i) are no longer preimages, so
+        # a o R no longer leaves the preimage sum as a(w); scaled weights could not
+        # show this, because the identity holds for any weights on true preimages
+        exact = verify._preimage_table
+
+        def rotated(product, grid):
+            points, weights = exact(product, grid)
+            return points * np.exp(1e-6j), weights
+
+        monkeypatch.setattr(verify, "_preimage_table", rotated)
+        spec = next(s for s in MANIFEST if s.check_id == "transfer_covariance")
         cfg = RunConfig(**FAST)
         residual, _ = spec.runner(cfg, cfg.product(), None, None)
         assert residual > spec.tolerance
