@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .circle import CircleGrid, FourierSymbol, fourier_coefficients
+from .circle import CircleGrid, FourierSymbol, _read_only, fourier_coefficients
 from .transfer import TransferOperator
-
-_TINY = 1e-150
 
 
 @dataclass(frozen=True)
@@ -92,31 +91,35 @@ def toeplitz_matrix(a: FourierSymbol, n_trunc: int, label: str = "T_a") -> Trunc
     return TruncatedOperator(entries=_toeplitz_block(a, n_trunc, n_trunc), label=label)
 
 
-def _flush(x: np.ndarray) -> np.ndarray:
-    # No residual sees entries this small, and their subnormal products slow
-    # np.convolve several-fold.
-    return np.where(np.abs(x) < _TINY, 0.0, x)
+def _taylor_columns(product: BlaschkeProduct, rows: int):
+    """Yields the columns j = 0, 1, ... of C: the first ``rows`` Taylor coefficients of R^j.
+
+    R is the product of its factors' series ``-a + sum_k (1 - |a|^2) conj(a)^(k-1) z^k``,
+    and column ``j + s`` is column j times column s: one FFT of column j and the kept
+    spectra of the columns ``s = 1, ..., 16`` give the next 16 columns.  Each product is
+    truncated at ``rows`` and taken by FFTs of length ``2 rows``, so nothing wraps and no
+    grid aliases.  ``R(0) = 0``, so column j is formed only on rows ``>= j`` and C stays
+    exactly lower triangular.
+    """
+    size = 2 * rows
+    taylor = np.array([product.phase])
+    for a in product.zeros:
+        factor = np.concatenate(([-a], (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(rows - 1)))
+        taylor = np.fft.ifft(np.fft.fft(taylor, size) * np.fft.fft(factor, size))[:rows]
+    column, j, steps = np.eye(1, rows, dtype=complex)[0], 0, np.fft.fft(taylor, size)[None]
+    yield column
+    while True:  # the columns j + 1, ..., j + len(steps): column j times those whose spectra steps holds
+        block = np.triu(np.fft.ifft(np.fft.fft(column, size) * steps)[:, :rows], j + 1)
+        yield from block
+        if j == len(steps) < 16:  # the block continues the columns 1, ..., len(steps)
+            steps = np.concatenate((steps, np.fft.fft(block, size)))
+        j, column = j + len(block), block[-1]
 
 
 @lru_cache(maxsize=4)
 def _power_spectra(product: BlaschkeProduct, n_trunc: int, cols: int) -> np.ndarray:
-    """Columns ``j < cols`` of C, the first N Taylor coefficients of R^j (read-only).
-
-    R multiplies its factors' series ``-a + sum_k (1 - |a|^2) conj(a)^(k-1) z^k``
-    and column ``j + 1`` is column j times R, each truncated at N: nothing is
-    aliased, and the leading block does not depend on N.
-    """
-    taylor = np.zeros(n_trunc, dtype=complex)
-    taylor[0] = product.phase
-    for a in product.zeros:
-        factor = np.concatenate(([-a], (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(n_trunc - 1)))
-        taylor = _flush(np.convolve(taylor, _flush(factor))[:n_trunc])
-    powers = np.zeros((cols, n_trunc), dtype=complex)
-    powers[0, 0] = 1.0
-    for j in range(1, cols):
-        powers[j] = _flush(np.convolve(powers[j - 1], taylor)[:n_trunc])
-    powers.setflags(write=False)
-    return powers.T
+    """Columns ``j < cols`` of C, N rows each (read-only), from :func:`_taylor_columns`."""
+    return _read_only(np.stack(list(islice(_taylor_columns(product, n_trunc), cols)), axis=1))
 
 
 def composition_matrix(product: BlaschkeProduct, n_trunc: int) -> TruncatedOperator:

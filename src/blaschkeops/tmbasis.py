@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, permutations
+from math import comb, log
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .circle import CircleGrid, FourierSymbol, fourier_coefficients
-from .hardy import TruncatedOperator, _matrix_norm, _power_spectra, _toeplitz_applies, isometry_residual
+from .hardy import TruncatedOperator, _matrix_norm, _power_spectra, _taylor_columns, _toeplitz_applies
+from .hardy import isometry_residual
 from .transfer import TransferOperator, bimodule_inner_samples
 
 _MAX_GRAM_COUNT = 64
@@ -136,42 +138,43 @@ def frame(product: BlaschkeProduct):
     return lambda z: np.array(list(_elements(basis, product.degree, np.asarray(z, dtype=complex))))
 
 
+def _taylor_length(product: BlaschkeProduct) -> int:
+    """The power of two K, at least n, past which the frame pairs' Taylor coefficients fall below
+    rounding: a zero z of multiplicity m adds about ``binom(t + m - 1, m - 1) |z|^t`` to the t-th."""
+    size = 1 << (product.degree - 1).bit_length()
+    zeros = {z: product.zeros.count(z) for z in product.zeros if z}  # multiplicities
+    while any(log(comb(size + m - 1, m - 1)) + size * log(abs(z)) > log(1e-16) for z, m in zeros.items()):
+        size *= 2
+    if product.degree**2 * size > 1 << 23:  # the coefficients of all pairs would pass 128 MB
+        raise ValueError(f"zeros too close to the circle: the frame pairs need {size} Taylor coefficients")
+    return size
+
+
 def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int, grid: CircleGrid):
-    """Toeplitz symbols of ``V_p* V_q - T_<p,q>`` on the N x N truncation window, for every
-    pair ``(p, q) = (v_i, v_j)`` of the functions that ``stack`` maps points to (as
+    """Toeplitz symbols, coefficients ``|k| < N``, of ``V_p* V_q - T_<p,q>`` on the N x N window for
+    every pair ``(p, q) = (v_i, v_j)`` of the functions that ``stack`` maps points to (as
     :func:`frame` does): the nested list ``[i][j]``.
 
-    The coefficients are those of index ``|k| < N``, all that the N x N
-    section reads.  The left side is assembled by quadrature,
-    ``n * <q R^j, p R^i>``, which is the faithful compression of the operator
-    product (free of finite-section boundary artifacts).  Because ``|R| = 1``
-    on the circle, ``conj(R^i) R^j`` is ``R^(j-i)`` above the diagonal and
-    ``conj(R)^(i-j)`` below it, so the entry depends only on ``j - i``: the
-    Gram matrix is Toeplitz and its symbol is two weighted power sums of
-    length N, at cost ``O(N M)``; one power-sum pass serves every pair.  The
-    right side is the Fourier transform of the weighted pairing delivered by
-    the pointwise transfer oracle, so the two sides reach the symbol through
-    independent routes.
+    The left side, the Gram matrix ``n <q R^j, p R^i>``, is Toeplitz as ``|R| = 1`` on the circle;
+    its coefficient ``-d`` is ``sum_t a_hat(-t) C[t, d]`` for ``a = n conj(p) q``.  One FFT on
+    ``2K`` points (:func:`_taylor_length`) gives ``a_hat(-t)``, ``t < K``, and the columns
+    ``d < min(N, K)`` of the lower triangular C stream from :func:`~blaschkeops.hardy._taylor_columns`;
+    coefficient ``+d`` is the conjugate of the transposed pair's ``-d``.  The right side is the
+    Fourier transform of the transfer oracle's pairing, an independent route that reads ``|k| < N``
+    from M samples, so ``2 N <= M``.
     """
     if 2 * n_trunc > grid.size:
         raise ValueError("truncation must not exceed half the grid")
-    pts = grid.points
-    vals = np.asarray(stack(pts), dtype=complex)
-    # one row per pair (v_i, v_j), i major, then their conjugates
-    weight = (product.degree * np.conj(vals)[:, None, :] * vals / grid.size).reshape(-1, grid.size)
-    weights = np.concatenate((weight, weight.conj()))
-    comp_vals = product.evaluate(pts)
-    sums = np.empty((n_trunc, len(weights)), dtype=complex)
-    power = np.ones(grid.size, dtype=complex)
-    for d in range(n_trunc):
-        sums[d] = weights @ power
-        power = power * comp_vals
-    # upper[d] = weighted sum of R^d, the coefficient of index -d;
-    # lower[d] = weighted sum of conj(R)^d, the coefficient of index d
-    upper, lower = sums[:, : len(weight)], sums[:, len(weight) :].conj()
-    pairings = bimodule_inner_samples(TransferOperator(product), stack, grid).reshape(len(weight), -1)
+    size = _taylor_length(product)
+    vals = np.asarray(stack(CircleGrid(2 * size).points), dtype=complex)
+    a_hat = np.array([np.fft.ifft(product.degree * np.conj(v) * vals)[:, :size] for v in vals])  # [i, j, t]
+    upper = np.zeros((n_trunc, len(vals), len(vals)), dtype=complex)  # upper[d]: coefficient -d of every pair
+    for d, column in enumerate(islice(_taylor_columns(product, size), min(n_trunc, size))):
+        upper[d] = a_hat[..., d:] @ column[d:]
+    pairings = bimodule_inner_samples(TransferOperator(product), stack, grid).reshape(len(vals) ** 2, -1)
+    bands = np.concatenate((upper[:0:-1], upper.transpose(0, 2, 1).conj())).reshape(2 * n_trunc - 1, -1)
     symbols = []
-    for band, pairing in zip(np.concatenate((upper[:0:-1], lower)).T, map(fourier_coefficients, pairings)):
+    for band, pairing in zip(bands.T, map(fourier_coefficients, pairings)):  # coefficients 1 - N, ..., N - 1
         pairing_band = pairing.values[1 - n_trunc - pairing.low : n_trunc - pairing.low]
         symbols.append(FourierSymbol._dense(1 - n_trunc, band - pairing_band))
     return [symbols[i : i + len(vals)] for i in range(0, len(symbols), len(vals))]

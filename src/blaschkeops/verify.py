@@ -30,15 +30,8 @@ from .hardy import (
     _power_spectra,
     _symbol_sup_bound,
 )
-from .tmbasis import (
-    TMBasis,
-    cons_residual,
-    cuntz_columns,
-    factorization_residual,
-    frame,
-    gram_residual,
-    inner_product_residual,
-)
+from .tmbasis import TMBasis, _taylor_length, cons_residual, cuntz_columns, factorization_residual, frame
+from .tmbasis import gram_residual, inner_product_residual
 from .transfer import TransferOperator, _preimage_table, transfer_matrix
 
 _VERSION = "0.1.0"
@@ -295,8 +288,8 @@ def _check_module_inner_tails(cfg, product, grid, rng):
             bounds[pair] = _symbol_sup_bound(residual)
             if bounds[pair] > tol:
                 corners[pair] = tail_compactness_profile(residual, cfg.truncation, [cut])[0]
-    worst = max(corners.get(pair, bound) for pair, bound in bounds.items())
-    return worst, {"cut": cut, "sup_bounds": bounds, "corner_norms": corners}
+    details = {"cut": cut, "taylor_length": _taylor_length(product), "sup_bounds": bounds, "corner_norms": corners}
+    return max(corners.get(pair, bound) for pair, bound in bounds.items()), details
 
 
 def _check_monomial_shift_relations(cfg, product, grid, rng):

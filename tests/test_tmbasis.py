@@ -22,7 +22,8 @@ from blaschkeops import (
     tm_element,
 )
 from blaschkeops.hardy import TruncatedOperator, _matrix_norm, composition_matrix, toeplitz_matrix
-from blaschkeops.tmbasis import frame
+from blaschkeops import tmbasis
+from blaschkeops.tmbasis import _taylor_length, frame
 from blaschkeops.transfer import TransferOperator, bimodule_inner_samples
 from blaschkeops.verify import RunConfig, _check_cuntz_relations
 from conftest import closed_form_element, random_product
@@ -309,7 +310,8 @@ class TestInnerProductResidual:
             "near-circle": make_blaschke(np.exp(1.3j), [0, 0.9]),
             "degree-4": random_product(4, degree=4),
         }[case]
-        grid, n_trunc = CircleGrid(1024), 64
+        # on 1024 points the near-circle reference aliases (0.44 from the exact Taylor route)
+        grid, n_trunc = CircleGrid(4096 if case == "near-circle" else 1024), 64
         pts = grid.points
         powers = product.evaluate(pts)[:, None] ** np.arange(n_trunc)
         op = TransferOperator(product)
@@ -342,7 +344,7 @@ class TestInnerProductResidual:
             "near-circle": make_blaschke(np.exp(1.3j), [0, 0.9]),
             "degree-4": random_product(4, degree=4),
         }[case]
-        grid, n_trunc, n = CircleGrid(1024), 64, product.degree
+        grid, n_trunc, n = CircleGrid(4096 if case == "near-circle" else 1024), 64, product.degree
         pts = grid.points
         powers = product.evaluate(pts)[:, None] ** np.arange(n_trunc)
         op = TransferOperator(product)
@@ -361,3 +363,38 @@ class TestInnerProductResidual:
         first = inner_product_residual(product, lambda z: stack(z)[:1], n_trunc, grid)
         assert len(first) == 1 and len(first[0]) == 1
         np.testing.assert_allclose(first[0][0].values, symbols[0][0].values, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "zeros,length",
+        [([0, 0, 0], 4), ([0, 0.5], 64), ([0, 0.98], 2048), ([0, 0.99j], 4096), ([0] + [0.98] * 5, 4096)],
+        ids=["z^3", "half", "0.98", "0.99i", "steep"],
+    )
+    def test_taylor_length_counts_repeated_zeros(self, zeros, length):
+        # |z|^K below 1e-16 for a simple zero; the five-fold zero at 0.98 also pays
+        # binom(K + 4, 4), which K = 2048 leaves at 8e-7; K is never below the degree
+        assert _taylor_length(make_blaschke(1.0, zeros)) == length
+
+    def test_taylor_length_past_memory_is_refused(self):
+        # |z|^K reaches 1e-16 only at K = 2^22 for 0.99999, so the 4 frame pairs would hold
+        # 2^24 coefficients, past the cap of 2^23
+        with pytest.raises(ValueError, match="too close to the circle"):
+            _taylor_length(make_blaschke(1.0, [0, 0.99999]))
+        assert _taylor_length(make_blaschke(1.0, [0, 0.9999])) == 1 << 19
+
+    @pytest.mark.parametrize(
+        "zeros,n_trunc,size",
+        [([0, 0.99j], 256, 16384), ([0] + [0.98] * 5, 64, 256)],
+        ids=["0.99i", "steep"],
+    )
+    def test_doubling_the_taylor_length_moves_no_coefficient(self, zeros, n_trunc, size, monkeypatch):
+        # past K the frame pairs' coefficients are below rounding, so twice as many
+        # Taylor rows change each residual coefficient only by rounding
+        product = make_blaschke(np.exp(1.3j), zeros)
+        grid = CircleGrid(size)
+        at_k = inner_product_residual(product, frame(product), n_trunc, grid)
+        monkeypatch.setattr(tmbasis, "_taylor_length", lambda p: 2 * _taylor_length(p))
+        at_2k = inner_product_residual(product, frame(product), n_trunc, grid)
+        for row, row_2k in zip(at_k, at_2k):
+            for residual, residual_2k in zip(row, row_2k):
+                assert residual.low == residual_2k.low
+                np.testing.assert_allclose(residual.values, residual_2k.values, rtol=0, atol=1e-13)
