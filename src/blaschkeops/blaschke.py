@@ -26,6 +26,8 @@ _RESIDUAL_TOL = 1e-9
 _SEPARATION_TOL = 1e-12
 # Target must sit this close to the circle before we attempt a solve.
 _TARGET_TOL = 1e-8
+# The factor arrays (one row per nonzero zero) take points in blocks of at most this many elements.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class ConvergenceError(RuntimeError):
@@ -121,11 +123,14 @@ class BlaschkeProduct:
         return value if value.ndim else float(value)
 
     def _log_derivative_at(self, z):
-        # ``z R'/R`` on |z| = 1 as the positive sum.
-        total = np.ones(np.shape(z), dtype=float)
-        for zk in self.zeros[1:]:
-            total = total + (1.0 - abs(zk) ** 2) / np.abs(z - zk) ** 2
-        return total
+        # ``z R'/R`` on |z| = 1 as the positive sum, all zeros at once.
+        z = np.asarray(z, dtype=complex)
+        zeros, gains = _factor_constants(self)
+        flat = z.ravel()
+        total = np.empty(flat.shape)
+        for part in _blocks(self, flat.size):
+            total[part] = (gains / np.abs(flat[part] - zeros) ** 2).sum(axis=0)
+        return 1.0 + total.reshape(z.shape)
 
     def weight(self, theta):
         """Transfer weight ``h(e^(i theta)) = n / (z R'/R)``; strictly positive."""
@@ -146,6 +151,18 @@ def make_blaschke(lam: complex, zeros) -> BlaschkeProduct:
     return BlaschkeProduct(phase=complex(lam), zeros=tuple(complex(z) for z in zeros))
 
 
+def _factor_constants(product: BlaschkeProduct):
+    """The nonzero zeros ``z_k`` and their gains ``1 - |z_k|^2``, as ``(n - 1, 1)`` columns."""
+    zeros = np.asarray(product.zeros[1:])[:, None]
+    return zeros, 1.0 - np.abs(zeros) ** 2
+
+
+def _blocks(product: BlaschkeProduct, size: int):
+    """Slices of ``size`` points, ``_BLOCK_ELEMENTS // (n - 1)`` (at least one) to a block."""
+    step = max(1, _BLOCK_ELEMENTS // (product.degree - 1))
+    return (slice(start, start + step) for start in range(0, size, step))
+
+
 def _argument(product: BlaschkeProduct, theta):
     """Continuous argument ``A`` of ``R(e^(i theta))`` in closed form, and its derivative ``psi'``.
 
@@ -153,34 +170,47 @@ def _argument(product: BlaschkeProduct, theta):
     ``u = 1 - conj(a) z``, and ``Re u >= 1 - |a| > 0``, so its argument is
     ``theta - 2 arg u`` with the principal ``arg u`` continuous in theta.
     Since ``|z - a| = |u|`` there, the same ``u`` gives the factor's share
-    ``(1 - |a|^2)/|u|^2`` of ``psi' = z R'/R``.
+    ``(1 - |a|^2)/|u|^2`` of ``psi' = z R'/R``.  Every zero is one row of a
+    ``(n - 1, block)`` array, and the points pass in blocks, so a temporary
+    holds at most ``max(_BLOCK_ELEMENTS, n - 1)`` entries.
     """
-    z = np.exp(1j * theta)
-    total = np.angle(product.phase) + product.degree * theta
-    slope = np.ones(np.shape(theta))
-    for zk in product.zeros[1:]:
-        u = 1.0 - np.conj(zk) * z
-        total = total - 2.0 * np.angle(u)
-        slope = slope + (1.0 - abs(zk) ** 2) / np.abs(u) ** 2
-    return total, slope
+    theta = np.asarray(theta, dtype=float)
+    zeros, gains = _factor_constants(product)
+    flat = theta.ravel()
+    angles, slope = np.empty(flat.shape), np.empty(flat.shape)
+    for part in _blocks(product, flat.size):
+        u = 1.0 - zeros.conj() * np.exp(1j * flat[part])
+        angles[part] = np.angle(u).sum(axis=0)
+        slope[part] = (gains / np.abs(u) ** 2).sum(axis=0)
+    total = np.angle(product.phase) + product.degree * theta - 2.0 * angles.reshape(theta.shape)
+    return total, 1.0 + slope.reshape(theta.shape)
 
 
-def _solve_increasing(f, grid, samples, levels):
+def _solve_increasing(f, grid, samples, slopes, levels):
     """The angles where an increasing ``f`` meets each level, every level at once.
 
-    ``f(theta)`` returns the value and the slope, and ``samples`` are its
-    exact values on the increasing ``grid``, so the grid cell whose samples
-    straddle a level brackets its root.  The seed interpolates the samples;
-    Newton then runs each level in its own bracket, bisecting whenever a step
-    leaves it (a steep ``f`` can throw Newton out of its basin on a coarse
-    grid), and takes one step past ``_LEVEL_TOL``, so the answer keeps every
-    digit ``f`` has.  Returns an array shaped like ``levels``.
+    ``f(theta)`` returns the value and the slope, ``samples`` are its exact
+    values on the increasing ``grid`` and ``slopes`` its (positive) slopes
+    there, so the grid cell whose samples straddle a level brackets its root.
+    The seed is the inverse cubic Hermite interpolant of the cell, the cubic
+    in the level that takes the cell's end angles with derivatives
+    ``1/slopes``, clipped to the cell.  Newton then runs each level in its own
+    bracket, bisecting whenever a step leaves it (a steep ``f`` can throw
+    Newton out of its basin on a coarse grid), and takes one step past
+    ``_LEVEL_TOL``, so the answer keeps every digit ``f`` has; the seed only
+    sets how many steps that takes.  Returns an array shaped like ``levels``.
     """
     levels = np.asarray(levels, dtype=float)
     flat = levels.ravel()
     i = np.clip(np.searchsorted(samples, flat), 1, len(samples) - 1)
     lo, hi = grid[i - 1], grid[i]
-    theta = np.interp(flat, samples, grid)
+    rise = samples[i] - samples[i - 1]
+    s = (flat - samples[i - 1]) / rise
+    # Hermite basis on [0, 1]: s^2 (3 - 2s) weights the upper angle, s (1 - s)^2 and
+    # -s^2 (1 - s) the scaled inverse slopes at the two ends
+    seed = lo + (hi - lo) * s * s * (3.0 - 2.0 * s)
+    seed += rise * s * (1.0 - s) * ((1.0 - s) / slopes[i - 1] - s / slopes[i])
+    theta = np.clip(seed, lo, hi)
     root = np.empty_like(flat)
     live = np.arange(flat.size)  # the levels still iterating
     for _ in range(_LEVEL_MAX_ITER):
@@ -205,11 +235,13 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     over ``[-pi, pi]``, so the preimages of ``w`` sit at the n angles where
     ``A`` meets the levels ``A(pi) - ((A(pi) - arg w) mod 2 pi) - 2 pi k``,
     ``k < n``; these lie in ``(A(-pi), A(pi)]``, so the angles are principal
-    arguments.  ``A`` is sampled on ``max(64, 8 n)`` angles, and the levels
-    of every target are solved together by the bracketed Newton of
-    :func:`_solve_increasing`.  A root is carried as its angle, so its
-    residual floor is about ``psi' ulp(theta) / 2``, and a principal angle
-    keeps that ulp at most ``ulp(pi)``.  Returns a pair of arrays of shape
+    arguments.  ``A`` and its exact slope ``psi'`` are sampled on
+    ``max(64, 8 n)`` angles, and the levels of every target are solved
+    together by the bracketed Newton of :func:`_solve_increasing`, seeded by
+    inverse cubic Hermite interpolation of those samples and slopes.  A root
+    is carried as its angle, so its residual floor is about
+    ``psi' ulp(theta) / 2``, and a principal angle keeps that ulp at most
+    ``ulp(pi)``.  Returns a pair of arrays of shape
     ``(len(targets), n)``: the roots of each row sorted by principal
     argument, and the direct residuals ``|R(root) - w|``.
 
@@ -224,10 +256,10 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
         raise ValueError("preimage targets must lie on the unit circle")
     n = product.degree
     thetas = np.linspace(-np.pi, np.pi, max(64, 8 * n))
-    samples, _ = _argument(product, thetas)
+    samples, slopes = _argument(product, thetas)
     top = samples[-1] - (samples[-1] - np.angle(targets)) % _TWO_PI
     levels = top[:, None] - _TWO_PI * np.arange(n)
-    roots = np.exp(1j * _solve_increasing(lambda t: _argument(product, t), thetas, samples, levels))
+    roots = np.exp(1j * _solve_increasing(lambda t: _argument(product, t), thetas, samples, slopes, levels))
     roots = np.take_along_axis(roots, np.argsort(np.angle(roots), axis=1), axis=1)
 
     residuals = np.abs(product.evaluate(roots) - targets[:, None])

@@ -69,9 +69,10 @@ def _solve_lift(lift: CircleLift, s, c: float):
     """The angles where ``psi(theta) - c theta = s``, for ``c`` in ``{0, 1}`` and levels s (float or array).
 
     ``psi - c theta`` is increasing because ``psi' > 1``, and its exact
-    samples are ``lift.psi - c lift.thetas``, so the bracketed Newton of
-    :func:`blaschke._solve_increasing` inverts it on the closed-form
-    argument with slope ``psi' - c``, every level at once.
+    samples are ``lift.psi - c lift.thetas``; their ``np.gradient`` gives the
+    slopes that seed the bracketed Newton of :func:`blaschke._solve_increasing`
+    without another pass over the grid, and Newton inverts the closed-form
+    argument with its exact slope ``psi' - c``, every level at once.
     """
     base = float(_argument(lift.product, lift.thetas[0])[0])
 
@@ -79,7 +80,9 @@ def _solve_lift(lift: CircleLift, s, c: float):
         value, slope = _argument(lift.product, theta)
         return value - base - c * theta, slope - c
 
-    root = _solve_increasing(shifted, lift.thetas, lift.psi - c * lift.thetas, s)
+    samples = lift.psi - c * lift.thetas
+    slopes = np.gradient(samples, lift.thetas[1] - lift.thetas[0])  # the lift grid is uniform
+    root = _solve_increasing(shifted, lift.thetas, samples, slopes, s)
     return root if root.ndim else float(root)
 
 
@@ -87,9 +90,10 @@ def branch_inverse(lift: CircleLift, k: int, t):
     """The k-th inverse branch ``sigma_k(t) = psi^(-1)(t + 2 (k-1) pi)``, for a scalar or an array t.
 
     ``e^(i sigma_k(t))`` is a preimage of ``e^(i t)``; over k = 1..n the
-    branches enumerate the full preimage set.  Seeded by linear
-    interpolation of the sampled lift, then Newton-refined on the exact
-    argument against the analytic derivative, every element of t at once.
+    branches enumerate the full preimage set.  Seeded by inverse cubic
+    Hermite interpolation of the sampled lift and its finite-difference
+    slopes, then Newton-refined on the exact argument against the analytic
+    derivative, every element of t at once.
     """
     n = lift.degree
     if not 1 <= k <= n:

@@ -185,9 +185,12 @@ def _check_weight_positivity(cfg, product, grid, rng):
 
 def _check_weight_sum(cfg, product, grid, rng):
     # the residues R/(z R') from R', not the cached weights that transfer_unit sums
-    points, _ = _preimage_table(product, CircleGrid(256))
-    sums = np.sum(product.evaluate(points) / (points * product.derivative(points)), axis=0)
-    return float(np.max(np.abs(sums - 1.0))), {"targets": int(points.shape[1])}
+    small = CircleGrid(256)
+    points, _ = _preimage_table(product, small)
+    images = product.evaluate(points)
+    sums = np.sum(images / (points * product.derivative(points)), axis=0)
+    details = {"targets": int(points.shape[1]), "preimage_residual": float(np.max(np.abs(images - small.points)))}
+    return float(np.max(np.abs(sums - 1.0))), details
 
 
 def _check_transfer_unit(cfg, product, grid, rng):

@@ -1,12 +1,15 @@
 """Construction, evaluation and circle geometry of the products."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blaschkeops import CircleGrid, ConvergenceError, make_blaschke, partial_fraction_weights
-from blaschkeops.blaschke import preimage_grid
+from blaschkeops import CircleGrid, ConvergenceError, branch_inverse, build_lift, make_blaschke, partial_fraction_weights
+from blaschkeops import blaschke, dynamics
+from blaschkeops.blaschke import _BLOCK_ELEMENTS, _argument, preimage_grid
 from conftest import blaschke_products, polynomial_roots, random_product
 
 
@@ -17,6 +20,27 @@ def _near_circle_product(degree):
     far = max(range(1, degree), key=lambda k: abs(zeros[k]))
     zeros[far] = 0.98 * zeros[far] / abs(zeros[far])
     return make_blaschke(b.phase, zeros)
+
+
+def _argument_by_factor(product, theta):
+    # reference for blaschke._argument: one zero at a time, summed in order
+    theta = np.asarray(theta, dtype=float)
+    z = np.exp(1j * theta)
+    total = np.angle(product.phase) + product.degree * theta
+    slope = np.ones(theta.shape)
+    for zk in product.zeros[1:]:
+        u = 1.0 - np.conj(zk) * z
+        total = total - 2.0 * np.angle(u)
+        slope = slope + (1.0 - abs(zk) ** 2) / np.abs(u) ** 2
+    return total, slope
+
+
+def _log_derivative_by_factor(product, z):
+    # reference for BlaschkeProduct._log_derivative_at: the positive sum, one zero at a time
+    total = np.ones(np.shape(z))
+    for zk in product.zeros[1:]:
+        total = total + (1.0 - abs(zk) ** 2) / np.abs(z - zk) ** 2
+    return total
 
 
 class TestConstruction:
@@ -143,6 +167,34 @@ class TestLogDerivative:
         assert np.min(closed) > 0
 
 
+class TestFactorBroadcast:
+    """The all-zeros broadcast agrees with the per-factor loop up to the order of the sum."""
+
+    @staticmethod
+    def _compare(product, theta):
+        value, slope = _argument(product, theta)
+        ref_value, ref_slope = _argument_by_factor(product, theta)
+        assert np.shape(value) == np.shape(slope) == np.shape(theta)
+        # A sums n - 1 angles below pi/2 each to a value of size up to 2 pi n
+        np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-13 * product.degree)
+        np.testing.assert_allclose(slope, ref_slope, rtol=1e-13)
+        z = np.exp(1j * np.asarray(theta))
+        log_derivative = product._log_derivative_at(z)
+        assert np.shape(log_derivative) == np.shape(theta)
+        np.testing.assert_allclose(log_derivative, _log_derivative_by_factor(product, z), rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "theta", [0.7, np.linspace(-np.pi, np.pi, 33), np.linspace(-3.0, 3.0, 40).reshape(5, 8)]
+    )
+    def test_scalar_vector_and_matrix_input(self, theta):
+        self._compare(random_product(5, degree=6, max_radius=0.95), theta)
+
+    def test_degree_64_across_blocks(self):
+        b = random_product(64, degree=64, max_radius=0.98)
+        size = 2 * (_BLOCK_ELEMENTS // (b.degree - 1)) + 7  # two full blocks and a partial one
+        self._compare(b, np.random.default_rng(0).uniform(-np.pi, np.pi, size))
+
+
 class TestWeight:
     def test_monomial_weight_is_one(self, cube):
         theta = np.linspace(0, 2 * np.pi, 64)
@@ -234,6 +286,45 @@ class TestPreimages:
     def test_off_circle_target_rejected(self, half):
         with pytest.raises(ValueError, match="unit circle"):
             half.preimages(1.5 + 0j)
+
+
+def test_degree_64_solve_memory_is_bounded():
+    # 1024 targets of a degree-64 product are 65536 levels; one unblocked (63, 65536)
+    # factor array would take 33 MB real or 66 MB complex, the blocked solve about 11 MB
+    b = random_product(64, degree=64, max_radius=0.9)
+    tracemalloc.start()
+    try:
+        preimage_grid(b, CircleGrid(1024).points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+
+
+def test_hermite_seed_saves_newton_evaluations(monkeypatch):
+    # the linear-interpolation seed that preceded the Hermite seed passed 18477 points to
+    # the argument in preimage_grid and 170 in branch_inverse on this product; the
+    # Hermite seed needs 15460 and 136
+    counted = []
+    solve = blaschke._solve_increasing
+
+    def counting(f, *rest):
+        def counted_f(theta):
+            counted.append(np.size(theta))
+            return f(theta)
+
+        return solve(counted_f, *rest)
+
+    monkeypatch.setattr(blaschke, "_solve_increasing", counting)
+    monkeypatch.setattr(dynamics, "_solve_increasing", counting)
+    b = make_blaschke(1.0, [0, 0.99, 0.95j, -0.9])
+    _, residuals = preimage_grid(b, CircleGrid(1024).points)
+    assert np.max(residuals) <= 1e-13
+    assert sum(counted) < 0.9 * 18477
+    lift = build_lift(b, 4096)
+    counted.clear()
+    branch_inverse(lift, 1, np.linspace(0.0, 2.0 * np.pi, 64))
+    assert sum(counted) < 0.9 * 170
 
 
 def test_near_degenerate_zero_still_solves():

@@ -15,6 +15,7 @@ from blaschkeops import (
     transfer_matrix,
 )
 from blaschkeops import dynamics, hardy, tmbasis, transfer, verify
+from blaschkeops.blaschke import preimage_grid
 from blaschkeops.cli import main
 from blaschkeops.hardy import _matrix_norm, _power_spectra
 from blaschkeops.verify import (
@@ -204,6 +205,16 @@ class TestRun:
         residual, details = spec.runner(cfg, cfg.product(), None, None)
         assert residual > spec.tolerance
         assert details["margin"] == pytest.approx(2.0 / 3.0 - 1.0, abs=1e-6)
+
+    def test_weight_sum_reports_the_preimage_residual(self):
+        # the largest |R(z) - w| over the 256-target table is the solver's own worst residual
+        spec = next(s for s in MANIFEST if s.check_id == "weight_sum")
+        cfg = RunConfig(**FAST)
+        product = cfg.product()
+        _, details = spec.runner(cfg, product, None, None)
+        _, residuals = preimage_grid(product, CircleGrid(256).points)
+        assert details["preimage_residual"] == float(np.max(residuals))
+        assert 0.0 < details["preimage_residual"] <= 1e-13
 
     def test_tail_profile_cuts_past_a_small_truncation(self):
         # N = 32 is below the cut (64), so every corner is empty: the bound
