@@ -6,14 +6,15 @@ compact operators) upstairs are tested on an m x m corner whose guard band
 ``N - m`` absorbs truncation spill-over.  Column j of the composition matrix
 C holds the first N Taylor coefficients of R^j, exactly: N limits a column,
 no grid does.  ``R(0) = 0`` makes C lower triangular, so a corner reads only
-the first m columns of C, and a Toeplitz operator acts on them as one FFT
-convolution.  A modulo-compact identity is read from the Toeplitz symbol of
-its residual: every trailing corner of a Toeplitz section is a leading
-section of the same symbol.  Residual norms are exact, from numpy's SVD,
-which costs about a millisecond on an m x m corner.  A large section is
-first compared with a certified bound: it has norm at most its symbol's
-supremum on the circle, which one zero-padded FFT and Bernstein's inequality
-bound from above.
+the first m columns of C.  A covariance corner sums shifted Gram blocks of
+them, at most ``B + 1`` products for the symbols' band ``|k| <= B``; only
+``tmbasis.cuntz_columns`` applies ``T_a`` to them, as one FFT convolution.
+A modulo-compact identity is read from the Toeplitz symbol of its residual:
+every trailing corner of a Toeplitz section is a leading section of the same
+symbol.  Residual norms are exact, from numpy's SVD, which costs about a
+millisecond on an m x m corner.  A large section is first compared with a
+certified bound: it has norm at most its symbol's supremum on the circle,
+which one zero-padded FFT and Bernstein's inequality bound from above.
 """
 
 from __future__ import annotations
@@ -189,9 +190,12 @@ def isometry_residual(c, m: int) -> float:
 def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int, grid: CircleGrid) -> list:
     """Corner norms of ``C* T_a C - T_(L a)``, one per symbol a of the sequence.
 
-    ``L`` is linear, so every ``L a`` combines the monomial images of the
-    pointwise transfer oracle, which keeps the two sides of the identity on
-    independent numerical routes; one FFT of C's columns serves every ``T_a C``.
+    The left corner is the finite sum ``sum_k a_hat(k) G_k`` of the shifted
+    Gram blocks ``G_k = C[k:, :m]^H C[:N-k, :m]``, ``G_(-k) = G_k^H``, with no
+    term for ``|k| >= N``: at most ``B + 1`` products ``m x N`` by ``N x m`` for
+    the union band ``|k| <= B`` serve every symbol.  ``L`` is linear, so every
+    ``L a`` combines the monomial images of the pointwise transfer oracle,
+    which keeps the two sides of the identity on independent numerical routes.
     """
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
@@ -201,10 +205,16 @@ def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int,
         row[s.low - low : s.low - low + s.values.size] = s.values
     images = coeffs @ TransferOperator(product).monomial_samples(low, low + coeffs.shape[1], grid)
     cols = _power_spectra(product, n_trunc, m)
-    adjoint = cols.conj().T
+    ks = np.arange(low, low + coeffs.shape[1])
+    grams = np.zeros((ks.size, m, m), dtype=complex)
+    for k in set(np.abs(ks[np.abs(ks) < n_trunc]).tolist()):
+        gram = cols[k:].conj().T @ cols[: n_trunc - k]
+        grams[ks == -k], grams[ks == k] = gram.conj().T, gram
+    corners = np.tensordot(coeffs, grams, axes=1)
+    del grams  # the per-symbol transforms below reuse its memory rather than grow the heap
     return [
-        _matrix_norm(adjoint @ ta_cols - _toeplitz_block(fourier_coefficients(image), m, m))
-        for ta_cols, image in zip(_toeplitz_applies(symbols, cols), images)
+        _matrix_norm(corner - _toeplitz_block(fourier_coefficients(image), m, m))
+        for corner, image in zip(corners, images)
     ]
 
 

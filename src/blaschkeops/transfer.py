@@ -64,10 +64,10 @@ class TransferOperator:
         linear, so they give ``L(a)`` for every symbol in the band as one matrix product."""
         points, weights = _preimage_table(self.product, grid)
         rows = np.empty((high - low, grid.size), dtype=complex)
-        power = points**low
+        weighted = weights * points**low  # a fresh array: the cached table stays untouched
         for row in rows:
-            row[:] = np.sum(weights * power, axis=0)
-            power = power * points
+            np.sum(weighted, axis=0, out=row)
+            weighted *= points
         return rows
 
 
@@ -107,6 +107,6 @@ def transfer_matrix(op: TransferOperator, n_trunc: int, grid: CircleGrid) -> np.
     entries = np.empty((n_trunc, n_trunc), dtype=complex)
     for start in range(0, n_trunc, 8):  # a few rows at a time: only N coefficients of each are kept
         stop = min(start + 8, n_trunc)
-        entries[:, start:stop] = (fft(op.monomial_samples(start, stop, grid)) / m)[:, :n_trunc].T
+        entries[:, start:stop] = (fft(op.monomial_samples(start, stop, grid))[:, :n_trunc] / m).T
     entries.setflags(write=False)
     return entries

@@ -455,6 +455,26 @@ class TestSlicedCorners:
             single = covariance_residual(product, [a], self.N_TRUNC, self.CORNER, grid)
             assert single == [pytest.approx(value, abs=1e-14)]
 
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [FourierSymbol({N_TRUNC - 1: 1.0, 1 - N_TRUNC: 0.5j})],  # the last shifts that meet the section
+            [FourierSymbol({N_TRUNC: 1.0, -N_TRUNC: -0.5j})],  # the first shifts past it: T_a vanishes there
+            [FourierSymbol({N_TRUNC + 3: 1.0}), FourierSymbol({-N_TRUNC - 3: 1.0, 2: 0.25})],
+            [FourierSymbol({k: 1.0 / (1 + k * k) + 1j / (1 - k) for k in range(-7, 0)})],  # anti-analytic
+            [FourierSymbol({-8: 1.0, -3: 0.5j}), FourierSymbol({2: -1.0, 9: 0.25}), FourierSymbol({0: 1.0})],
+        ],
+        ids=["N-1", "N", "N+3", "antianalytic", "union-wider-than-members"],
+    )
+    def test_covariance_at_section_edges(self, setup, batch):
+        # the shifted Gram blocks G_k of C stop at |k| = N - 1; a shift at or past N adds nothing
+        product, grid, comp = setup
+        values = covariance_residual(product, batch, self.N_TRUNC, self.CORNER, grid)
+        for a, value in zip(batch, values):
+            image = TransferOperator(product).symbol_image(a.evaluate, grid)
+            dense = comp.adjoint() @ toeplitz_matrix(a, self.N_TRUNC) @ comp - toeplitz_matrix(image, self.N_TRUNC)
+            assert value == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+
     def test_commutation_batch_matches_per_symbol_references(self, setup):
         product, grid, comp = setup
         symbols = [self._symbol(6, 0, 4), FourierSymbol({0: 1.0}), self._symbol(7, 2, 6)]

@@ -181,6 +181,18 @@ class TestPreimageTable:
         for k, row in zip(range(-3, 4), rows):
             np.testing.assert_allclose(row, op.apply_samples(lambda z: z**k, grid_small), rtol=0, atol=1e-14)
 
+    def test_monomial_passes_leave_the_cached_table_untouched(self, spiral, grid_small):
+        # the power sums update a weighted array in place; it must never be the cached table
+        op = TransferOperator(spiral)
+        table = _preimage_table(spiral, grid_small)
+        before = [array.copy() for array in table]
+        rows = op.monomial_samples(-3, 4, grid_small)
+        matrix = transfer_matrix(op, 32, grid_small)
+        for array, copy in zip(_preimage_table(spiral, grid_small), before):
+            assert np.array_equal(array, copy) and not array.flags.writeable
+        assert np.array_equal(op.monomial_samples(-3, 4, grid_small), rows)
+        assert np.array_equal(transfer_matrix(op, 32, grid_small), matrix)
+
     def test_stacked_pairing_matches_each_pair(self, spiral, grid_small):
         op = TransferOperator(spiral)
         funcs = [ones, lambda z: z, lambda z: np.conj(z) + 0.5 * z**2]
