@@ -5,8 +5,9 @@ A degree-n product ``lambda * prod_k (z - z_k)/(1 - conj(z_k) z)`` with
 itself n-to-1.  This module provides evaluation, differentiation, the
 logarithmic derivative on the circle (a strictly positive real quantity),
 the normalised expansion weight ``h = n / (z R'/R)``, the closed-form
-continuous argument on the circle, and the one bracketed Newton that inverts
-it: for the n circle preimages of circle points, and for the lift.
+continuous argument on the circle, and the one sampled, bracketed Newton that
+inverts it: for the n circle preimages of circle points, the branch inverses
+of the lift and the fixed point behind the conjugacy.
 """
 
 from __future__ import annotations
@@ -186,21 +187,27 @@ def _argument(product: BlaschkeProduct, theta):
     return total, 1.0 + slope.reshape(theta.shape)
 
 
-def _solve_increasing(f, grid, samples, slopes, levels):
-    """The angles where an increasing ``f`` meets each level, every level at once.
+def _solve_increasing(product: BlaschkeProduct, start: float, c: float, levels):
+    """The angles in ``[start, start + 2 pi]`` where ``f = A - c theta`` meets each level, every level at once.
 
-    ``f(theta)`` returns the value and the slope, ``samples`` are its exact
-    values on the increasing ``grid`` and ``slopes`` its (positive) slopes
-    there, so the grid cell whose samples straddle a level brackets its root.
-    The seed is the inverse cubic Hermite interpolant of the cell, the cubic
-    in the level that takes the cell's end angles with derivatives
-    ``1/slopes``, clipped to the cell.  Newton then runs each level in its own
-    bracket, bisecting whenever a step leaves it (a steep ``f`` can throw
-    Newton out of its basin on a coarse grid), and takes one step past
-    ``_LEVEL_TOL``, so the answer keeps every digit ``f`` has; the seed only
-    sets how many steps that takes.  Returns an array shaped like ``levels``.
+    ``A`` is the continuous argument of :func:`_argument` and ``c`` is 0 or 1;
+    ``f`` increases because ``psi' > 1``.  ``f`` and its exact slope
+    ``psi' - c`` are sampled on ``max(64, 8 n)`` angles of the window, and the
+    callable ``levels(first, last)`` states the levels from the end samples
+    ``f(start)`` and ``f(start + 2 pi)``, so no caller evaluates ``A`` again.
+    The cell whose samples straddle a level brackets its root.  The seed is
+    the inverse cubic Hermite interpolant of the cell, the cubic in the level
+    that takes the cell's end angles with derivatives ``1/slopes``, clipped to
+    the cell.  Newton then runs each level in its own bracket, bisecting
+    whenever a step leaves it (a steep ``f`` can throw Newton out of its basin
+    on a coarse grid), and takes one step past ``_LEVEL_TOL``, so the answer
+    keeps every digit ``f`` has; the seed only sets how many steps that takes.
+    Returns an array shaped like the levels.
     """
-    levels = np.asarray(levels, dtype=float)
+    grid = np.linspace(start, start + _TWO_PI, max(64, 8 * product.degree))
+    samples, slopes = _argument(product, grid)
+    samples, slopes = samples - c * grid, slopes - c
+    levels = np.asarray(levels(samples[0], samples[-1]), dtype=float)
     flat = levels.ravel()
     i = np.clip(np.searchsorted(samples, flat), 1, len(samples) - 1)
     lo, hi = grid[i - 1], grid[i]
@@ -214,9 +221,9 @@ def _solve_increasing(f, grid, samples, slopes, levels):
     root = np.empty_like(flat)
     live = np.arange(flat.size)  # the levels still iterating
     for _ in range(_LEVEL_MAX_ITER):
-        value, slope = f(theta)
-        excess = value - flat[live]
-        step = theta - excess / slope
+        value, slope = _argument(product, theta)
+        excess = value - c * theta - flat[live]
+        step = theta - excess / (slope - c)
         settled = np.abs(excess) <= _LEVEL_TOL
         root[live[settled]] = step[settled]
         keep = ~settled
@@ -254,12 +261,11 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
         raise ValueError("targets must be a one-dimensional array")
     if np.max(np.abs(np.abs(targets) - 1.0)) > _TARGET_TOL:
         raise ValueError("preimage targets must lie on the unit circle")
-    n = product.degree
-    thetas = np.linspace(-np.pi, np.pi, max(64, 8 * n))
-    samples, slopes = _argument(product, thetas)
-    top = samples[-1] - (samples[-1] - np.angle(targets)) % _TWO_PI
-    levels = top[:, None] - _TWO_PI * np.arange(n)
-    roots = np.exp(1j * _solve_increasing(lambda t: _argument(product, t), thetas, samples, slopes, levels))
+
+    def levels(first, last):
+        return (last - (last - np.angle(targets)) % _TWO_PI)[:, None] - _TWO_PI * np.arange(product.degree)
+
+    roots = np.exp(1j * _solve_increasing(product, -np.pi, 0.0, levels))
     roots = np.take_along_axis(roots, np.argsort(np.angle(roots), axis=1), axis=1)
 
     residuals = np.abs(product.evaluate(roots) - targets[:, None])

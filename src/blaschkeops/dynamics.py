@@ -65,35 +65,14 @@ def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
     return CircleLift(product=product, theta0=theta0, thetas=thetas, psi=raw - raw[0])
 
 
-def _solve_lift(lift: CircleLift, s, c: float):
-    """The angles where ``psi(theta) - c theta = s``, for ``c`` in ``{0, 1}`` and levels s (float or array).
-
-    ``psi - c theta`` is increasing because ``psi' > 1``, and its exact
-    samples are ``lift.psi - c lift.thetas``; their ``np.gradient`` gives the
-    slopes that seed the bracketed Newton of :func:`blaschke._solve_increasing`
-    without another pass over the grid, and Newton inverts the closed-form
-    argument with its exact slope ``psi' - c``, every level at once.
-    """
-    base = float(_argument(lift.product, lift.thetas[0])[0])
-
-    def shifted(theta):
-        value, slope = _argument(lift.product, theta)
-        return value - base - c * theta, slope - c
-
-    samples = lift.psi - c * lift.thetas
-    slopes = np.gradient(samples, lift.thetas[1] - lift.thetas[0])  # the lift grid is uniform
-    root = _solve_increasing(shifted, lift.thetas, samples, slopes, s)
-    return root if root.ndim else float(root)
-
-
 def branch_inverse(lift: CircleLift, k: int, t):
     """The k-th inverse branch ``sigma_k(t) = psi^(-1)(t + 2 (k-1) pi)``, for a scalar or an array t.
 
     ``e^(i sigma_k(t))`` is a preimage of ``e^(i t)``; over k = 1..n the
-    branches enumerate the full preimage set.  Seeded by inverse cubic
-    Hermite interpolation of the sampled lift and its finite-difference
-    slopes, then Newton-refined on the exact argument against the analytic
-    derivative, every element of t at once.
+    branches enumerate the full preimage set.  ``psi`` is the argument ``A``
+    less its value at ``lift.thetas[0]``, so the bracketed Newton of
+    :func:`blaschke._solve_increasing` solves ``A`` on the lift's revolution at
+    the levels ``A(lift.thetas[0]) + t + 2 pi (k - 1)``, every element of t at once.
     """
     n = lift.degree
     if not 1 <= k <= n:
@@ -101,7 +80,8 @@ def branch_inverse(lift: CircleLift, k: int, t):
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= _TWO_PI)):
         raise ValueError("branch parameter must lie in [0, 2 pi]")
-    return _solve_lift(lift, t + _TWO_PI * (k - 1), 0.0)
+    root = _solve_increasing(lift.product, lift.thetas[0], 0.0, lambda first, _: first + t + _TWO_PI * (k - 1))
+    return root if root.ndim else float(root)
 
 
 @dataclass(frozen=True)
@@ -127,12 +107,12 @@ class ConjugacyMap:
             object.__setattr__(self, name, arr)
 
 
-def _fixed_point(lift: CircleLift) -> complex:
-    # psi is the argument of R (R = 1 at the anchor), so psi(theta) - theta
-    # is a multiple of 2 pi exactly at a fixed point; it rises by
-    # 2 pi (n - 1) >= 2 pi from -thetas[0], so it meets the level below.
-    level = _TWO_PI * np.ceil(-lift.thetas[0] / _TWO_PI)
-    return complex(np.exp(1j * _solve_lift(lift, level, 1.0)))
+def _fixed_point(product: BlaschkeProduct) -> complex:
+    # R(e^(i theta)) = e^(i A(theta)), so A(theta) - theta is a multiple of 2 pi
+    # exactly at a fixed point; it rises by 2 pi (n - 1) >= 2 pi over [0, 2 pi],
+    # so it meets the first multiple at or above its first sample (0 for z^n, so p = 1).
+    theta = _solve_increasing(product, 0.0, 1.0, lambda first, _: _TWO_PI * np.ceil(first / _TWO_PI))
+    return complex(np.exp(1j * theta))
 
 
 def _power_certificate(product: BlaschkeProduct, points: np.ndarray) -> float:
@@ -172,11 +152,10 @@ def conjugacy_to_power(product: BlaschkeProduct, grid_size: int = 4096) -> Conju
     tree of iterated preimages of ``p``, in circle order from ``p``, onto the
     roots of unity of order ``N = n^K`` in their order, so ``R(x_j) =
     x_((n j) mod N)`` is an exact, interpolation-free certificate of
-    ``phi o R = phi^n``.  ``grid_size`` sizes the lift that seeds ``p`` and
-    caps N; the depth K is the largest whose points stay separated.
-    For ``R(z) = z^n`` ``phi`` is the identity.
+    ``phi o R = phi^n``.  ``grid_size`` caps N; the depth K is the largest
+    whose points stay separated.  For ``R(z) = z^n`` ``phi`` is the identity.
     """
-    p = _fixed_point(build_lift(product, grid_size))
+    p = _fixed_point(product)
     points, offsets, levels, min_gap = _preimage_tree(product, p, grid_size)
     return ConjugacyMap(
         thetas=np.angle(p) % _TWO_PI + offsets,

@@ -26,6 +26,8 @@ from .hardy import isometry_residual
 from .transfer import TransferOperator, bimodule_inner_samples
 
 _MAX_GRAM_COUNT = 64
+# The Gram rows take points in slices of at most this many.
+_GRAM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,12 @@ def factorization_residual(basis: TMBasis, powers: int, grid: CircleGrid) -> np.
     if (powers + 1) * n > basis.count:
         raise ValueError("index exceeds the realized basis count")
     pts = grid.points
-    frame_vals = frame(basis.product)(pts)
+    elements = _elements(basis, (powers + 1) * n, pts)
+    frame_vals = list(islice(elements, n))  # the frame: alpha_l = 1 for l < n
     comp = basis.product.evaluate(pts)
     out = np.empty((powers, n))
     power = comp
-    for index, direct in enumerate(islice(_elements(basis, (powers + 1) * n, pts), n, None)):
+    for index, direct in enumerate(elements):
         k, l = divmod(index, n)
         out[k, l] = np.max(np.abs(direct - frame_vals[l] * power))
         if l == n - 1:
@@ -85,16 +88,24 @@ def factorization_residual(basis: TMBasis, powers: int, grid: CircleGrid) -> np.
 
 
 def gram_residual(basis: TMBasis, count: int, grid: CircleGrid) -> float:
-    """Max deviation of the quadrature Gram matrix of the first ``count`` basis elements from the identity."""
+    """Max deviation of the quadrature Gram matrix of the first ``count`` basis elements from the identity.
+
+    The element rows fill one ``(count, _GRAM_BLOCK)`` block per slice of the grid, whose
+    Gram products add up, so the rows never occupy ``(count, M)`` at once."""
     if count < 1 or count > _MAX_GRAM_COUNT:
         raise ValueError(f"gram count must lie in [1, {_MAX_GRAM_COUNT}]")
     if count > basis.count:
         raise ValueError("index exceeds the realized basis count")
-    rows = np.empty((count, grid.size), dtype=complex)
-    for row, element in zip(rows, _elements(basis, count, grid.points)):
-        row[:] = element
-    gram = rows @ rows.conj().T / grid.size
-    return float(np.max(np.abs(gram - np.eye(count))))
+    pts = grid.points
+    block = np.empty((count, min(grid.size, _GRAM_BLOCK)), dtype=complex)
+    gram = np.zeros((count, count), dtype=complex)
+    for start in range(0, grid.size, block.shape[1]):
+        part = pts[start : start + block.shape[1]]
+        rows = block[:, : part.size]
+        for row, element in zip(rows, _elements(basis, count, part)):
+            row[:] = element
+        gram += rows @ rows.conj().T
+    return float(np.max(np.abs(gram / grid.size - np.eye(count))))
 
 
 def cuntz_columns(product: BlaschkeProduct, cols: np.ndarray, grid: CircleGrid):

