@@ -75,14 +75,12 @@ class FourierSymbol:
         low = min(coefficients, default=0)
         values = np.zeros(max(coefficients, default=low - 1) + 1 - low, dtype=complex)
         values[[k - low for k in coefficients]] = list(coefficients.values())
-        values.setflags(write=False)
-        self.__dict__.update(low=low, values=values)
+        self.__dict__.update(low=low, values=_read_only(values))
 
     @classmethod
     def _dense(cls, low: int, values: np.ndarray) -> "FourierSymbol":
         symbol = cls.__new__(cls)
-        values.setflags(write=False)
-        symbol.__dict__.update(low=low, values=values)
+        symbol.__dict__.update(low=low, values=_read_only(values))
         return symbol
 
     def _terms(self):

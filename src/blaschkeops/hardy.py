@@ -9,6 +9,7 @@ no grid does.  ``R(0) = 0`` makes C lower triangular, so a corner reads only
 the first m columns of C.  A covariance corner sums shifted Gram blocks of
 them, at most ``B + 1`` products for the symbols' band ``|k| <= B``; only
 ``tmbasis.cuntz_columns`` applies ``T_a`` to them, as one FFT convolution.
+``L a`` has degree at most B, so ``T_(L a)`` samples no more points than its corner needs.
 A modulo-compact identity is read from the Toeplitz symbol of its residual:
 every trailing corner of a Toeplitz section is a leading section of the same
 symbol.  Residual norms are exact, from numpy's SVD, which costs about a
@@ -27,7 +28,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .circle import CircleGrid, FourierSymbol, _read_only, fourier_coefficients
-from .transfer import TransferOperator
+from .transfer import TransferOperator, transfer_grid
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,7 @@ class TruncatedOperator:
             raise ValueError("entries must be finite")
         if not self.label:
             raise ValueError("label must be nonempty")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _read_only(entries))
 
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator(self.entries.conj().T, f"({self.label})*")
@@ -187,7 +187,7 @@ def isometry_residual(c, m: int) -> float:
     return _matrix_norm(cols.conj().T @ cols - np.eye(m))
 
 
-def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int, grid: CircleGrid) -> list:
+def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int) -> list:
     """Corner norms of ``C* T_a C - T_(L a)``, one per symbol a of the sequence.
 
     The left corner is the finite sum ``sum_k a_hat(k) G_k`` of the shifted
@@ -196,6 +196,7 @@ def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int,
     the union band ``|k| <= B`` serve every symbol.  ``L`` is linear, so every
     ``L a`` combines the monomial images of the pointwise transfer oracle,
     which keeps the two sides of the identity on independent numerical routes.
+    ``L(z^q)`` has degree ``|q|`` at most: ``4 max(m, 2B + 1)`` points hold every image.
     """
     if m > n_trunc // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
@@ -203,6 +204,8 @@ def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int,
     coeffs = np.zeros((len(symbols), max(s.low + s.values.size for s in symbols) - low), dtype=complex)
     for row, s in zip(coeffs, symbols):
         row[s.low - low : s.low - low + s.values.size] = s.values
+    band = max(-low, low + coeffs.shape[1] - 1)  # the union band |k| <= B
+    grid = transfer_grid(4 * max(m, 2 * band + 1))
     images = coeffs @ TransferOperator(product).monomial_samples(low, low + coeffs.shape[1], grid)
     cols = _power_spectra(product, n_trunc, m)
     ks = np.arange(low, low + coeffs.shape[1])

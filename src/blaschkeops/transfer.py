@@ -19,7 +19,13 @@ from functools import lru_cache
 import numpy as np
 
 from .blaschke import BlaschkeProduct, preimage_grid
-from .circle import CircleGrid, FourierSymbol, fft, fourier_coefficients
+from .circle import CircleGrid, FourierSymbol, _read_only, fft, fourier_coefficients
+
+
+def transfer_grid(samples: int) -> CircleGrid:
+    """The smallest power-of-two grid of at least ``samples`` and at least 256 points: every reader
+    of the transfer route samples one, so the verify checks mostly share the 256-point table."""
+    return CircleGrid(max(256, 1 << (samples - 1).bit_length()))
 
 
 @lru_cache(maxsize=16)
@@ -27,11 +33,8 @@ def _preimage_table(product: BlaschkeProduct, grid: CircleGrid):
     """Preimage points and weights over all grid targets, read-only and branch-major:
     shape ``(n, M)``, row b the b-th preimages, so a preimage sum is ``sum(axis=0)``."""
     points, _ = preimage_grid(product, grid.points)
-    points = np.ascontiguousarray(points.T)
-    weights = preimage_weights(product, points)
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
+    points = _read_only(np.ascontiguousarray(points.T))
+    return points, _read_only(preimage_weights(product, points))
 
 
 @dataclass(frozen=True)
@@ -98,15 +101,11 @@ def transfer_matrix(op: TransferOperator, n_trunc: int, grid: CircleGrid) -> np.
     """Truncation of the operator to ``span{1, z, ..., z^(N-1)}``, as a read-only N x N array.
 
     Column j holds the first N Fourier coefficients of ``L(z^j)``, extracted
-    on the grid from preimage sums.  Requires ``N <= grid.size / 4`` so the
-    coefficient extraction stays alias-free.
+    on the grid from preimage sums.  As ``R(0) = 0``, ``L(z^j)`` is a
+    polynomial of degree at most j, so the truncation is upper triangular and
+    every grid of ``4 N`` points or more holds it (:func:`transfer_grid`).
     """
     m = grid.size
     if n_trunc > m // 4:
         raise ValueError("truncation size must not exceed a quarter of the grid")
-    entries = np.empty((n_trunc, n_trunc), dtype=complex)
-    for start in range(0, n_trunc, 8):  # a few rows at a time: only N coefficients of each are kept
-        stop = min(start + 8, n_trunc)
-        entries[:, start:stop] = (fft(op.monomial_samples(start, stop, grid))[:, :n_trunc] / m).T
-    entries.setflags(write=False)
-    return entries
+    return _read_only((fft(op.monomial_samples(0, n_trunc, grid))[:, :n_trunc] / m).T)

@@ -32,7 +32,7 @@ from .hardy import (
 )
 from .tmbasis import TMBasis, _taylor_length, cons_residual, cuntz_columns, factorization_residual, frame
 from .tmbasis import gram_residual, inner_product_residual
-from .transfer import TransferOperator, _preimage_table, transfer_matrix
+from .transfer import TransferOperator, _preimage_table, transfer_grid, transfer_matrix
 
 _VERSION = "0.1.0"
 
@@ -224,7 +224,7 @@ def _column_tail_mass(cfg, product) -> float:
 def _check_adjoint_transfer(cfg, product, grid, rng):
     # column j of either truncation holds the first coefficients of L(z^j) or R^j
     m = cfg.corner
-    lmat = transfer_matrix(TransferOperator(product), m, grid)
+    lmat = transfer_matrix(TransferOperator(product), m, transfer_grid(4 * m))
     comp = _power_spectra(product, cfg.truncation, m)[:m]
     return _matrix_norm(lmat - comp.conj().T), {"corner": m}
 
@@ -247,7 +247,7 @@ def _random_symbol(rng, band: int, analytic: bool) -> FourierSymbol:
 
 def _check_toeplitz_covariance(cfg, product, grid, rng):
     symbols = [_random_symbol(rng, band=8, analytic=False) for _ in range(10)]
-    residuals = covariance_residual(product, symbols, cfg.truncation, cfg.corner, grid)
+    residuals = covariance_residual(product, symbols, cfg.truncation, cfg.corner)
     return float(max(residuals)), {
         "symbols": 10,
         "per_symbol": [float(r) for r in residuals],
@@ -282,7 +282,7 @@ def _check_module_inner_tails(cfg, product, grid, rng):
     # sup |d| bounds the corner at every cut, so a bound within tolerance is a
     # sound PASS; a pair above it takes the exact SVD of its corner at the last
     # cut, so a FAIL value is exact
-    residuals = inner_product_residual(product, frame(product), cfg.truncation, grid)
+    residuals = inner_product_residual(product, frame(product), cfg.truncation)
     cut, tol = 64, cfg.tolerances["module_inner_tails"]
     bounds, corners = {}, {}
     for i, row in enumerate(residuals):

@@ -115,7 +115,7 @@ def test_criterion_4_isometry(products):
     _report("criterion 4: composition isometry", worst, 1e-8, f"corner {CORNER}")
 
 
-def test_criterion_5_covariance_identity(products, grid):
+def test_criterion_5_covariance_identity(products):
     rng = np.random.default_rng(2026)
     worst = 0.0
     for product in products.values():
@@ -124,14 +124,14 @@ def test_criterion_5_covariance_identity(products, grid):
                 k: complex(rng.standard_normal(), rng.standard_normal()) / (2.0 * (1 + abs(k)))
                 for k in range(-8, 9)
             }
-            res = covariance_residual(product, [FourierSymbol(coeffs)], N, CORNER, grid)[0]
+            res = covariance_residual(product, [FourierSymbol(coeffs)], N, CORNER)[0]
             worst = max(worst, res)
     _report("criterion 5a: covariance identity", worst, 1e-6, "10 seeded symbols x 5 products")
 
     worst_exact = 0.0
     for name in ("z2", "z3"):
         for j in range(9):
-            res = covariance_residual(products[name], [FourierSymbol({j: 1.0})], N, CORNER, grid)[0]
+            res = covariance_residual(products[name], [FourierSymbol({j: 1.0})], N, CORNER)[0]
             worst_exact = max(worst_exact, res)
     _report("criterion 5b: monomial covariance exact", worst_exact, EXACT, "machine zero")
 
@@ -159,12 +159,12 @@ def test_criterion_7_basis(products, grid):
     _report("criterion 7b: basis factorization", worst_fact, 1e-10, "k <= 8")
 
 
-def test_criterion_8_module_inner_tails(products, grid):
+def test_criterion_8_module_inner_tails(products):
     cuts = [8, 16, 32, 64]
     worst_final = 0.0
     worst_bump = 0.0
     for product in products.values():
-        for row in inner_product_residual(product, frame(product), N, grid):
+        for row in inner_product_residual(product, frame(product), N):
             for residual in row:
                 profile = tail_compactness_profile(residual, N, cuts)
                 worst_final = max(worst_final, profile[-1])

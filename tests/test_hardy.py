@@ -163,39 +163,39 @@ class TestIsometry:
 
 
 class TestCovarianceResidual:
-    def test_unit_symbol_matches_isometry(self, half, grid_big):
-        res = covariance_residual(half, [FourierSymbol({0: 1.0})], 256, 32, grid_big)[0]
+    def test_unit_symbol_matches_isometry(self, half):
+        res = covariance_residual(half, [FourierSymbol({0: 1.0})], 256, 32)[0]
         iso = isometry_residual(composition_matrix(half, 256).entries, 32)
         assert res == pytest.approx(iso, abs=1e-12)
 
-    def test_square_with_square_symbol_vanishes(self, square, grid_big):
+    def test_square_with_square_symbol_vanishes(self, square):
         # index chase: m -> 2m -> 2m+2 -> m+1 against L(z^2) = w
-        res = covariance_residual(square, [FourierSymbol({2: 1.0})], 256, 32, grid_big)[0]
+        res = covariance_residual(square, [FourierSymbol({2: 1.0})], 256, 32)[0]
         assert res <= 1e-13
 
-    def test_half_with_linear_symbol(self, half, grid_big):
-        res = covariance_residual(half, [FourierSymbol({1: 1.0})], 256, 32, grid_big)[0]
+    def test_half_with_linear_symbol(self, half):
+        res = covariance_residual(half, [FourierSymbol({1: 1.0})], 256, 32)[0]
         assert res <= 1e-6
 
-    def test_antianalytic_via_adjoint_symmetry(self, half, grid_big):
+    def test_antianalytic_via_adjoint_symmetry(self, half):
         # conjugate symbol residual equals the analytic one by T_a* = T_conj(a)
-        res_plus = covariance_residual(half, [FourierSymbol({2: 1.0})], 256, 32, grid_big)[0]
-        res_minus = covariance_residual(half, [FourierSymbol({-2: 1.0})], 256, 32, grid_big)[0]
+        res_plus = covariance_residual(half, [FourierSymbol({2: 1.0})], 256, 32)[0]
+        res_minus = covariance_residual(half, [FourierSymbol({-2: 1.0})], 256, 32)[0]
         assert res_minus == pytest.approx(res_plus, abs=1e-9)
 
-    def test_seeded_symbols(self, spiral, grid_big):
+    def test_seeded_symbols(self, spiral):
         rng = np.random.default_rng(5)
         for _ in range(3):
             coeffs = {
                 k: complex(rng.standard_normal(), rng.standard_normal()) / (1 + abs(k))
                 for k in range(-8, 9)
             }
-            res = covariance_residual(spiral, [FourierSymbol(coeffs)], 256, 32, grid_big)[0]
+            res = covariance_residual(spiral, [FourierSymbol(coeffs)], 256, 32)[0]
             assert res <= 1e-6
 
-    def test_corner_guard(self, half, grid_big):
+    def test_corner_guard(self, half):
         with pytest.raises(ValueError):
-            covariance_residual(half, [FourierSymbol({0: 1.0})], 256, 100, grid_big)
+            covariance_residual(half, [FourierSymbol({0: 1.0})], 256, 100)
 
 
 class TestCommutationResidual:
@@ -429,7 +429,7 @@ class TestSlicedCorners:
         image = TransferOperator(product).symbol_image(a.evaluate, grid)
         t_a = toeplitz_matrix(a, self.N_TRUNC)
         dense = comp.adjoint() @ t_a @ comp - toeplitz_matrix(image, self.N_TRUNC)
-        sliced = covariance_residual(product, [a], self.N_TRUNC, self.CORNER, grid)[0]
+        sliced = covariance_residual(product, [a], self.N_TRUNC, self.CORNER)[0]
         assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
 
     def test_commutation(self, setup):
@@ -446,13 +446,13 @@ class TestSlicedCorners:
         # each entry must be the dense per-symbol corner, whatever its band
         product, grid, comp = setup
         symbols = [self._symbol(3, -8, 8), self._symbol(4, 0, 3), self._symbol(5, -5, -2), FourierSymbol({})]
-        batch = covariance_residual(product, symbols, self.N_TRUNC, self.CORNER, grid)
+        batch = covariance_residual(product, symbols, self.N_TRUNC, self.CORNER)
         assert len(batch) == len(symbols)
         for a, value in zip(symbols, batch):
             image = TransferOperator(product).symbol_image(a.evaluate, grid)
             dense = comp.adjoint() @ toeplitz_matrix(a, self.N_TRUNC) @ comp - toeplitz_matrix(image, self.N_TRUNC)
             assert value == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
-            single = covariance_residual(product, [a], self.N_TRUNC, self.CORNER, grid)
+            single = covariance_residual(product, [a], self.N_TRUNC, self.CORNER)
             assert single == [pytest.approx(value, abs=1e-14)]
 
     @pytest.mark.parametrize(
@@ -469,7 +469,7 @@ class TestSlicedCorners:
     def test_covariance_at_section_edges(self, setup, batch):
         # the shifted Gram blocks G_k of C stop at |k| = N - 1; a shift at or past N adds nothing
         product, grid, comp = setup
-        values = covariance_residual(product, batch, self.N_TRUNC, self.CORNER, grid)
+        values = covariance_residual(product, batch, self.N_TRUNC, self.CORNER)
         for a, value in zip(batch, values):
             image = TransferOperator(product).symbol_image(a.evaluate, grid)
             dense = comp.adjoint() @ toeplitz_matrix(a, self.N_TRUNC) @ comp - toeplitz_matrix(image, self.N_TRUNC)

@@ -295,28 +295,34 @@ class TestInnerProductResidual:
         # v_k = Q_k R_k, written out as the closed-form product of the k-th basis element
         return lambda z: closed_form_element(TMBasis(product), k, z)
 
-    def test_half_frame_pairs_have_tiny_tails(self, half, grid_big):
+    def test_half_frame_pairs_have_tiny_tails(self, half):
         cuts = [8, 16, 32, 64]
-        for row in inner_product_residual(half, frame(half), 256, grid_big):
+        for row in inner_product_residual(half, frame(half), 256):
             for residual in row:
                 profile = tail_compactness_profile(residual, 256, cuts)
                 assert profile[-1] <= 1e-6
                 assert all(b <= a + 1e-11 for a, b in zip(profile, profile[1:]))
 
-    def test_unit_pair_recovers_isometry_identity(self, square, grid_big):
+    def test_unit_pair_recovers_isometry_identity(self, square):
         # p = q = 1: V* V = n C* C and <1,1> = n, so the residual is ~ 0
         one = lambda z: np.ones((1,) + np.shape(z), dtype=complex)
-        [[residual]] = inner_product_residual(square, one, 256, grid_big)
+        [[residual]] = inner_product_residual(square, one, 256)
         assert operator_norm(toeplitz_matrix(residual, 256)) <= 1e-10
 
-    def test_truncation_past_half_the_grid_rejected(self, half):
-        # the symbol reads the pairing coefficients |k| < N, which a grid of M points holds only for N <= M/2
-        one = lambda z: np.ones((1,) + np.shape(z), dtype=complex)
-        assert inner_product_residual(half, one, 128, CircleGrid(256))[0][0].values.size == 255
-        with pytest.raises(ValueError, match="half the grid"):
-            inner_product_residual(half, one, 129, CircleGrid(256))
+    @pytest.mark.parametrize(
+        "zeros,n_trunc,width",
+        [([0, 0.5], 32, 32), ([0, 0.5], 128, 64), ([0, 0.5], 4096, 64), ([0, 0.99j], 256, 256)],
+        ids=["half-N", "half-K", "half-past-any-grid", "0.99i-N"],
+    )
+    def test_symbols_hold_the_shorter_of_n_and_k(self, zeros, n_trunc, width):
+        # both sides stop at |k| < min(N, K), K = _taylor_length, so a symbol holds 2 min(N, K) - 1
+        # coefficients; the pairing is sampled on max(256, 2K) points, so no N is refused
+        product = make_blaschke(1.0, zeros)
+        assert min(n_trunc, _taylor_length(product)) == width
+        for row in inner_product_residual(product, frame(product), n_trunc):
+            assert [(d.low, d.values.size) for d in row] == [(1 - width, 2 * width - 1)] * product.degree
 
-    def test_pairing_symbol_route_is_independent(self, half, grid_big):
+    def test_pairing_symbol_route_is_independent(self, half):
         # cross-check the Toeplitz side against a direct pointwise evaluation
         # of the weighted pairing: <v_k, v_k> = n (the isometry normalisation)
         func = self._frame_function(half, 1)
@@ -347,8 +353,9 @@ class TestInnerProductResidual:
                 gram = product.degree * (left.conj().T @ right) / grid.size
                 pairing = fourier_coefficients(bimodule_inner_samples(op, pair, grid)[0, 1])
                 dense = gram - toeplitz_matrix(pairing, n_trunc).entries
-                residual = inner_product_residual(product, pair, n_trunc, grid)[0][1]
-                assert (residual.low, residual.values.size) == (1 - n_trunc, 2 * n_trunc - 1)
+                residual = inner_product_residual(product, pair, n_trunc)[0][1]
+                width = min(n_trunc, _taylor_length(product))
+                assert (residual.low, residual.values.size) == (1 - width, 2 * width - 1)
                 section = toeplitz_matrix(residual, n_trunc).entries
                 np.testing.assert_allclose(section, dense, rtol=0, atol=1e-13)
                 cuts = range(0, n_trunc + 1, 4)
@@ -373,7 +380,7 @@ class TestInnerProductResidual:
         powers = product.evaluate(pts)[:, None] ** np.arange(n_trunc)
         op = TransferOperator(product)
         stack = frame(product)
-        symbols = inner_product_residual(product, stack, n_trunc, grid)
+        symbols = inner_product_residual(product, stack, n_trunc)
         assert [len(row) for row in symbols] == [n] * n
         for i in range(n):
             for j in range(n):
@@ -384,7 +391,7 @@ class TestInnerProductResidual:
                 section = toeplitz_matrix(symbols[i][j], n_trunc).entries
                 np.testing.assert_allclose(section, dense, rtol=0, atol=1e-13)
         # a stack of one is the first member paired with itself
-        first = inner_product_residual(product, lambda z: stack(z)[:1], n_trunc, grid)
+        first = inner_product_residual(product, lambda z: stack(z)[:1], n_trunc)
         assert len(first) == 1 and len(first[0]) == 1
         np.testing.assert_allclose(first[0][0].values, symbols[0][0].values, rtol=0, atol=1e-14)
 
@@ -406,18 +413,17 @@ class TestInnerProductResidual:
         assert _taylor_length(make_blaschke(1.0, [0, 0.9999])) == 1 << 19
 
     @pytest.mark.parametrize(
-        "zeros,n_trunc,size",
-        [([0, 0.99j], 256, 16384), ([0] + [0.98] * 5, 64, 256)],
+        "zeros,n_trunc",
+        [([0, 0.99j], 256), ([0] + [0.98] * 5, 64)],
         ids=["0.99i", "steep"],
     )
-    def test_doubling_the_taylor_length_moves_no_coefficient(self, zeros, n_trunc, size, monkeypatch):
+    def test_doubling_the_taylor_length_moves_no_coefficient(self, zeros, n_trunc, monkeypatch):
         # past K the frame pairs' coefficients are below rounding, so twice as many
-        # Taylor rows change each residual coefficient only by rounding
+        # Taylor rows, and a pairing grid twice as fine, change each coefficient only by rounding
         product = make_blaschke(np.exp(1.3j), zeros)
-        grid = CircleGrid(size)
-        at_k = inner_product_residual(product, frame(product), n_trunc, grid)
+        at_k = inner_product_residual(product, frame(product), n_trunc)
         monkeypatch.setattr(tmbasis, "_taylor_length", lambda p: 2 * _taylor_length(p))
-        at_2k = inner_product_residual(product, frame(product), n_trunc, grid)
+        at_2k = inner_product_residual(product, frame(product), n_trunc)
         for row, row_2k in zip(at_k, at_2k):
             for residual, residual_2k in zip(row, row_2k):
                 assert residual.low == residual_2k.low

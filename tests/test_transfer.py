@@ -8,6 +8,7 @@ from blaschkeops import (
     TransferOperator,
     composition_matrix,
     fourier_coefficients,
+    make_blaschke,
     partial_fraction_weights,
     transfer_matrix,
 )
@@ -236,6 +237,19 @@ class TestTransferMatrix:
         grid = CircleGrid(1024)
         corner = transfer_matrix(op, 256, grid)[:16, :16]
         assert np.array_equal(transfer_matrix(op, 16, grid), corner)
+
+    @pytest.mark.parametrize(
+        "phase,zeros",
+        [(np.exp(1.3j), [0, 0.99j]), (1.0, [0, 0.5, -0.5, 0.5j, -0.5j, 0.4 + 0.4j, -0.4 + 0.4j, 0.3 - 0.5j])],
+        ids=["0.99i", "deg8"],
+    )
+    def test_small_grid_holds_the_polynomial_images(self, phase, zeros):
+        # C is lower triangular, so L(z^j) is a polynomial of degree at most j: the truncation is upper
+        # triangular, and 4N points give it as exactly as 16384 do
+        op = TransferOperator(make_blaschke(phase, zeros))
+        small = transfer_matrix(op, 64, CircleGrid(256))
+        assert np.max(np.abs(np.tril(small, -1))) <= 1e-13
+        np.testing.assert_allclose(small, transfer_matrix(op, 64, CircleGrid(16384)), rtol=0, atol=1e-13)
 
     def test_truncation_requires_margin(self, half):
         with pytest.raises(ValueError):

@@ -140,11 +140,12 @@ class TestRun:
         assert result.errored and not result.passed and result.residual is None
         assert result.error.startswith("TypeError:")
 
-    @pytest.mark.parametrize("check_id", ["transfer_unit"])
+    @pytest.mark.parametrize("check_id", ["transfer_unit", "adjoint_transfer"])
     def test_scaled_weights_fail(self, check_id, monkeypatch):
         # negative control: weights scaled by 1 + 1e-6 sum to 1 + 1e-6 over every
-        # preimage set; the preimage table is cached, so it is cleared before the
-        # scaled weights enter it and after they leave (weight_sum reads R', not these weights)
+        # preimage set and scale the transfer truncation, whose norm is 1, by as much;
+        # the preimage table is cached, so it is cleared before the scaled weights
+        # enter it and after they leave (weight_sum reads R', not these weights)
         exact = transfer.preimage_weights
         spec = next(s for s in MANIFEST if s.check_id == check_id)
         cfg = RunConfig(**FAST)
@@ -157,6 +158,25 @@ class TestRun:
             transfer._preimage_table.cache_clear()
         assert residual > spec.tolerance
         assert residual == pytest.approx(1e-6, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "zeros,sizes,largest",
+        [((0j, 0.5), dict(truncation=1024, corner=64), 256), ((0j, 0.99j), dict(truncation=256, corner=4), 8192)],
+        ids=["large", "0.99i"],
+    )
+    def test_no_table_spans_the_run_grid(self, zeros, sizes, largest, monkeypatch):
+        # the transfer route reads polynomials of low degree and pairings that K coefficients hold,
+        # so a run at M = 16384 solves only the shared 256-point table and, near the circle, 2K points
+        targets = []
+        solve = transfer.preimage_grid
+        monkeypatch.setattr(transfer, "preimage_grid", lambda p, w: targets.append(np.size(w)) or solve(p, w))
+        transfer._preimage_table.cache_clear()
+        try:
+            report = run_verify(RunConfig(zeros=zeros, grid=16384, basis_count=32, **sizes))
+        finally:
+            transfer._preimage_table.cache_clear()
+        assert not report.any_errored
+        assert 256 in targets and max(targets) == largest
 
     def test_scaled_log_derivative_fails_derivative_identity(self, monkeypatch):
         # negative control: the closed-form sum scaled by 1 + 1e-6 disagrees
