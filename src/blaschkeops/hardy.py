@@ -7,8 +7,8 @@ compact operators) upstairs are tested on an m x m corner whose guard band
 C holds the first N Taylor coefficients of R^j, exactly: N limits a column,
 no grid does.  ``R(0) = 0`` makes C lower triangular, so a corner reads only
 the first m columns of C.  A covariance corner sums shifted Gram blocks of
-them, at most ``B + 1`` products for the symbols' band ``|k| <= B``; only
-``tmbasis.cuntz_columns`` applies ``T_a`` to them, as one FFT convolution.
+them, at most ``B + 1`` products for the symbols' band ``|k| <= B``.  The
+Cuntz family's frame series come from the same partial products as C.
 ``L a`` has degree at most B, so ``T_(L a)`` samples no more points than its corner needs.
 A modulo-compact identity is read from the Toeplitz symbol of its residual:
 every trailing corner of a Toeplitz section is a leading section of the same
@@ -75,39 +75,32 @@ def _toeplitz_block(a: FourierSymbol, rows: int, cols: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(band, cols)[:rows][::-1].copy()
 
 
-def _toeplitz_applies(symbols, x: np.ndarray):
-    """Yields ``T_a x``, N x N section times N x k block, per symbol a; one FFT of x serves all."""
-    n = x.shape[0]
-    spectrum = np.fft.fft(x, 2 * n, axis=0)
-    for a in symbols:
-        # row i of T_a x is entry N - 1 + i of x convolved with a_hat(1 - N), ..., a_hat(N - 1),
-        # the section's first row reversed and then its first column; at length 2N nothing wraps onto it
-        band = np.concatenate((_toeplitz_block(a, 1, n)[0, :0:-1], _toeplitz_block(a, n, 1)[:, 0]))
-        convolved = np.fft.ifft(spectrum * np.fft.fft(band, 2 * n)[:, None], axis=0)
-        yield convolved[n - 1 : 2 * n - 1].copy()
-
-
 def toeplitz_matrix(a: FourierSymbol, n_trunc: int, label: str = "T_a") -> TruncatedOperator:
     """Multiplication compressed to the analytic side: ``entries[i, j] = a_hat(i - j)``."""
     return TruncatedOperator(entries=_toeplitz_block(a, n_trunc, n_trunc), label=label)
 
 
-def _taylor_columns(product: BlaschkeProduct, rows: int):
-    """Yields the columns j = 0, 1, ... of C: the first ``rows`` Taylor coefficients of R^j.
-
-    R is the product of its factors' series ``-a + sum_k (1 - |a|^2) conj(a)^(k-1) z^k``,
-    and column ``j + s`` is column j times column s: one FFT of column j and the kept
-    spectra of the columns ``s = 1, ..., 16`` give the next 16 columns.  Each product is
-    truncated at ``rows`` and taken by FFTs of length ``2 rows``, so nothing wraps and no
-    grid aliases.  ``R(0) = 0``, so column j is formed only on rows ``>= j`` and C stays
-    exactly lower triangular.
-    """
+def _partial_products(product: BlaschkeProduct, rows: int):
+    """Yields the first ``rows`` Taylor coefficients of the partial products ``R_0 = 1, ..., R_n = R / phase``
+    of the factors' series ``-a + sum_k (1 - |a|^2) conj(a)^(k-1) z^k``; each product is cut at
+    ``rows`` and taken by FFTs of length ``2 rows``, so nothing wraps and no grid aliases."""
     size = 2 * rows
-    taylor = np.array([product.phase])
+    taylor = np.eye(1, rows, dtype=complex)[0]
+    yield taylor
     for a in product.zeros:
         factor = np.concatenate(([-a], (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(rows - 1)))
         taylor = np.fft.ifft(np.fft.fft(taylor, size) * np.fft.fft(factor, size))[:rows]
-    column, j, steps = np.eye(1, rows, dtype=complex)[0], 0, np.fft.fft(taylor, size)[None]
+        yield taylor
+
+
+def _taylor_columns(product: BlaschkeProduct, rows: int):
+    """Yields the columns j = 0, 1, ... of C, the first ``rows`` Taylor coefficients of R^j: R is the
+    phase times ``R_n`` of :func:`_partial_products`, and column ``j + s`` is column j times column s,
+    so one FFT of column j and the kept spectra of the columns ``s = 1, ..., 16`` give the next 16,
+    each cut at ``rows``.  ``R(0) = 0``: column j is formed on rows ``>= j``, and C stays lower triangular."""
+    size = 2 * rows
+    *_, taylor = _partial_products(product, rows)
+    column, j, steps = np.eye(1, rows, dtype=complex)[0], 0, np.fft.fft(product.phase * taylor, size)[None]
     yield column
     while True:  # the columns j + 1, ..., j + len(steps): column j times those whose spectra steps holds
         block = np.triu(np.fft.ifft(np.fft.fft(column, size) * steps)[:, :rows], j + 1)

@@ -14,15 +14,14 @@ Toeplitz symbol of its residual, whose trailing-corner norms must decay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import combinations, islice
 from math import comb, log
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .circle import CircleGrid, FourierSymbol, fourier_coefficients
-from .hardy import TruncatedOperator, _matrix_norm, _power_spectra, _taylor_columns, _toeplitz_applies
-from .hardy import isometry_residual
+from .hardy import TruncatedOperator, _matrix_norm, _partial_products, _power_spectra, _taylor_columns
 from .transfer import TransferOperator, bimodule_inner_samples, transfer_grid
 
 _MAX_GRAM_COUNT = 64
@@ -108,37 +107,43 @@ def gram_residual(basis: TMBasis, count: int, grid: CircleGrid) -> float:
     return float(np.max(np.abs(gram / grid.size - np.eye(count))))
 
 
-def cuntz_columns(product: BlaschkeProduct, cols: np.ndarray, grid: CircleGrid):
-    """Yields ``T_(Q_{k-1} R_{k-1}) cols``, k = 1..n: the columns of ``W_k`` at an N x k block of C."""
-    yield from _toeplitz_applies(map(fourier_coefficients, frame(product)(grid.points)), cols)
+def cuntz_columns(product: BlaschkeProduct, cols: np.ndarray):
+    """Yields ``T_(v_(k-1)) cols``, k = 1..n: the columns of ``W_k`` at an N x k block of C.  The frame
+    series ``v_l = R_l sqrt(1 - |a_l|^2) conj(a_l)^t`` is cut at N before it meets the columns, and
+    ``T_v`` of an analytic v is a causal convolution, so FFTs of length 2N take both products unwrapped."""
+    rows = cols.shape[0]
+    size = 2 * rows
+    spectrum = np.fft.fft(cols, size, axis=0)
+    for a, partial in zip(product.zeros, _partial_products(product, rows)):
+        kernel = np.sqrt(1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(rows)
+        series = np.fft.ifft(np.fft.fft(partial, size) * np.fft.fft(kernel, size))[:rows]
+        yield np.fft.ifft(spectrum * np.fft.fft(series, size)[:, None], axis=0)[:rows]
 
 
-def cuntz_family(product: BlaschkeProduct, n_trunc: int, grid: CircleGrid):
-    """The n truncated isometries ``W_k = T_(Q_{k-1} R_{k-1}) C``, k = 1..n.
-
-    ``W_k`` sends the j-th monomial to the basis element of index
-    ``j n + (k-1)``; together the family satisfies the Cuntz relations on a
-    guarded corner.
-    """
-    columns = cuntz_columns(product, _power_spectra(product, n_trunc, n_trunc), grid)
+def cuntz_family(product: BlaschkeProduct, n_trunc: int):
+    """The n truncated isometries ``W_k = T_(Q_{k-1} R_{k-1}) C``, k = 1..n: ``W_k`` sends the
+    j-th monomial to the basis element of index ``j n + (k-1)``."""
+    columns = cuntz_columns(product, _power_spectra(product, n_trunc, n_trunc))
     return [TruncatedOperator(w, label=f"W{k + 1}") for k, w in enumerate(columns)]
 
 
 def cons_residual(family, m: int) -> dict:
     """Cuntz-relation residuals of an isometry family on the m x m corner: the dict of
     ``completeness`` ``||sum_k W_k W_k* - I||``, ``isometry`` ``max_k ||W_k* W_k - I||`` and
-    ``orthogonality`` ``max_(k != j) ||W_k* W_j||``.
-
-    Each member holds the leading N x k columns of a truncated ``W_k``, ``k >= m``.
-    ``W_k = T_(Q R) C`` is lower triangular, so completeness reads ``W_k[:m, :m]``.
+    ``orthogonality`` ``max_(k != j) ||W_k* W_j||``.  Each member holds the leading N x k columns
+    of a truncated ``W_k``, ``k >= m``; their first m columns stack into one N x nm block X, whose
+    Gram ``X^H X`` holds every ``W_k* W_j``: orthogonality reads its blocks ``k < j`` only, as
+    ``||W_k* W_j|| = ||W_j* W_k||``, and completeness ``X[:m] X[:m]^H``, as every ``W_k`` is lower triangular.
     """
-    cols = [np.asarray(w)[:, :m] for w in family]
-    if m > cols[0].shape[0] // 4:
+    stacked = np.hstack([np.asarray(w)[:, :m] for w in family])
+    if m > stacked.shape[0] // 4:
         raise ValueError("corner size must leave a guard band (m <= N/4)")
+    n = stacked.shape[1] // m
+    gram = (stacked.conj().T @ stacked).reshape(n, m, n, m)
     return {
-        "completeness": _matrix_norm(sum(c[:m] @ c[:m].conj().T for c in cols) - np.eye(m)),
-        "isometry": max(isometry_residual(c, m) for c in cols),
-        "orthogonality": max(_matrix_norm(ci.conj().T @ cj) for ci, cj in permutations(cols, 2)),
+        "completeness": _matrix_norm(stacked[:m] @ stacked[:m].conj().T - np.eye(m)),
+        "isometry": max(_matrix_norm(gram[k, :, k] - np.eye(m)) for k in range(n)),
+        "orthogonality": max(_matrix_norm(gram[k, :, j]) for k, j in combinations(range(n), 2)),
     }
 
 

@@ -273,7 +273,7 @@ def _check_basis_factorization(cfg, product, grid, rng):
 
 
 def _check_cuntz_relations(cfg, product, grid, rng):
-    columns = cuntz_columns(product, _power_spectra(product, cfg.truncation, cfg.corner), grid)
+    columns = cuntz_columns(product, _power_spectra(product, cfg.truncation, cfg.corner))
     parts = cons_residual(columns, cfg.corner)
     return max(parts.values()), parts
 
@@ -305,7 +305,7 @@ def _check_monomial_shift_relations(cfg, product, grid, rng):
     def differences(start, stop):
         # columns start:stop of U W_k - W_(k+1), k = 1..n, with W_(n+1) = conj(lambda) W_1 U:
         # U moves rows down by one and, on the right, columns left by one
-        family = list(cuntz_columns(product, comp[:, start : stop + 1], grid))
+        family = list(cuntz_columns(product, comp[:, start : stop + 1]))
         shifted = [np.vstack((np.zeros((1, stop - start)), w[:-1, : stop - start])) for w in family]
         wrap = np.conj(product.phase) * family[0][:, 1:]
         return [s - t[:, : stop - start] for s, t in zip(shifted, family[1:] + [wrap])]

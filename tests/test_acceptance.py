@@ -136,11 +136,11 @@ def test_criterion_5_covariance_identity(products):
     _report("criterion 5b: monomial covariance exact", worst_exact, EXACT, "machine zero")
 
 
-def test_criterion_6_cuntz_relations(products, grid):
+def test_criterion_6_cuntz_relations(products):
     worst = 0.0
     worst_monomial = 0.0
     for name, product in products.items():
-        result = cons_residual([w.entries for w in cuntz_family(product, N, grid)], CORNER)
+        result = cons_residual([w.entries for w in cuntz_family(product, N)], CORNER)
         worst = max(worst, *result.values())
         if name in ("z2", "z3"):
             worst_monomial = max(worst_monomial, *result.values())
@@ -217,7 +217,7 @@ def test_criterion_10_monomial_example_relations(products, grid):
     u = toeplitz_matrix(FourierSymbol({1: 1.0}), N)
     for name in ("z2", "z3"):
         product = products[name]
-        family = cuntz_family(product, N, grid)
+        family = cuntz_family(product, N)
         for k in range(product.degree - 1):
             worst_shift = max(worst_shift, _matrix_norm(((u @ family[k]) - family[k + 1]).entries))
         wrap = (u @ family[-1]) - (family[0] @ u)

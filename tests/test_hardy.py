@@ -24,7 +24,6 @@ from blaschkeops.hardy import (
     _power_iteration,
     _power_spectra,
     _symbol_sup_bound,
-    _toeplitz_applies,
     _toeplitz_block,
 )
 from blaschkeops.transfer import TransferOperator
@@ -64,12 +63,6 @@ class TestToeplitz:
         assert np.array_equal(_toeplitz_block(a, n, 2), expected[:, :2])
         assert np.array_equal(_toeplitz_block(a, 2, n), expected[:2])
         assert _toeplitz_block(a, 0, n).shape == (0, n) and _toeplitz_block(a, n, 0).shape == (n, 0)
-        # the column route applies the same section as one FFT convolution,
-        # and one FFT of x serves a second symbol as well
-        x = np.random.default_rng(n).standard_normal((n, 3)) + 0j
-        (applied, conjugated) = _toeplitz_applies([a, FourierSymbol({-k: np.conj(v) for k, v in coeffs.items()})], x)
-        np.testing.assert_allclose(applied, expected @ x, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(conjugated, expected.conj().T @ x, rtol=0, atol=1e-13)
 
 
 class TestCompositionMatrix:

@@ -182,7 +182,7 @@ class TestGram:
 
 class TestCuntzFamily:
     def test_square_shift_split(self, square):
-        w1, w2 = cuntz_family(square, 64, CircleGrid(1024))
+        w1, w2 = cuntz_family(square, 64)
         for m in range(16):
             col1 = np.zeros(64)
             col1[2 * m] = 1.0
@@ -194,27 +194,27 @@ class TestCuntzFamily:
     def test_columns_match_basis_elements(self, half, grid_big):
         # column l of W_k holds the coefficients of e_(2l + k - 1)
         basis = TMBasis(half)
-        family = cuntz_family(half, 256, grid_big)
+        family = cuntz_family(half, 256)
         for k, w in enumerate(family, start=1):
             for l in (0, 3, 10):
                 element = fourier_coefficients(tm_element(basis, 2 * l + k - 1, grid_big.points))
                 expected = np.array([element.coefficient(i) for i in range(256)])
                 np.testing.assert_allclose(w.entries[:, l], expected, atol=1e-8)
 
-    def test_relations_monomial_exact(self, cube, grid_big):
-        family = cuntz_family(cube, 256, grid_big)
+    def test_relations_monomial_exact(self, cube):
+        family = cuntz_family(cube, 256)
         result = cons_residual([w.entries for w in family], 32)
         assert max(result.values()) <= 1e-12
 
-    def test_relations_half(self, half, grid_big):
-        family = cuntz_family(half, 256, grid_big)
+    def test_relations_half(self, half):
+        family = cuntz_family(half, 256)
         result = cons_residual([w.entries for w in family], 32)
         assert result["completeness"] <= 1e-6
         assert result["isometry"] <= 1e-6
         assert result["orthogonality"] <= 1e-6
 
-    def test_corner_guard(self, half, grid_big):
-        family = cuntz_family(half, 256, grid_big)
+    def test_corner_guard(self, half):
+        family = cuntz_family(half, 256)
         with pytest.raises(ValueError):
             cons_residual([w.entries for w in family], 100)
 
@@ -223,7 +223,7 @@ class TestCuntzFamily:
         # cons_residual reads W_k rows and columns only; the dense products
         # read at the m x m corner are the reference
         product = half if seed is None else random_product(seed)
-        family = cuntz_family(product, 64, CircleGrid(1024))
+        family = cuntz_family(product, 64)
         eye = TruncatedOperator.identity(64)
         total = family[0] @ family[0].adjoint()
         for w in family[1:]:
@@ -250,7 +250,7 @@ class TestCuntzFamily:
         product = half if seed is None else random_product(seed)
         cfg, grid = RunConfig(truncation=64, corner=16, grid=1024), CircleGrid(1024)
         _, details = _check_cuntz_relations(cfg, product, grid, None)
-        family = cons_residual([w.entries for w in cuntz_family(product, 64, grid)], 16)
+        family = cons_residual([w.entries for w in cuntz_family(product, 64)], 16)
         comp = composition_matrix(product, 64).entries
         dense = [toeplitz_matrix(fourier_coefficients(v), 64).entries @ comp for v in frame(product)(grid.points)]
         gram = [[(wi.conj().T @ wj)[:16, :16] for wj in dense] for wi in dense]
@@ -267,6 +267,27 @@ class TestCuntzFamily:
             assert details[name] == pytest.approx(value, abs=1e-14)
 
 
+    @pytest.mark.parametrize(
+        "angle, zeros, n_trunc",
+        [(0.0, (0j, 0.98, 0.98, 0.98, 0.98, 0.98), 64), (1.3, (0j, 0.99j), 256)],
+        ids=["steep", "[0,0.99i]"],
+    )
+    def test_columns_match_a_fine_frame_reference(self, angle, zeros, n_trunc):
+        # reference: C convolved with the frame's coefficients from 2^18 samples, where
+        # no aliasing reaches rounding; 256 samples of steep's frame alias, and a frame
+        # series left untruncated at N wraps onto the low rows of a length-2N convolution
+        product = make_blaschke(np.exp(1j * angle), zeros)
+        comp = composition_matrix(product, n_trunc).entries
+        samples = frame(product)(CircleGrid(1 << 18).points)
+        for w, v in zip(tmbasis.cuntz_columns(product, comp), samples):
+            series = np.fft.fft(v)[:n_trunc] / v.size  # Taylor coefficients t < N of v
+            expected = np.stack([np.convolve(series, c)[:n_trunc] for c in comp.T], axis=1)
+            np.testing.assert_allclose(w, expected, rtol=0, atol=1e-13)
+        cfg = RunConfig(lambda_angle=angle, zeros=zeros, truncation=n_trunc, corner=4, grid=4 * n_trunc)
+        _, details = _check_cuntz_relations(cfg, product, None, None)
+        assert details["completeness"] <= 1e-12
+
+
 class TestRangeSplit:
     def test_complement_of_composition_range(self, half, grid_big):
         # elements e_(kn+l) with l >= 1 are orthogonal to every column R^j
@@ -280,9 +301,9 @@ class TestRangeSplit:
 
 
 class TestQuotientGenerators:
-    def test_monomial_shift_relations_exact(self, cube, grid_big):
+    def test_monomial_shift_relations_exact(self, cube):
         u = toeplitz_matrix(FourierSymbol({1: 1.0}), 256)
-        family = cuntz_family(cube, 256, grid_big)
+        family = cuntz_family(cube, 256)
         for k in range(2):
             diff = (u @ family[k]) - family[k + 1]
             assert _matrix_norm(diff.entries) <= 1e-12

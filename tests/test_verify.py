@@ -351,6 +351,23 @@ class TestRun:
         assert residuals["composition_isometry"] == pytest.approx(0.5, rel=1e-9)
         assert residuals["cuntz_relations"] > DEFAULT_TOLERANCES["cuntz_relations"]
 
+    def test_scaled_frame_fails_cuntz_relations(self, monkeypatch):
+        # negative control on the frame side: R_1 scaled by 1 + 1e-6 scales the frame series
+        # v_1 = Q_1 R_1, and with it W_2 = T_(v_1) C, so ||W_2* W_2 - I|| = (1 + 1e-6)^2 - 1;
+        # C, which takes R from the same partial products in hardy, is unchanged
+        exact = tmbasis._partial_products
+
+        def scaled(product, rows):
+            for l, partial in enumerate(exact(product, rows)):
+                yield partial * (1.0 + 1e-6) if l == 1 else partial
+
+        monkeypatch.setattr(tmbasis, "_partial_products", scaled)
+        spec = next(s for s in MANIFEST if s.check_id == "cuntz_relations")
+        cfg = RunConfig(**FAST)
+        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        assert residual > spec.tolerance
+        assert details["isometry"] == pytest.approx(2e-6 + 1e-12, rel=1e-6)
+
     def test_scaled_element_fails_basis_factorization(self, monkeypatch):
         # negative control: e_(n+1) scaled by 1 + 1e-6 no longer factors as Q_1 R_1 R, by
         # 1e-6 sup|e_(n+1)| = 1e-6 sqrt(3) for the zero 0.5, and has norm 1 + 1e-6; the
@@ -406,6 +423,15 @@ class TestRun:
         residual, _ = spec.runner(cfg, cfg.product(), None, None)
         assert residual > spec.tolerance
 
+    @pytest.mark.parametrize(
+        "check_id, zeros", [("cuntz_relations", (0j, 0.5)), ("monomial_shift_relations", (0j,) * 3)], ids=["[0,0.5]", "z^3"]
+    )
+    def test_cuntz_checks_read_no_grid(self, check_id, zeros):
+        # the Cuntz family comes from factor series, so the run grid changes nothing
+        spec = next(s for s in MANIFEST if s.check_id == check_id)
+        cfg = RunConfig(zeros=zeros, **FAST)
+        assert spec.runner(cfg, cfg.product(), None, None) == spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+
     def test_moved_entry_fails_monomial_shift_relations(self, monkeypatch):
         # negative control: W_2[5, 3] moved by 1e-9 breaks U W_1 = W_2 and
         # U W_2 = W_3; their Frobenius bounds exceed 1e-12, so those two
@@ -413,8 +439,8 @@ class TestRun:
         # norm of the dense U W_k - W_(k+1), built here independently
         exact = verify.cuntz_columns
 
-        def moved(product, cols, grid):
-            family = [np.array(w) for w in exact(product, cols, grid)]
+        def moved(product, cols):
+            family = [np.array(w) for w in exact(product, cols)]
             # C[:, 3] = e_9 for z^3: a column block holds W_2[:, 3] where its row 9 holds the 1;
             # the FFT products leave rounding noise of 1e-17 in the other entries of that row
             for j in np.flatnonzero(np.abs(cols[9]) > 0.5):
@@ -428,7 +454,7 @@ class TestRun:
         cfg = RunConfig(zeros=(0j, 0j, 0j), **FAST)
         residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
         comp = _power_spectra(cfg.product(), cfg.truncation, cfg.truncation)
-        family = moved(cfg.product(), comp, CircleGrid(cfg.grid))
+        family = moved(cfg.product(), comp)
         shift = np.eye(cfg.truncation, k=-1)
         differences = [shift @ w - w_next for w, w_next in zip(family, family[1:])]
         assert residual > spec.tolerance and len(exact_norms) == 2
