@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import _SEPARATION_TOL, _TWO_PI, BlaschkeProduct, _argument, _solve_increasing, preimage_grid
+from .circle import _read_only
 
 _MIN_LIFT_GRID = 256
 
@@ -33,12 +34,6 @@ class CircleLift:
     theta0: float
     thetas: np.ndarray
     psi: np.ndarray
-
-    def __post_init__(self):
-        for name in ("thetas", "psi"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def degree(self) -> int:
@@ -62,7 +57,7 @@ def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
     theta0 = start + _TWO_PI
     thetas = np.linspace(start, theta0, grid_size)
     raw, _ = _argument(product, thetas)
-    return CircleLift(product=product, theta0=theta0, thetas=thetas, psi=raw - raw[0])
+    return CircleLift(product=product, theta0=theta0, thetas=_read_only(thetas), psi=_read_only(raw - raw[0]))
 
 
 def branch_inverse(lift: CircleLift, k: int, t):
@@ -99,12 +94,6 @@ class ConjugacyMap:
     residual: float
     levels: int
     min_gap: float
-
-    def __post_init__(self):
-        for name in ("thetas", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def _fixed_point(product: BlaschkeProduct) -> complex:
@@ -158,8 +147,8 @@ def conjugacy_to_power(product: BlaschkeProduct, grid_size: int = 4096) -> Conju
     p = _fixed_point(product)
     points, offsets, levels, min_gap = _preimage_tree(product, p, grid_size)
     return ConjugacyMap(
-        thetas=np.angle(p) % _TWO_PI + offsets,
-        values=_TWO_PI * np.arange(len(points)) / len(points),
+        thetas=_read_only(np.angle(p) % _TWO_PI + offsets),
+        values=_read_only(_TWO_PI * np.arange(len(points)) / len(points)),
         residual=_power_certificate(product, points),
         levels=levels,
         min_gap=min_gap,

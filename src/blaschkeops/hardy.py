@@ -253,22 +253,21 @@ def tail_compactness_profile(d: FourierSymbol, n_trunc: int, cuts):
     return [_matrix_norm(_toeplitz_block(d, k, k)) if k > 0 else 0.0 for k in sizes]
 
 
-def _symbol_sup_bound(d: FourierSymbol) -> float:
-    """Certified upper bound on ``sup |d|`` over the unit circle.
+def _symbol_sup_bound(values: np.ndarray) -> np.ndarray:
+    """Certified upper bounds on ``sup |d|`` over the unit circle, one per row of coefficients
+    along the last axis of ``values`` (a dense band, as ``FourierSymbol.values`` holds it).
 
     ``|d| = |z^(-c) d|`` for the centre ``c`` of the band, a trigonometric
     polynomial of degree ``h = (len - 1) / 2``, so Bernstein's inequality
     gives ``|d|' <= h sup|d|``.  Every point of the circle lies within
     ``pi / L`` of one of L equispaced samples, hence
     ``sup|d| <= max|samples| / (1 - pi h / L)``; one zero-padded FFT of the
-    coefficients at ``L >= 16 (h + 1)`` points gives the samples, and the
-    bound is at most ``1 / (1 - pi / 16) ~ 1.25`` times the largest of them.
+    rows at ``L >= 16 (h + 1)`` points gives the samples, and each
+    bound is at most ``1 / (1 - pi / 16) ~ 1.25`` times the largest of its row's.
     Every section of ``T_d``, so every value of
-    :func:`tail_compactness_profile`, is at most this bound.
+    :func:`tail_compactness_profile`, is at most its row's bound.
     """
-    size = d.values.size
-    if not size:
-        return 0.0
+    size = np.shape(values)[-1]  # an empty band samples zeros and bounds 0.0
     length = 1 << (8 * (size + 1) - 1).bit_length()  # the power of two >= 16 (h + 1)
-    peak = float(np.max(np.abs(np.fft.fft(d.values, length))))
+    peak = np.max(np.abs(np.fft.fft(values, length, axis=-1)), axis=-1)
     return peak / (1.0 - np.pi * (size - 1) / (2 * length))

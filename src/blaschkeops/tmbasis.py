@@ -20,7 +20,7 @@ from math import comb, log
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .circle import CircleGrid, FourierSymbol, fourier_coefficients
+from .circle import CircleGrid, _read_only, fft
 from .hardy import TruncatedOperator, _matrix_norm, _partial_products, _power_spectra, _taylor_columns
 from .transfer import TransferOperator, bimodule_inner_samples, transfer_grid
 
@@ -166,30 +166,29 @@ def _taylor_length(product: BlaschkeProduct) -> int:
     return size
 
 
-def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int):
-    """Toeplitz symbols, coefficients ``|k| < min(N, K)``, of ``V_p* V_q - T_<p,q>`` on the N x N window
-    for every pair ``(p, q) = (v_i, v_j)`` of the functions that ``stack`` maps points to (as
-    :func:`frame` does): the nested list ``[i][j]``.
+def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int) -> np.ndarray:
+    """Toeplitz symbols, coefficients ``|k| < w = min(N, K)``, of ``V_p* V_q - T_<p,q>`` on the N x N
+    window for every pair ``(p, q) = (v_i, v_j)`` of the P functions that ``stack`` maps points to (as
+    :func:`frame` does): one read-only ``(P, P, 2w - 1)`` array whose entry ``[i, j, w - 1 + k]`` is
+    coefficient k of the pair ``(v_i, v_j)``.
 
     The left side, the Gram matrix ``n <q R^j, p R^i>``, is Toeplitz as ``|R| = 1`` on the circle;
     its coefficient ``-d`` is ``sum_t a_hat(-t) C[t, d]`` for ``a = n conj(p) q``.  One FFT on
     ``2K`` points (:func:`_taylor_length`) gives ``a_hat(-t)``, ``t < K``, and the columns
-    ``d < min(N, K)`` of the lower triangular C stream from :func:`~blaschkeops.hardy._taylor_columns`;
+    ``d < w`` of the lower triangular C stream from :func:`~blaschkeops.hardy._taylor_columns`;
     coefficient ``+d`` is the conjugate of the transposed pair's ``-d``.  Past K both sides fall below
-    rounding.  The right side is the Fourier transform of the transfer oracle's pairing, an independent
-    route sampled on ``max(256, 2K)`` points (:func:`~blaschkeops.transfer.transfer_grid`), whatever N is.
+    rounding.  The right side is one FFT of the transfer oracle's ``(P, P, M)`` pairings, an independent
+    route sampled on ``M = max(256, 2K)`` points (:func:`~blaschkeops.transfer.transfer_grid`), whatever N is.
     """
     size = _taylor_length(product)
     width = min(n_trunc, size)
+    grid, bins = transfer_grid(2 * size), np.arange(1 - width, width)  # the right side's samples and bins
+    out = -fft(bimodule_inner_samples(TransferOperator(product), stack, grid))[..., bins % grid.size] / grid.size
     vals = np.asarray(stack(CircleGrid(2 * size).points), dtype=complex)
     a_hat = np.array([np.fft.ifft(product.degree * np.conj(v) * vals)[:, :size] for v in vals])  # [i, j, t]
-    upper = np.zeros((width, len(vals), len(vals)), dtype=complex)  # upper[d]: coefficient -d of every pair
     for d, column in enumerate(islice(_taylor_columns(product, size), width)):
-        upper[d] = a_hat[..., d:] @ column[d:]
-    pairings = bimodule_inner_samples(TransferOperator(product), stack, transfer_grid(2 * size))
-    bands = np.concatenate((upper[:0:-1], upper.transpose(0, 2, 1).conj())).reshape(2 * width - 1, -1)
-    symbols = []
-    for band, pairing in zip(bands.T, map(fourier_coefficients, pairings.reshape(len(vals) ** 2, -1))):
-        pairing_band = pairing.values[1 - width - pairing.low : width - pairing.low]  # coefficients 1 - width, ...
-        symbols.append(FourierSymbol._dense(1 - width, band - pairing_band))
-    return [symbols[i : i + len(vals)] for i in range(0, len(symbols), len(vals))]
+        upper = a_hat[..., d:] @ column[d:]  # coefficient -d of every pair
+        out[..., width - 1 + d] += upper.T.conj()
+        if d:
+            out[..., width - 1 - d] += upper
+    return _read_only(out)

@@ -283,14 +283,14 @@ def _check_module_inner_tails(cfg, product, grid, rng):
     # sound PASS; a pair above it takes the exact SVD of its corner at the last
     # cut, so a FAIL value is exact
     residuals = inner_product_residual(product, frame(product), cfg.truncation)
-    cut, tol = 64, cfg.tolerances["module_inner_tails"]
+    cut, tol, low = 64, cfg.tolerances["module_inner_tails"], -(residuals.shape[-1] // 2)
     bounds, corners = {}, {}
-    for i, row in enumerate(residuals):
-        for j, residual in enumerate(row):
+    for i, row in enumerate(residuals):  # one FFT per row: the samples of P bounds, not P^2, at once
+        for j, bound in enumerate(_symbol_sup_bound(row).tolist()):
             pair = f"v{i + 1},v{j + 1}"
-            bounds[pair] = _symbol_sup_bound(residual)
-            if bounds[pair] > tol:
-                corners[pair] = tail_compactness_profile(residual, cfg.truncation, [cut])[0]
+            bounds[pair] = bound
+            if bound > tol:
+                corners[pair] = tail_compactness_profile(FourierSymbol._dense(low, row[j]), cfg.truncation, [cut])[0]
     details = {"cut": cut, "taylor_length": _taylor_length(product), "sup_bounds": bounds, "corner_norms": corners}
     return max(corners.get(pair, bound) for pair, bound in bounds.items()), details
 

@@ -196,9 +196,11 @@ def test_lift_and_conjugacy_properties(product):
     n = product.degree
     lift = build_lift(product, 4096)
     assert lift.psi[-1] - lift.psi[0] == pytest.approx(TWO_PI * n, abs=1e-8)
+    assert not lift.thetas.flags.writeable and not lift.psi.flags.writeable
     p = _fixed_point(product)
     assert abs(product.evaluate(p) - p) <= 1e-12
     result = conjugacy_to_power(product, 4096)
+    assert not result.thetas.flags.writeable and not result.values.flags.writeable
     assert np.all(np.diff(result.thetas) > 0)
     assert result.min_gap > 1e-12
     assert result.residual <= 1e-12

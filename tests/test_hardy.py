@@ -280,7 +280,7 @@ class TestOperatorNorm:
 
 def _check_sup_bound(d: FourierSymbol, n: int) -> float:
     """Asserts that the bound holds every section and stays within 1.25x of its samples."""
-    bound = _symbol_sup_bound(d)
+    bound = _symbol_sup_bound(d.values)
     for k in (1, n // 2, n):
         assert np.linalg.norm(_toeplitz_block(d, k, k), 2) <= bound
     samples = np.abs(np.fft.fft(d.values, 1 << (16 * n - 1).bit_length()))  # L >= 16 N points
@@ -306,8 +306,17 @@ class TestSymbolSupBound:
         d = FourierSymbol._dense(1 - n, np.exp(-1j * np.pi * k / length))
         assert np.max(np.abs(np.fft.fft(d.values, length))) < 2 * n - 1 <= _check_sup_bound(d, n)
 
+    def test_rows_take_their_own_bounds(self):
+        # a stack of rows, as module_inner_tails passes them, is bounded row by row
+        rng = np.random.default_rng(5)
+        rows = (rng.standard_normal((3, 4, 63)) + 1j * rng.standard_normal((3, 4, 63))) * np.arange(1, 5)[:, None]
+        bounds = _symbol_sup_bound(rows)
+        assert bounds.shape == (3, 4)
+        for bound, values in zip(bounds.ravel(), rows.reshape(-1, 63)):
+            assert bound == pytest.approx(_symbol_sup_bound(values), rel=1e-14)
+
     def test_empty_symbol(self):
-        assert _symbol_sup_bound(FourierSymbol({})) == 0.0
+        assert _symbol_sup_bound(FourierSymbol({}).values) == 0.0
 
 
 def _gram_power_iteration(block, tol, max_iter):

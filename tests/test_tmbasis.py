@@ -311,6 +311,13 @@ class TestQuotientGenerators:
         assert _matrix_norm(wrap.entries) <= 1e-12
 
 
+def _pair_symbols(residuals):
+    """The pairs' residual symbols ``[i][j]`` from the ``(P, P, 2w - 1)`` array, whose middle
+    entry is coefficient 0."""
+    low = -(residuals.shape[-1] // 2)
+    return [[FourierSymbol._dense(low, values) for values in row] for row in residuals]
+
+
 class TestInnerProductResidual:
     def _frame_function(self, product, k):
         # v_k = Q_k R_k, written out as the closed-form product of the k-th basis element
@@ -318,7 +325,7 @@ class TestInnerProductResidual:
 
     def test_half_frame_pairs_have_tiny_tails(self, half):
         cuts = [8, 16, 32, 64]
-        for row in inner_product_residual(half, frame(half), 256):
+        for row in _pair_symbols(inner_product_residual(half, frame(half), 256)):
             for residual in row:
                 profile = tail_compactness_profile(residual, 256, cuts)
                 assert profile[-1] <= 1e-6
@@ -327,7 +334,7 @@ class TestInnerProductResidual:
     def test_unit_pair_recovers_isometry_identity(self, square):
         # p = q = 1: V* V = n C* C and <1,1> = n, so the residual is ~ 0
         one = lambda z: np.ones((1,) + np.shape(z), dtype=complex)
-        [[residual]] = inner_product_residual(square, one, 256)
+        [[residual]] = _pair_symbols(inner_product_residual(square, one, 256))
         assert operator_norm(toeplitz_matrix(residual, 256)) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -336,12 +343,13 @@ class TestInnerProductResidual:
         ids=["half-N", "half-K", "half-past-any-grid", "0.99i-N"],
     )
     def test_symbols_hold_the_shorter_of_n_and_k(self, zeros, n_trunc, width):
-        # both sides stop at |k| < min(N, K), K = _taylor_length, so a symbol holds 2 min(N, K) - 1
+        # both sides stop at |k| < min(N, K), K = _taylor_length, so a pair holds 2 min(N, K) - 1
         # coefficients; the pairing is sampled on max(256, 2K) points, so no N is refused
         product = make_blaschke(1.0, zeros)
         assert min(n_trunc, _taylor_length(product)) == width
-        for row in inner_product_residual(product, frame(product), n_trunc):
-            assert [(d.low, d.values.size) for d in row] == [(1 - width, 2 * width - 1)] * product.degree
+        residuals = inner_product_residual(product, frame(product), n_trunc)
+        assert residuals.shape == (product.degree, product.degree, 2 * width - 1)
+        assert not residuals.flags.writeable
 
     def test_pairing_symbol_route_is_independent(self, half):
         # cross-check the Toeplitz side against a direct pointwise evaluation
@@ -374,7 +382,7 @@ class TestInnerProductResidual:
                 gram = product.degree * (left.conj().T @ right) / grid.size
                 pairing = fourier_coefficients(bimodule_inner_samples(op, pair, grid)[0, 1])
                 dense = gram - toeplitz_matrix(pairing, n_trunc).entries
-                residual = inner_product_residual(product, pair, n_trunc)[0][1]
+                residual = _pair_symbols(inner_product_residual(product, pair, n_trunc))[0][1]
                 width = min(n_trunc, _taylor_length(product))
                 assert (residual.low, residual.values.size) == (1 - width, 2 * width - 1)
                 section = toeplitz_matrix(residual, n_trunc).entries
@@ -401,7 +409,7 @@ class TestInnerProductResidual:
         powers = product.evaluate(pts)[:, None] ** np.arange(n_trunc)
         op = TransferOperator(product)
         stack = frame(product)
-        symbols = inner_product_residual(product, stack, n_trunc)
+        symbols = _pair_symbols(inner_product_residual(product, stack, n_trunc))
         assert [len(row) for row in symbols] == [n] * n
         for i in range(n):
             for j in range(n):
@@ -412,7 +420,7 @@ class TestInnerProductResidual:
                 section = toeplitz_matrix(symbols[i][j], n_trunc).entries
                 np.testing.assert_allclose(section, dense, rtol=0, atol=1e-13)
         # a stack of one is the first member paired with itself
-        first = inner_product_residual(product, lambda z: stack(z)[:1], n_trunc)
+        first = _pair_symbols(inner_product_residual(product, lambda z: stack(z)[:1], n_trunc))
         assert len(first) == 1 and len(first[0]) == 1
         np.testing.assert_allclose(first[0][0].values, symbols[0][0].values, rtol=0, atol=1e-14)
 
@@ -442,9 +450,9 @@ class TestInnerProductResidual:
         # past K the frame pairs' coefficients are below rounding, so twice as many
         # Taylor rows, and a pairing grid twice as fine, change each coefficient only by rounding
         product = make_blaschke(np.exp(1.3j), zeros)
-        at_k = inner_product_residual(product, frame(product), n_trunc)
+        at_k = _pair_symbols(inner_product_residual(product, frame(product), n_trunc))
         monkeypatch.setattr(tmbasis, "_taylor_length", lambda p: 2 * _taylor_length(p))
-        at_2k = inner_product_residual(product, frame(product), n_trunc)
+        at_2k = _pair_symbols(inner_product_residual(product, frame(product), n_trunc))
         for row, row_2k in zip(at_k, at_2k):
             for residual, residual_2k in zip(row, row_2k):
                 assert residual.low == residual_2k.low

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import fields
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from blaschkeops import (
     CircleGrid,
     TransferOperator,
     composition_matrix,
+    fourier_coefficients,
     make_blaschke,
     transfer_matrix,
 )
@@ -262,6 +264,27 @@ class TestRun:
         cfg = RunConfig(**FAST)
         residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
         assert residual > spec.tolerance
+
+    def test_scaled_column_fails_module_inner_tails(self, monkeypatch):
+        # negative control on the left side: column 0 of C (R^0 = 1) scaled by 1 + 1e-5 moves
+        # coefficient 0 of each pair by n <v_j, v_i> 1e-5, so only the diagonal pairs carry
+        # n * 1e-5, a constant symbol no cut removes, and their exact corners read it
+        exact = tmbasis._taylor_columns
+
+        def scaled(*args):
+            columns = exact(*args)
+            yield next(columns) * (1.0 + 1e-5)
+            yield from columns
+
+        monkeypatch.setattr(tmbasis, "_taylor_columns", scaled)
+        spec = next(s for s in MANIFEST if s.check_id == "module_inner_tails")
+        cfg = RunConfig(**FAST)
+        product = cfg.product()
+        residual, details = spec.runner(cfg, product, CircleGrid(cfg.grid), None)
+        assert residual > spec.tolerance
+        assert residual == pytest.approx(product.degree * 1e-5, rel=1e-6)
+        assert set(details["corner_norms"]) == {"v1,v1", "v2,v2"}
+        assert residual == max(details["corner_norms"].values())
 
     @pytest.mark.parametrize("index,degree", [(10, 16), (29, 15)])
     def test_wide_products_pass_module_inner_tails_on_the_bound(self, index, degree):
@@ -531,6 +554,45 @@ class TestRun:
         pick = {c.check_id: c.residual for c in base.checks}["toeplitz_covariance"]
         pick_other = {c.check_id: c.residual for c in other.checks}["toeplitz_covariance"]
         assert pick != pick_other
+
+
+def _per_pair_residuals(product, stack, n_trunc):
+    """Reference for ``inner_product_residual``: each pair's pairing through its own
+    ``fourier_coefficients`` and its left side column by column, regrouped into ``[i, j, w - 1 + k]``."""
+    size = tmbasis._taylor_length(product)
+    width = min(n_trunc, size)
+    vals = stack(CircleGrid(2 * size).points)
+    count = len(vals)
+    columns = list(islice(hardy._taylor_columns(product, size), width))
+    lower = np.empty((count, count, width), dtype=complex)  # [i, j, d]: coefficient -d of the pair
+    for i in range(count):
+        for j in range(count):
+            a_hat = np.fft.ifft(product.degree * np.conj(vals[i]) * vals[j])[:size]
+            lower[i, j] = [a_hat[d:] @ column[d:] for d, column in enumerate(columns)]
+    grid = transfer.transfer_grid(2 * size)
+    pairings = transfer.bimodule_inner_samples(TransferOperator(product), stack, grid)
+    out = np.empty((count, count, 2 * width - 1), dtype=complex)
+    for i in range(count):
+        for j in range(count):
+            pairing = fourier_coefficients(pairings[i, j])
+            band = np.concatenate((lower[i, j, :0:-1], np.conj(lower[j, i])))
+            out[i, j] = band - pairing.values[1 - width - pairing.low : width - pairing.low]
+    return out
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["frame", "frame-times-z^i"])
+def test_module_tails_array_matches_the_per_pair_route(shifted):
+    # the 256 pairs of a degree-16 product at N = 256: one FFT of all the pairings and the
+    # streamed columns give, entry by entry, what each pair's own transform and loop give.
+    # The frame's residuals sit at rounding, where a misplaced band would not show; the pairs
+    # of v_i z^i leave coefficients up to about 11, and no pair's band is its own conjugate reverse
+    product = _wide_product(10)
+    frame = tmbasis.frame(product)
+    stack = (lambda z: frame(z) * np.asarray(z) ** np.arange(16)[:, None]) if shifted else frame
+    residuals = tmbasis.inner_product_residual(product, stack, 256)
+    assert residuals.shape == (16, 16, 511) and not residuals.flags.writeable
+    reference = _per_pair_residuals(product, stack, 256)
+    np.testing.assert_allclose(residuals, reference, rtol=0, atol=1e-13)
 
 
 def _wide_product(index):
