@@ -215,18 +215,19 @@ def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int)
 
 
 def commutation_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int, grid: CircleGrid) -> list:
-    """Corner norms of ``C T_b - T_(b o R) C``, one per analytic symbol b of the sequence."""
+    """Corner norms of ``C T_b - T_(b o R) C``, one per analytic symbol b of the sequence.  All three are lower
+    triangular, as ``R(0) = 0``, so the m x m corner is ``C[:m, :m] T_b[:m, :m] - T_(b o R)[:m, :m] C[:m, :m]``
+    and needs no guard band.  ``b o R`` is sampled on ``grid``, of at least 2m points, whose coefficients
+    ``|k| < m`` are exact once those of ``R^B`` past it, for b of band B, fall below rounding."""
     if not all(s.is_analytic() for s in symbols):
         raise ValueError("commutation identity requires an analytic symbol")
-    if m > n_trunc // 4:
-        raise ValueError("corner size must leave a guard band (m <= N/4)")
-    cols = _power_spectra(product, n_trunc, m)
+    if grid.size < 2 * m:
+        raise ValueError("grid must hold 2m points")
+    corner = _power_spectra(product, n_trunc, m)[:m]
     images = product.evaluate(grid.points)
-    # C[:m, :] = [C[:m, :m], 0], so (C T_b)[:m, :m] = C[:m, :m] T_b[:m, :m]
     return [
         _matrix_norm(
-            cols[:m] @ _toeplitz_block(s, m, m)
-            - _toeplitz_block(fourier_coefficients(s.evaluate(images)), m, n_trunc) @ cols
+            corner @ _toeplitz_block(s, m, m) - _toeplitz_block(fourier_coefficients(s.evaluate(images)), m, m) @ corner
         )
         for s in symbols
     ]

@@ -154,13 +154,19 @@ def frame(product: BlaschkeProduct):
     return lambda z: np.array(list(_elements(basis, product.degree, np.asarray(z, dtype=complex))))
 
 
-def _taylor_length(product: BlaschkeProduct) -> int:
-    """The power of two K, at least n, past which the frame pairs' Taylor coefficients fall below
-    rounding: a zero z of multiplicity m adds about ``binom(t + m - 1, m - 1) |z|^t`` to the t-th."""
-    size = 1 << (product.degree - 1).bit_length()
-    zeros = {z: product.zeros.count(z) for z in product.zeros if z}  # multiplicities
+def _decay_length(product: BlaschkeProduct, factor: int, least: int) -> int:
+    """The power of two, at least ``least``, past which the Taylor coefficients of a function with the poles
+    of ``R^factor`` fall below rounding: a pole of order m at ``1 / conj(z)`` adds ``binom(t + m - 1, m - 1) |z|^t``."""
+    size = 1 << (least - 1).bit_length()
+    zeros = {z: factor * product.zeros.count(z) for z in product.zeros if z}  # multiplicities
     while any(log(comb(size + m - 1, m - 1)) + size * log(abs(z)) > log(1e-16) for z, m in zeros.items()):
         size *= 2
+    return size
+
+
+def _taylor_length(product: BlaschkeProduct) -> int:
+    """The power of two K, at least n, past which the frame pairs' Taylor coefficients fall below rounding."""
+    size = _decay_length(product, 1, product.degree)
     if product.degree**2 * size > 1 << 23:  # the coefficients of all pairs would pass 128 MB
         raise ValueError(f"zeros too close to the circle: the frame pairs need {size} Taylor coefficients")
     return size

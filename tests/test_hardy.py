@@ -206,6 +206,16 @@ class TestCommutationResidual:
         with pytest.raises(ValueError, match="analytic"):
             commutation_residual(half, [FourierSymbol({-1: 1.0})], 256, 32, grid_big)
 
+    def test_reads_the_corner_whatever_n_is(self, half):
+        # C, T_b and T_(b o R) are lower triangular, so the corner needs no rows of C past m
+        symbols = [FourierSymbol({0: 0.5, 1: 1.0, 4: -0.25j})]
+        grid = CircleGrid(256)
+        assert commutation_residual(half, symbols, 32, 32, grid) == pytest.approx(
+            commutation_residual(half, symbols, 1024, 32, grid), abs=1e-15
+        )
+        with pytest.raises(ValueError, match="2m"):
+            commutation_residual(half, symbols, 256, 32, CircleGrid(32))
+
 
 class TestTailProfile:
     """Trailing corners of the N x N section of ``T_d``, read as leading sections of d."""

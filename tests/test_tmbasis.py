@@ -434,6 +434,14 @@ class TestInnerProductResidual:
         # binom(K + 4, 4), which K = 2048 leaves at 8e-7; K is never below the degree
         assert _taylor_length(make_blaschke(1.0, zeros)) == length
 
+    @pytest.mark.parametrize("zeros", [[0, 0.5], [0, 0.98], [0, 0.99j, -0.7]], ids=["half", "0.98", "0.99i"])
+    def test_decay_length_with_a_factor_is_that_of_the_power(self, zeros):
+        # every multiplicity times f is the rule of the product whose zeros repeat f times
+        product = make_blaschke(1.0, zeros)
+        for factor in (1, 2, 4):
+            power = make_blaschke(1.0, zeros * factor)
+            assert tmbasis._decay_length(product, factor, power.degree) == _taylor_length(power)
+
     def test_taylor_length_past_memory_is_refused(self):
         # |z|^K reaches 1e-16 only at K = 2^22 for 0.99999, so the 4 frame pairs would hold
         # 2^24 coefficients, past the cap of 2^23

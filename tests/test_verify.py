@@ -623,6 +623,48 @@ def test_near_circle_fail_sets(zeros, failing):
     assert {c.check_id for c in report.checks if not c.passed} == failing
 
 
+SIZED = ("analytic_commutation", "basis_orthonormality")
+
+
+def _sized_residual(zeros, check_id):
+    # no run grid is passed: neither check reads M
+    spec = next(s for s in MANIFEST if s.check_id == check_id)
+    cfg = RunConfig(lambda_angle=1.3, zeros=zeros)
+    return spec.runner(cfg, cfg.product(), None, np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))
+
+
+@pytest.mark.parametrize(
+    "zeros,grids",
+    [((0j, 0.5), (256, 256)), ((0j, 0.99j), (8192, 16384)), ((0j, 0.995), (16384, 65536))],
+    ids=["[0,0.5]", "[0,0.99i]", "[0,0.995]"],
+)
+def test_sized_checks_sample_grids_from_the_zeros(zeros, grids):
+    # b o R is sampled where the poles of R^4 have decayed, and the Gram where those of element
+    # count - 1, each zero ceil(32 / 2) = 16 times, have; [0,0.995] read 1.8e-6 and 0.35 at M = 4096
+    for check_id, size in zip(SIZED, grids):
+        residual, details = _sized_residual(zeros, check_id)
+        assert details["grid"] == size and "grid_needed" not in details
+        assert residual <= 1e-12
+
+
+def test_sizing_reaches_the_largest_grid_without_sampling_it():
+    # 0.9999 needs 2^20 points for R^4 and 2^22 for 16-fold poles; only sizes are computed here
+    product = make_blaschke(1.0, [0, 0.9999])
+    assert verify._sized_grid(product, 4, 64) == (1 << 18, {"grid": 1 << 18, "grid_needed": 1 << 20})
+    assert verify._sized_grid(product, 16) == (1 << 18, {"grid": 1 << 18, "grid_needed": 1 << 22})
+    assert verify._sized_grid(make_blaschke(1.0, [0, 0]), 16) == (256, {"grid": 256})
+
+
+def test_capped_grid_reads_as_under_resolved(monkeypatch):
+    # a product that needs more than the largest grid is read on it and FAILs, reporting
+    # what it needs, rather than raising
+    monkeypatch.setattr(verify, "_MAX_GRID", 1024)
+    for check_id, needed in zip(SIZED, (8192, 16384)):
+        residual, details = _sized_residual((0j, 0.99j), check_id)
+        assert details["grid"] == 1024 and details["grid_needed"] == needed
+        assert residual > DEFAULT_TOLERANCES[check_id]
+
+
 @pytest.fixture(scope="module")
 def report():
     return run_verify(RunConfig(**FAST))
