@@ -19,7 +19,7 @@ import numpy as np
 from .blaschke import ConvergenceError
 from .circle import CircleGrid, FourierSymbol
 from .dynamics import build_lift, k_groups
-from .tmbasis import TMBasis, gram_residual, tm_element
+from .tmbasis import TMBasis, _gram_grid, gram_residual, tm_element
 from .transfer import TransferOperator, preimage_weights
 from .verify import ConfigError, RunConfig, emit_report, run_verify
 
@@ -157,7 +157,7 @@ def _cmd_basis(args) -> int:
     cfg = _load_config(args)
     product = cfg.product()
     basis = TMBasis(product, count=cfg.basis_count)
-    grid = CircleGrid(cfg.grid)
+    grid = CircleGrid(_gram_grid(product, cfg.basis_count)["grid"])  # sized from the zeros, as verify's Gram
     n = product.degree
     lines = [f"adapted basis, degree {n}, first {cfg.basis_count} elements:"]
     sample_points = np.exp(1j * np.array([0.0, np.pi / 2, np.pi]))

@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .circle import CircleGrid, FourierSymbol, _read_only, fourier_coefficients
+from .circle import CircleGrid, FourierSymbol, _read_only, fft, fourier_coefficients
 from .transfer import TransferOperator, transfer_grid
 
 
@@ -214,22 +214,20 @@ def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int)
     ]
 
 
-def commutation_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int, grid: CircleGrid) -> list:
+def commutation_residual(product: BlaschkeProduct, symbols, m: int, grid: CircleGrid) -> list:
     """Corner norms of ``C T_b - T_(b o R) C``, one per analytic symbol b of the sequence.  All three are lower
     triangular, as ``R(0) = 0``, so the m x m corner is ``C[:m, :m] T_b[:m, :m] - T_(b o R)[:m, :m] C[:m, :m]``
-    and needs no guard band.  ``b o R`` is sampled on ``grid``, of at least 2m points, whose coefficients
-    ``|k| < m`` are exact once those of ``R^B`` past it, for b of band B, fall below rounding."""
+    and needs no guard band.  ``T_(b o R)`` reads only coefficients ``0 <= k < m`` of ``b o R``, on ``grid`` of
+    G >= m points: bin k adds ``k + G, k + 2G, ...``, below rounding once those of ``R^B`` past G are (b of band B)."""
     if not all(s.is_analytic() for s in symbols):
         raise ValueError("commutation identity requires an analytic symbol")
-    if grid.size < 2 * m:
-        raise ValueError("grid must hold 2m points")
-    corner = _power_spectra(product, n_trunc, m)[:m]
-    images = product.evaluate(grid.points)
+    if grid.size < m:
+        raise ValueError("grid must hold m points")
+    corner, images = _power_spectra(product, m, m), product.evaluate(grid.points)
+    series = (FourierSymbol._dense(0, fft(s.evaluate(images))[:m] / grid.size) for s in symbols)
     return [
-        _matrix_norm(
-            corner @ _toeplitz_block(s, m, m) - _toeplitz_block(fourier_coefficients(s.evaluate(images)), m, m) @ corner
-        )
-        for s in symbols
+        _matrix_norm(corner @ _toeplitz_block(s, m, m) - _toeplitz_block(t, m, m) @ corner)
+        for s, t in zip(symbols, series)
     ]
 
 

@@ -25,6 +25,7 @@ from .hardy import TruncatedOperator, _matrix_norm, _partial_products, _power_sp
 from .transfer import TransferOperator, bimodule_inner_samples, transfer_grid
 
 _MAX_GRAM_COUNT = 64
+_MAX_GRID = 1 << 18  # the largest grid that a grid sized from the zeros holds
 # The Gram rows take points in slices of at most this many.
 _GRAM_BLOCK = 4096
 
@@ -162,6 +163,18 @@ def _decay_length(product: BlaschkeProduct, factor: int, least: int) -> int:
     while any(log(comb(size + m - 1, m - 1)) + size * log(abs(z)) > log(1e-16) for z, m in zeros.items()):
         size *= 2
     return size
+
+
+def _sized_grid(product: BlaschkeProduct, factor: int, least: int) -> dict:
+    """``{"grid": G}``, G the ``_decay_length`` for ``factor`` and at least ``max(256, least)`` points; a product
+    that needs more than ``_MAX_GRID`` points is read on that many, under-resolved, and adds ``"grid_needed"``."""
+    needed = _decay_length(product, factor, max(256, least))
+    return {"grid": _MAX_GRID, "grid_needed": needed} if needed > _MAX_GRID else {"grid": needed}
+
+
+def _gram_grid(product: BlaschkeProduct, count: int) -> dict:
+    """The :func:`_sized_grid` of a ``count``-element Gram: its last element has each zero ``ceil(count / n)`` times."""
+    return _sized_grid(product, -(-count // product.degree), count)
 
 
 def _taylor_length(product: BlaschkeProduct) -> int:

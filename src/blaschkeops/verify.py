@@ -23,12 +23,11 @@ from .circle import CircleGrid, FourierSymbol
 from .dynamics import _MIN_LIFT_GRID, build_lift, branch_inverse, conjugacy_to_power, k_groups
 from .hardy import _matrix_norm, _power_spectra, _symbol_sup_bound, commutation_residual, covariance_residual
 from .hardy import isometry_residual, tail_compactness_profile
-from .tmbasis import TMBasis, _decay_length, _taylor_length, cons_residual, cuntz_columns, factorization_residual
-from .tmbasis import frame, gram_residual, inner_product_residual
+from .tmbasis import TMBasis, _gram_grid, _sized_grid, _taylor_length, cons_residual, cuntz_columns, frame
+from .tmbasis import factorization_residual, gram_residual, inner_product_residual
 from .transfer import TransferOperator, _preimage_table, transfer_grid, transfer_matrix
 
 _VERSION = "0.1.0"
-_MAX_GRID = 1 << 18  # the largest grid that a check sized from the zeros samples
 
 
 class ConfigError(ValueError):
@@ -249,28 +248,18 @@ def _check_toeplitz_covariance(cfg, product, grid, rng):
     }
 
 
-def _sized_grid(product, factor: int, least: int = 256):
-    """The grid size that ``_decay_length`` picks, at least 256 points, and its details; a product that
-    needs more than ``_MAX_GRID`` points is read on that many, under-resolved, and reports what it needs."""
-    needed = _decay_length(product, factor, max(256, least))
-    size = min(needed, _MAX_GRID)
-    return size, {"grid": size, "grid_needed": needed} if needed > size else {"grid": size}
-
-
 def _check_analytic_commutation(cfg, product, grid, rng):
     symbols = [FourierSymbol({j: 1.0}) for j in range(5)]
     symbols += [_random_symbol(rng, band=4, analytic=True) for _ in range(5)]
-    # b o R has the poles of R^4, and the corner reads its coefficients |k| < m
-    size, details = _sized_grid(product, 4, 2 * cfg.corner)
-    residuals = commutation_residual(product, symbols, cfg.truncation, cfg.corner, CircleGrid(size))
+    # b o R has the poles of R^B, B the symbols' largest band, and the corner reads its coefficients k < m
+    details = _sized_grid(product, max(s.low + s.values.size - 1 for s in symbols), cfg.corner)
+    residuals = commutation_residual(product, symbols, cfg.corner, CircleGrid(details["grid"]))
     return float(max(residuals)), {"symbols": len(symbols), **details}
 
 
 def _check_basis_orthonormality(cfg, product, grid, rng):
-    # a Gram entry e_i conj(e_j) has at most the poles of element count - 1: each zero ceil(count / n) times
-    count = cfg.basis_count
-    size, details = _sized_grid(product, -(-count // product.degree))
-    return gram_residual(TMBasis(product, count=count), count, CircleGrid(size)), {"count": count, **details}
+    count, details = cfg.basis_count, _gram_grid(product, cfg.basis_count)
+    return gram_residual(TMBasis(product, count=count), count, CircleGrid(details["grid"])), {"count": count, **details}
 
 
 def _check_basis_factorization(cfg, product, grid, rng):

@@ -233,5 +233,5 @@ def test_criterion_10_monomial_example_relations(products, grid):
         symbols.append(
             FourierSymbol({k: complex(rng.standard_normal(), rng.standard_normal()) for k in range(5)})
         )
-        worst_comm = max(worst_comm, *commutation_residual(product, symbols, N, CORNER, grid))
+        worst_comm = max(worst_comm, *commutation_residual(product, symbols, CORNER, grid))
     _report("criterion 10b: analytic commutation", worst_comm, 1e-8, "degree <= 4")

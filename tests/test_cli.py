@@ -149,6 +149,13 @@ class TestQueryCommands:
         out = capsys.readouterr().out
         assert "e_0" in out and "gram residual" in out
 
+    def test_basis_gram_reads_the_grid_sized_from_the_zeros(self, tmp_path, capsys):
+        # the Gram grid is basis_orthonormality's, 65536 points for [0,0.995]; M = 4096 aliases it to 3.5e-1
+        config = write_config(tmp_path, zeros=[[0, 0], [0.995, 0]])
+        assert main(["basis", "--config", config]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("gram residual (count 32): ") and float(line.split()[-1]) <= 1e-12
+
     def test_lift_export_row_count(self, tmp_path):
         target = tmp_path / "lift.tsv"
         assert main(["lift", "--grid", "1024", "--report", str(target)]) == 0

@@ -26,6 +26,7 @@ from blaschkeops.hardy import (
     _symbol_sup_bound,
     _toeplitz_block,
 )
+from blaschkeops.tmbasis import _sized_grid
 from blaschkeops.transfer import TransferOperator
 from conftest import random_product
 
@@ -193,28 +194,30 @@ class TestCovarianceResidual:
 
 class TestCommutationResidual:
     def test_unit_symbol(self, half, grid_big):
-        assert commutation_residual(half, [FourierSymbol({0: 1.0})], 256, 32, grid_big)[0] <= 1e-13
+        assert commutation_residual(half, [FourierSymbol({0: 1.0})], 32, grid_big)[0] <= 1e-13
 
     def test_square_with_shift(self, square, grid_big):
         # both routes send e_m to e_(2m+2)
-        assert commutation_residual(square, [FourierSymbol({1: 1.0})], 256, 32, grid_big)[0] <= 1e-13
+        assert commutation_residual(square, [FourierSymbol({1: 1.0})], 32, grid_big)[0] <= 1e-13
 
     def test_half_with_shift(self, half, grid_big):
-        assert commutation_residual(half, [FourierSymbol({1: 1.0})], 256, 32, grid_big)[0] <= 1e-8
+        assert commutation_residual(half, [FourierSymbol({1: 1.0})], 32, grid_big)[0] <= 1e-8
 
     def test_rejects_antianalytic_symbol(self, half, grid_big):
         with pytest.raises(ValueError, match="analytic"):
-            commutation_residual(half, [FourierSymbol({-1: 1.0})], 256, 32, grid_big)
+            commutation_residual(half, [FourierSymbol({-1: 1.0})], 32, grid_big)
 
-    def test_reads_the_corner_whatever_n_is(self, half):
-        # C, T_b and T_(b o R) are lower triangular, so the corner needs no rows of C past m
-        symbols = [FourierSymbol({0: 0.5, 1: 1.0, 4: -0.25j})]
-        grid = CircleGrid(256)
-        assert commutation_residual(half, symbols, 32, 32, grid) == pytest.approx(
-            commutation_residual(half, symbols, 1024, 32, grid), abs=1e-15
-        )
-        with pytest.raises(ValueError, match="2m"):
-            commutation_residual(half, symbols, 256, 32, CircleGrid(32))
+    def test_reads_only_the_analytic_coefficients_of_b_o_r(self):
+        # the sized grid for [0,0.9] at m = 256 is G = 2m: there bin G - d holds coefficient
+        # G - d of b o R, not -d; reading it into the upper triangle of T_(b o R) would give 2.9e-8
+        product = make_blaschke(1.0, [0, 0.9])
+        symbols = [FourierSymbol({4: 1.0}), FourierSymbol({0: 0.5, 1: 1.0, 4: -0.25j})]
+        assert _sized_grid(product, 4, 256) == {"grid": 512}
+        sized = commutation_residual(product, symbols, 256, CircleGrid(512))
+        assert max(sized) <= 1e-13
+        assert sized == pytest.approx(commutation_residual(product, symbols, 256, CircleGrid(16384)), abs=1e-14)
+        with pytest.raises(ValueError, match="m points"):
+            commutation_residual(product, symbols, 256, CircleGrid(128))
 
 
 class TestTailProfile:
@@ -450,7 +453,7 @@ class TestSlicedCorners:
         pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
         t_b = toeplitz_matrix(b, self.N_TRUNC)
         dense = comp @ t_b - toeplitz_matrix(pullback, self.N_TRUNC) @ comp
-        sliced = commutation_residual(product, [b], self.N_TRUNC, self.CORNER, grid)[0]
+        sliced = commutation_residual(product, [b], self.CORNER, grid)[0]
         assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
 
     def test_covariance_batch_matches_per_symbol_references(self, setup):
@@ -490,10 +493,10 @@ class TestSlicedCorners:
     def test_commutation_batch_matches_per_symbol_references(self, setup):
         product, grid, comp = setup
         symbols = [self._symbol(6, 0, 4), FourierSymbol({0: 1.0}), self._symbol(7, 2, 6)]
-        batch = commutation_residual(product, symbols, self.N_TRUNC, self.CORNER, grid)
+        batch = commutation_residual(product, symbols, self.CORNER, grid)
         for b, value in zip(symbols, batch):
             pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
             dense = comp @ toeplitz_matrix(b, self.N_TRUNC) - toeplitz_matrix(pullback, self.N_TRUNC) @ comp
             assert value == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
         with pytest.raises(ValueError):
-            commutation_residual(product, symbols + [FourierSymbol({-1: 1.0})], self.N_TRUNC, self.CORNER, grid)
+            commutation_residual(product, symbols + [FourierSymbol({-1: 1.0})], self.CORNER, grid)

@@ -650,15 +650,15 @@ def test_sized_checks_sample_grids_from_the_zeros(zeros, grids):
 def test_sizing_reaches_the_largest_grid_without_sampling_it():
     # 0.9999 needs 2^20 points for R^4 and 2^22 for 16-fold poles; only sizes are computed here
     product = make_blaschke(1.0, [0, 0.9999])
-    assert verify._sized_grid(product, 4, 64) == (1 << 18, {"grid": 1 << 18, "grid_needed": 1 << 20})
-    assert verify._sized_grid(product, 16) == (1 << 18, {"grid": 1 << 18, "grid_needed": 1 << 22})
-    assert verify._sized_grid(make_blaschke(1.0, [0, 0]), 16) == (256, {"grid": 256})
+    assert tmbasis._sized_grid(product, 4, 64) == {"grid": 1 << 18, "grid_needed": 1 << 20}
+    assert tmbasis._gram_grid(product, 32) == {"grid": 1 << 18, "grid_needed": 1 << 22}
+    assert tmbasis._gram_grid(make_blaschke(1.0, [0, 0]), 32) == {"grid": 256}
 
 
 def test_capped_grid_reads_as_under_resolved(monkeypatch):
     # a product that needs more than the largest grid is read on it and FAILs, reporting
     # what it needs, rather than raising
-    monkeypatch.setattr(verify, "_MAX_GRID", 1024)
+    monkeypatch.setattr(tmbasis, "_MAX_GRID", 1024)
     for check_id, needed in zip(SIZED, (8192, 16384)):
         residual, details = _sized_residual((0j, 0.99j), check_id)
         assert details["grid"] == 1024 and details["grid_needed"] == needed
