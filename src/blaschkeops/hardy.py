@@ -1,21 +1,16 @@
 """Truncated matrix models of Toeplitz and composition operators.
 
 An N x N matrix stands for the compression of a Hardy-space operator to
-``span{1, z, ..., z^(N-1)}``.  Identities that hold exactly (or modulo
-compact operators) upstairs are tested on an m x m corner whose guard band
-``N - m`` absorbs truncation spill-over.  Column j of the composition matrix
-C holds the first N Taylor coefficients of R^j, exactly: N limits a column,
-no grid does.  ``R(0) = 0`` makes C lower triangular, so a corner reads only
-the first m columns of C.  A covariance corner sums shifted Gram blocks of
-them, at most ``B + 1`` products for the symbols' band ``|k| <= B``.  The
-Cuntz family's frame series come from the same partial products as C.
-``L a`` has degree at most B, so ``T_(L a)`` samples no more points than its corner needs.
-A modulo-compact identity is read from the Toeplitz symbol of its residual:
-every trailing corner of a Toeplitz section is a leading section of the same
-symbol.  Residual norms are exact, from numpy's SVD, which costs about a
-millisecond on an m x m corner.  A large section is first compared with a
-certified bound: it has norm at most its symbol's supremum on the circle,
-which one zero-padded FFT and Bernstein's inequality bound from above.
+``span{1, z, ..., z^(N-1)}``.  Column j of the composition matrix C holds
+the first N Taylor coefficients of R^j, exactly, from the partial products
+that also give the Cuntz family's frame series.  ``R(0) = 0`` makes C lower
+triangular, so a corner reads only the first m columns of C, and ``|R| = 1``
+on the circle makes ``C* T_a C`` Toeplitz on H^2, its symbol read from
+``C[:B+1, :B+1]`` for a symbol of band B, with no N.  A Toeplitz operator
+has the norm ``sup |d|`` of its symbol d, which one zero-padded FFT and
+Bernstein's inequality bound; past that bound an exact section norm comes
+from numpy's SVD.  Every trailing corner of a Toeplitz section is a leading
+section of the same symbol, so modulo-compact identities read symbols too.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .circle import CircleGrid, FourierSymbol, _read_only, fft, fourier_coefficients
+from .circle import CircleGrid, FourierSymbol, _read_only, fft
 from .transfer import TransferOperator, transfer_grid
 
 
@@ -180,38 +175,27 @@ def isometry_residual(c, m: int) -> float:
     return _matrix_norm(cols.conj().T @ cols - np.eye(m))
 
 
-def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, m: int) -> list:
-    """Corner norms of ``C* T_a C - T_(L a)``, one per symbol a of the sequence.
+def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, tol: float = np.inf) -> list:
+    """Norms on H^2 of ``C* T_a C - T_(L a)``, one per symbol a of the sequence, from :func:`_certified_norms`.
 
-    The left corner is the finite sum ``sum_k a_hat(k) G_k`` of the shifted
-    Gram blocks ``G_k = C[k:, :m]^H C[:N-k, :m]``, ``G_(-k) = G_k^H``, with no
-    term for ``|k| >= N``: at most ``B + 1`` products ``m x N`` by ``N x m`` for
-    the union band ``|k| <= B`` serve every symbol.  ``L`` is linear, so every
-    ``L a`` combines the monomial images of the pointwise transfer oracle,
-    which keeps the two sides of the identity on independent numerical routes.
-    ``L(z^q)`` has degree ``|q|`` at most: ``4 max(m, 2B + 1)`` points hold every image.
+    ``(C* T_a C)[i, j] = <a R^j, R^i>`` integrates ``a R^(j - i)``, as ``|R| = 1``, so its symbol s has
+    ``s_hat(-d) = sum_t a_hat(-t) C[t, d]`` and ``s_hat(d) = sum_t a_hat(t) conj(C[t, d])``; C is lower
+    triangular, so for the union band ``|k| <= B`` of the symbols ``C[:B+1, :B+1]`` serves every s.  ``L`` is
+    linear, so every ``L a`` combines the monomial images of the pointwise transfer oracle, an independent
+    route; ``L(z^q)`` has degree ``|q|`` at most: ``4 (2B + 1)`` points hold every image.
     """
-    if m > n_trunc // 4:
-        raise ValueError("corner size must leave a guard band (m <= N/4)")
     low = min(s.low for s in symbols)
-    coeffs = np.zeros((len(symbols), max(s.low + s.values.size for s in symbols) - low), dtype=complex)
+    band = max(-low, max(s.low + s.values.size for s in symbols) - 1, 0)  # the union band |k| <= B
+    coeffs = np.zeros((len(symbols), 2 * band + 1), dtype=complex)  # [r, B + k] = a_hat(k)
     for row, s in zip(coeffs, symbols):
-        row[s.low - low : s.low - low + s.values.size] = s.values
-    band = max(-low, low + coeffs.shape[1] - 1)  # the union band |k| <= B
-    grid = transfer_grid(4 * max(m, 2 * band + 1))
-    images = coeffs @ TransferOperator(product).monomial_samples(low, low + coeffs.shape[1], grid)
-    cols = _power_spectra(product, n_trunc, m)
-    ks = np.arange(low, low + coeffs.shape[1])
-    grams = np.zeros((ks.size, m, m), dtype=complex)
-    for k in set(np.abs(ks[np.abs(ks) < n_trunc]).tolist()):
-        gram = cols[k:].conj().T @ cols[: n_trunc - k]
-        grams[ks == -k], grams[ks == k] = gram.conj().T, gram
-    corners = np.tensordot(coeffs, grams, axes=1)
-    del grams  # the per-symbol transforms below reuse its memory rather than grow the heap
-    return [
-        _matrix_norm(corner - _toeplitz_block(fourier_coefficients(image), m, m))
-        for corner, image in zip(corners, images)
-    ]
+        row[band + s.low : band + s.low + s.values.size] = s.values
+    grid = transfer_grid(4 * (2 * band + 1))
+    images = coeffs @ TransferOperator(product).monomial_samples(-band, band + 1, grid)
+    cols = _power_spectra(product, band + 1, band + 1)
+    below, above = coeffs[:, band::-1] @ cols, coeffs[:, band:] @ cols.conj()  # [r, d]: s_hat(-d), s_hat(d)
+    left = np.concatenate((below[:, :0:-1], above), axis=1)
+    right = fft(images)[:, np.arange(-band, band + 1) % grid.size] / grid.size
+    return _certified_norms(left - right, n_trunc, tol)
 
 
 def commutation_residual(product: BlaschkeProduct, symbols, m: int, grid: CircleGrid) -> list:
@@ -270,3 +254,13 @@ def _symbol_sup_bound(values: np.ndarray) -> np.ndarray:
     length = 1 << (8 * (size + 1) - 1).bit_length()  # the power of two >= 16 (h + 1)
     peak = np.max(np.abs(np.fft.fft(values, length, axis=-1)), axis=-1)
     return peak / (1.0 - np.pi * (size - 1) / (2 * length))
+
+
+def _certified_norms(rows, n_trunc: int, tol: float) -> list:
+    """Per centred row of symbol coefficients, its Toeplitz operator's norm: the certified :func:`_symbol_sup_bound`,
+    or where that exceeds ``tol`` the exact norm of the N x N section, so a FAIL value holds no slack."""
+    low = -(np.shape(rows)[-1] // 2)
+    return [
+        bound if bound <= tol else _matrix_norm(_toeplitz_block(FourierSymbol._dense(low, row), n_trunc, n_trunc))
+        for row, bound in zip(rows, _symbol_sup_bound(rows).tolist())
+    ]

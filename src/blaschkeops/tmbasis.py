@@ -6,22 +6,23 @@ periodically) and phases ``alpha_{kn+l} = phase^k``, the Takenaka-Malmquist
 elements form an orthonormal basis of the Hardy space that factors as
 ``e_{kn+l} = Q_l R_l R^k``.  The operators ``W_k = T_(Q_{k-1} R_{k-1}) C``
 are isometries with mutually orthogonal ranges summing to the identity - a
-concrete family satisfying the Cuntz relations in truncation.  The bimodule
-relation ``V_p* V_q = T_<p,q>`` modulo compact operators is read from the
-Toeplitz symbol of its residual, whose trailing-corner norms must decay.
+concrete family satisfying the Cuntz relations.  ``W_i* W_j`` is Toeplitz,
+the left side of the bimodule relation ``V_p* V_q = T_<p,q>`` modulo compact
+operators, read like it from Toeplitz symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import islice
 from math import comb, log
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .circle import CircleGrid, _read_only, fft
-from .hardy import TruncatedOperator, _matrix_norm, _partial_products, _power_spectra, _taylor_columns
+from .hardy import TruncatedOperator, _certified_norms, _matrix_norm, _partial_products, _power_spectra, _taylor_columns
 from .transfer import TransferOperator, bimodule_inner_samples, transfer_grid
 
 _MAX_GRAM_COUNT = 64
@@ -128,24 +129,21 @@ def cuntz_family(product: BlaschkeProduct, n_trunc: int):
     return [TruncatedOperator(w, label=f"W{k + 1}") for k, w in enumerate(columns)]
 
 
-def cons_residual(family, m: int) -> dict:
-    """Cuntz-relation residuals of an isometry family on the m x m corner: the dict of
-    ``completeness`` ``||sum_k W_k W_k* - I||``, ``isometry`` ``max_k ||W_k* W_k - I||`` and
-    ``orthogonality`` ``max_(k != j) ||W_k* W_j||``.  Each member holds the leading N x k columns
-    of a truncated ``W_k``, ``k >= m``; their first m columns stack into one N x nm block X, whose
-    Gram ``X^H X`` holds every ``W_k* W_j``: orthogonality reads its blocks ``k < j`` only, as
-    ``||W_k* W_j|| = ||W_j* W_k||``, and completeness ``X[:m] X[:m]^H``, as every ``W_k`` is lower triangular.
-    """
-    stacked = np.hstack([np.asarray(w)[:, :m] for w in family])
-    if m > stacked.shape[0] // 4:
-        raise ValueError("corner size must leave a guard band (m <= N/4)")
-    n = stacked.shape[1] // m
-    gram = (stacked.conj().T @ stacked).reshape(n, m, n, m)
-    return {
-        "completeness": _matrix_norm(stacked[:m] @ stacked[:m].conj().T - np.eye(m)),
-        "isometry": max(_matrix_norm(gram[k, :, k] - np.eye(m)) for k in range(n)),
-        "orthogonality": max(_matrix_norm(gram[k, :, j]) for k, j in combinations(range(n), 2)),
-    }
+def cons_residual(corners, gram, n_trunc: int, tol: float = np.inf) -> dict:
+    """Cuntz-relation residuals of ``W_k = T_(v_(k-1)) C``: the dict of ``completeness`` ``||sum_k W_k W_k* - I||``
+    on the corner, from the m x m ``corners`` that hold the first m rows of the lower triangular ``W_k``, and, on
+    H^2, ``isometry`` ``max_k ||W_k* W_k - I||`` and ``orthogonality`` ``max_(k < j) ||W_k* W_j||`` by
+    :func:`~blaschkeops.hardy._certified_norms` of ``gram[i, j]``, the symbol of ``n W_i* W_j``, as
+    ``W_i* W_j = C* T_(conj(v_i) v_j) C`` is Toeplitz (:func:`inner_product_residual`'s left side)."""
+    stacked, n, centre = np.hstack(list(corners)), len(gram), gram.shape[-1] // 2
+    isometry = orthogonality = 0.0
+    for k, row in enumerate(gram):  # one FFT per row of pairs (k, j >= k)
+        rows = row[k:] / n
+        rows[0, centre] -= 1.0
+        norms = _certified_norms(rows, n_trunc, tol)
+        isometry, orthogonality = max(isometry, norms[0]), max([orthogonality, *norms[1:]])
+    completeness = _matrix_norm(stacked @ stacked.conj().T - np.eye(len(stacked)))
+    return {"completeness": completeness, "isometry": isometry, "orthogonality": orthogonality}
 
 
 def frame(product: BlaschkeProduct):
@@ -185,15 +183,15 @@ def _taylor_length(product: BlaschkeProduct) -> int:
     return size
 
 
-def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int) -> np.ndarray:
-    """Toeplitz symbols, coefficients ``|k| < w = min(N, K)``, of ``V_p* V_q - T_<p,q>`` on the N x N
-    window for every pair ``(p, q) = (v_i, v_j)`` of the P functions that ``stack`` maps points to (as
-    :func:`frame` does): one read-only ``(P, P, 2w - 1)`` array whose entry ``[i, j, w - 1 + k]`` is
-    coefficient k of the pair ``(v_i, v_j)``.
+def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int) -> tuple:
+    """The two sides of ``V_p* V_q = T_<p,q>`` as Toeplitz symbols, coefficients ``|k| < w = min(N, K)``, for
+    every pair ``(p, q) = (v_i, v_j)`` of the P functions that ``stack`` maps points to (as :func:`frame`
+    does): two read-only ``(P, P, 2w - 1)`` arrays ``(left, right)`` whose entries ``[i, j, w - 1 + k]`` are
+    coefficient k of the pair ``(v_i, v_j)``; the residual symbols are ``left - right``.
 
-    The left side, the Gram matrix ``n <q R^j, p R^i>``, is Toeplitz as ``|R| = 1`` on the circle;
-    its coefficient ``-d`` is ``sum_t a_hat(-t) C[t, d]`` for ``a = n conj(p) q``.  One FFT on
-    ``2K`` points (:func:`_taylor_length`) gives ``a_hat(-t)``, ``t < K``, and the columns
+    The left side, the Gram matrix ``n <q R^j, p R^i>`` of ``n C* T_(conj(p) q) C``, is Toeplitz as
+    ``|R| = 1`` on the circle; its coefficient ``-d`` is ``sum_t a_hat(-t) C[t, d]`` for ``a = n conj(p) q``.
+    One FFT on ``2K`` points (:func:`_taylor_length`) gives ``a_hat(-t)``, ``t < K``, and the columns
     ``d < w`` of the lower triangular C stream from :func:`~blaschkeops.hardy._taylor_columns`;
     coefficient ``+d`` is the conjugate of the transposed pair's ``-d``.  Past K both sides fall below
     rounding.  The right side is one FFT of the transfer oracle's ``(P, P, M)`` pairings, an independent
@@ -202,12 +200,20 @@ def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int) -> np.
     size = _taylor_length(product)
     width = min(n_trunc, size)
     grid, bins = transfer_grid(2 * size), np.arange(1 - width, width)  # the right side's samples and bins
-    out = -fft(bimodule_inner_samples(TransferOperator(product), stack, grid))[..., bins % grid.size] / grid.size
+    right = fft(bimodule_inner_samples(TransferOperator(product), stack, grid))[..., bins % grid.size] / grid.size
+    left = np.empty_like(right)  # every coefficient |k| < w is written once below
     vals = np.asarray(stack(CircleGrid(2 * size).points), dtype=complex)
     a_hat = np.array([np.fft.ifft(product.degree * np.conj(v) * vals)[:, :size] for v in vals])  # [i, j, t]
     for d, column in enumerate(islice(_taylor_columns(product, size), width)):
         upper = a_hat[..., d:] @ column[d:]  # coefficient -d of every pair
-        out[..., width - 1 + d] += upper.T.conj()
+        left[..., width - 1 + d] = upper.T.conj()
         if d:
-            out[..., width - 1 - d] += upper
-    return _read_only(out)
+            left[..., width - 1 - d] = upper
+    return _read_only(left), _read_only(right)
+
+
+@lru_cache(maxsize=1)
+def _frame_sides(product: BlaschkeProduct, n_trunc: int) -> tuple:
+    """:func:`inner_product_residual` of the :func:`frame`, formed once for ``cuntz_relations`` (the left side) and
+    ``module_inner_tails`` (the difference); one entry is kept, as at degree 64 the two sides hold about 67 MB."""
+    return inner_product_residual(product, frame(product), n_trunc)

@@ -23,8 +23,8 @@ from .circle import CircleGrid, FourierSymbol
 from .dynamics import _MIN_LIFT_GRID, build_lift, branch_inverse, conjugacy_to_power, k_groups
 from .hardy import _matrix_norm, _power_spectra, _symbol_sup_bound, commutation_residual, covariance_residual
 from .hardy import isometry_residual, tail_compactness_profile
-from .tmbasis import TMBasis, _gram_grid, _sized_grid, _taylor_length, cons_residual, cuntz_columns, frame
-from .tmbasis import factorization_residual, gram_residual, inner_product_residual
+from .tmbasis import TMBasis, _frame_sides, _gram_grid, _sized_grid, _taylor_length, cons_residual, cuntz_columns
+from .tmbasis import factorization_residual, gram_residual
 from .transfer import TransferOperator, _preimage_table, transfer_grid, transfer_matrix
 
 _VERSION = "0.1.0"
@@ -208,12 +208,6 @@ def _check_transfer_covariance(cfg, product, grid, rng):
     return worst, {"band": band, "targets": int(targets.shape[0])}
 
 
-def _column_tail_mass(cfg, product) -> float:
-    # ||R^j|| = 1, so this is the exact mass the corner columns lose past N
-    cols = _power_spectra(product, cfg.truncation, cfg.corner)
-    return float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0)))
-
-
 def _check_adjoint_transfer(cfg, product, grid, rng):
     # column j of either truncation holds the first coefficients of L(z^j) or R^j
     m = cfg.corner
@@ -223,10 +217,11 @@ def _check_adjoint_transfer(cfg, product, grid, rng):
 
 
 def _check_composition_isometry(cfg, product, grid, rng):
+    # ||R^j|| = 1, so column_tail_mass is the exact mass the corner columns lose past N
     cols = _power_spectra(product, cfg.truncation, cfg.corner)
     return isometry_residual(cols, cfg.corner), {
         "corner": cfg.corner,
-        "column_tail_mass": _column_tail_mass(cfg, product),
+        "column_tail_mass": float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0))),
     }
 
 
@@ -240,12 +235,9 @@ def _random_symbol(rng, band: int, analytic: bool) -> FourierSymbol:
 
 def _check_toeplitz_covariance(cfg, product, grid, rng):
     symbols = [_random_symbol(rng, band=8, analytic=False) for _ in range(10)]
-    residuals = covariance_residual(product, symbols, cfg.truncation, cfg.corner)
-    return float(max(residuals)), {
-        "symbols": 10,
-        "per_symbol": [float(r) for r in residuals],
-        "column_tail_mass": _column_tail_mass(cfg, product),
-    }
+    # a symbol's bound within tolerance is a sound PASS on H^2; above it, its N x N section is exact
+    residuals = covariance_residual(product, symbols, cfg.truncation, cfg.tolerances["toeplitz_covariance"])
+    return max(residuals), {"symbols": 10, "per_symbol": residuals}
 
 
 def _check_analytic_commutation(cfg, product, grid, rng):
@@ -268,8 +260,11 @@ def _check_basis_factorization(cfg, product, grid, rng):
 
 
 def _check_cuntz_relations(cfg, product, grid, rng):
-    columns = cuntz_columns(product, _power_spectra(product, cfg.truncation, cfg.corner))
-    parts = cons_residual(columns, cfg.corner)
+    # completeness reads the first m rows of the lower triangular W_k, so only C[:m, :m]; isometry and
+    # orthogonality read the symbols of n W_i* W_j, the left side that module_inner_tails shares
+    corners = cuntz_columns(product, _power_spectra(product, cfg.corner, cfg.corner))
+    gram, _ = _frame_sides(product, cfg.truncation)
+    parts = cons_residual(corners, gram, cfg.truncation, cfg.tolerances["cuntz_relations"])
     return max(parts.values()), parts
 
 
@@ -277,7 +272,8 @@ def _check_module_inner_tails(cfg, product, grid, rng):
     # sup |d| bounds the corner at every cut, so a bound within tolerance is a
     # sound PASS; a pair above it takes the exact SVD of its corner at the last
     # cut, so a FAIL value is exact
-    residuals = inner_product_residual(product, frame(product), cfg.truncation)
+    left, right = _frame_sides(product, cfg.truncation)
+    residuals = left - right
     cut, tol, low = 64, cfg.tolerances["module_inner_tails"], -(residuals.shape[-1] // 2)
     bounds, corners = {}, {}
     for i, row in enumerate(residuals):  # one FFT per row: the samples of P bounds, not P^2, at once
@@ -415,7 +411,7 @@ MANIFEST = (
     ),
     CheckSpec(
         "toeplitz_covariance",
-        "C* T_a C equals T_(L a) on the guarded corner",
+        "C* T_a C equals T_(L a)",
         1e-6,
         _check_toeplitz_covariance,
     ),
@@ -439,7 +435,7 @@ MANIFEST = (
     ),
     CheckSpec(
         "cuntz_relations",
-        "isometry family satisfies the Cuntz relations on the corner",
+        "isometry family satisfies the Cuntz relations",
         1e-6,
         _check_cuntz_relations,
     ),

@@ -158,23 +158,24 @@ class TestIsometry:
 
 class TestCovarianceResidual:
     def test_unit_symbol_matches_isometry(self, half):
-        res = covariance_residual(half, [FourierSymbol({0: 1.0})], 256, 32)[0]
+        # a = 1: C* C = I on H^2, so the symbol route and the resolved corner both read rounding
+        res = covariance_residual(half, [FourierSymbol({0: 1.0})], 256)[0]
         iso = isometry_residual(composition_matrix(half, 256).entries, 32)
-        assert res == pytest.approx(iso, abs=1e-12)
+        assert res == pytest.approx(iso, abs=1e-12) and res <= 1e-14
 
     def test_square_with_square_symbol_vanishes(self, square):
         # index chase: m -> 2m -> 2m+2 -> m+1 against L(z^2) = w
-        res = covariance_residual(square, [FourierSymbol({2: 1.0})], 256, 32)[0]
+        res = covariance_residual(square, [FourierSymbol({2: 1.0})], 256)[0]
         assert res <= 1e-13
 
     def test_half_with_linear_symbol(self, half):
-        res = covariance_residual(half, [FourierSymbol({1: 1.0})], 256, 32)[0]
+        res = covariance_residual(half, [FourierSymbol({1: 1.0})], 256)[0]
         assert res <= 1e-6
 
     def test_antianalytic_via_adjoint_symmetry(self, half):
         # conjugate symbol residual equals the analytic one by T_a* = T_conj(a)
-        res_plus = covariance_residual(half, [FourierSymbol({2: 1.0})], 256, 32)[0]
-        res_minus = covariance_residual(half, [FourierSymbol({-2: 1.0})], 256, 32)[0]
+        res_plus = covariance_residual(half, [FourierSymbol({2: 1.0})], 256)[0]
+        res_minus = covariance_residual(half, [FourierSymbol({-2: 1.0})], 256)[0]
         assert res_minus == pytest.approx(res_plus, abs=1e-9)
 
     def test_seeded_symbols(self, spiral):
@@ -184,12 +185,17 @@ class TestCovarianceResidual:
                 k: complex(rng.standard_normal(), rng.standard_normal()) / (1 + abs(k))
                 for k in range(-8, 9)
             }
-            res = covariance_residual(spiral, [FourierSymbol(coeffs)], 256, 32)[0]
+            res = covariance_residual(spiral, [FourierSymbol(coeffs)], 256)[0]
             assert res <= 1e-6
 
-    def test_corner_guard(self, half):
-        with pytest.raises(ValueError):
-            covariance_residual(half, [FourierSymbol({0: 1.0})], 256, 100)
+    def test_bound_above_tolerance_takes_the_section(self, half):
+        # a symbol the identity leaves at rounding passes on its bound, whatever the tolerance
+        # above it; below that, the value is the exact N x N section norm, at most the bound
+        a = FourierSymbol({-3: 0.5, 0: 1.0, 2: 0.25j})
+        [bound] = covariance_residual(half, [a], 32)
+        [section] = covariance_residual(half, [a], 32, tol=0.0)
+        assert bound == covariance_residual(half, [a], 32, tol=bound)[0]
+        assert section <= bound <= 1e-14
 
 
 class TestCommutationResidual:
@@ -438,14 +444,30 @@ class TestSlicedCorners:
         sliced = isometry_residual(comp.entries, self.CORNER)
         assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
 
+    def _exact_left_norms(self, product, symbols):
+        # with the transfer side at zero the residual is C* T_a C itself, read from its symbol;
+        # tolerance 0 takes the exact m x m section of every symbol
+        def silent(op, low, high, grid):
+            return np.zeros((high - low, grid.size), dtype=complex)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TransferOperator, "monomial_samples", silent)
+            return covariance_residual(product, symbols, self.CORNER, tol=0.0)
+
+    def _dense_left_norms(self, product, symbols):
+        # reference: the m x m sections of C* T_a C from 256-row columns of C and a 256-row T_a,
+        # which hold them to rounding for these products and bands below 256 - m
+        comp = composition_matrix(product, 256).entries[:, : self.CORNER]
+        return [_matrix_norm(comp.conj().T @ toeplitz_matrix(a, 256).entries @ comp) for a in symbols]
+
     def test_covariance(self, setup):
-        product, grid, comp = setup
+        # the symbol s of C* T_a C from C[:9, :9]: its sections are those of the dense product,
+        # and s - (L a)^ is at rounding on H^2
+        product, _, _ = setup
         a = self._symbol(1, -8, 8)
-        image = TransferOperator(product).symbol_image(a.evaluate, grid)
-        t_a = toeplitz_matrix(a, self.N_TRUNC)
-        dense = comp.adjoint() @ t_a @ comp - toeplitz_matrix(image, self.N_TRUNC)
-        sliced = covariance_residual(product, [a], self.N_TRUNC, self.CORNER)[0]
-        assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+        assert covariance_residual(product, [a], self.N_TRUNC)[0] <= 1e-13
+        exact = self._exact_left_norms(product, [a])
+        assert exact == pytest.approx(self._dense_left_norms(product, [a]), abs=1e-13)
 
     def test_commutation(self, setup):
         product, grid, comp = setup
@@ -457,18 +479,16 @@ class TestSlicedCorners:
         assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
 
     def test_covariance_batch_matches_per_symbol_references(self, setup):
-        # the batch shares L(z^k) over the union of the bands and one FFT of C;
-        # each entry must be the dense per-symbol corner, whatever its band
-        product, grid, comp = setup
+        # the batch shares L(z^k) and the block of C over the union of the bands; each
+        # entry must be the per-symbol value, and its left side the dense section, whatever its band
+        product, _, _ = setup
         symbols = [self._symbol(3, -8, 8), self._symbol(4, 0, 3), self._symbol(5, -5, -2), FourierSymbol({})]
-        batch = covariance_residual(product, symbols, self.N_TRUNC, self.CORNER)
-        assert len(batch) == len(symbols)
+        batch = covariance_residual(product, symbols, self.N_TRUNC)
+        assert len(batch) == len(symbols) and max(batch) <= 1e-13
         for a, value in zip(symbols, batch):
-            image = TransferOperator(product).symbol_image(a.evaluate, grid)
-            dense = comp.adjoint() @ toeplitz_matrix(a, self.N_TRUNC) @ comp - toeplitz_matrix(image, self.N_TRUNC)
-            assert value == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
-            single = covariance_residual(product, [a], self.N_TRUNC, self.CORNER)
-            assert single == [pytest.approx(value, abs=1e-14)]
+            assert covariance_residual(product, [a], self.N_TRUNC) == [pytest.approx(value, abs=1e-14)]
+        exact = self._exact_left_norms(product, symbols)
+        assert exact == pytest.approx(self._dense_left_norms(product, symbols), abs=1e-13)
 
     @pytest.mark.parametrize(
         "batch",
@@ -482,13 +502,12 @@ class TestSlicedCorners:
         ids=["N-1", "N", "N+3", "antianalytic", "union-wider-than-members"],
     )
     def test_covariance_at_section_edges(self, setup, batch):
-        # the shifted Gram blocks G_k of C stop at |k| = N - 1; a shift at or past N adds nothing
-        product, grid, comp = setup
-        values = covariance_residual(product, batch, self.N_TRUNC, self.CORNER)
-        for a, value in zip(batch, values):
-            image = TransferOperator(product).symbol_image(a.evaluate, grid)
-            dense = comp.adjoint() @ toeplitz_matrix(a, self.N_TRUNC) @ comp - toeplitz_matrix(image, self.N_TRUNC)
-            assert value == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+        # bands that reach N and past it: the symbol reads C[:B+1, :B+1] for B up to N + 3 and
+        # still holds the identity on H^2, and its sections are those of the dense product
+        product, _, _ = setup
+        assert max(covariance_residual(product, batch, self.N_TRUNC)) <= 1e-12
+        exact = self._exact_left_norms(product, batch)
+        assert exact == pytest.approx(self._dense_left_norms(product, batch), abs=1e-13)
 
     def test_commutation_batch_matches_per_symbol_references(self, setup):
         product, grid, comp = setup

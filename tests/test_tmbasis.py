@@ -22,7 +22,7 @@ from blaschkeops import (
     tail_compactness_profile,
     tm_element,
 )
-from blaschkeops.hardy import TruncatedOperator, _matrix_norm, composition_matrix, toeplitz_matrix
+from blaschkeops.hardy import _matrix_norm, composition_matrix, toeplitz_matrix
 from blaschkeops import tmbasis
 from blaschkeops.tmbasis import _taylor_length, frame
 from blaschkeops.transfer import TransferOperator, bimodule_inner_samples
@@ -202,70 +202,56 @@ class TestCuntzFamily:
                 np.testing.assert_allclose(w.entries[:, l], expected, atol=1e-8)
 
     def test_relations_monomial_exact(self, cube):
-        family = cuntz_family(cube, 256)
-        result = cons_residual([w.entries for w in family], 32)
-        assert max(result.values()) <= 1e-12
+        assert max(_cons_of_family(cube, 256, 32).values()) <= 1e-12
 
     def test_relations_half(self, half):
-        family = cuntz_family(half, 256)
-        result = cons_residual([w.entries for w in family], 32)
+        result = _cons_of_family(half, 256, 32)
         assert result["completeness"] <= 1e-6
         assert result["isometry"] <= 1e-6
         assert result["orthogonality"] <= 1e-6
 
-    def test_corner_guard(self, half):
-        family = cuntz_family(half, 256)
-        with pytest.raises(ValueError):
-            cons_residual([w.entries for w in family], 100)
-
     @pytest.mark.parametrize("seed", [None, 0])
     def test_sliced_corners_match_dense_products(self, half, seed):
-        # cons_residual reads W_k rows and columns only; the dense products
-        # read at the m x m corner are the reference
+        # the family T_(v_k z^k) C is not orthogonal, since conj(v_i z^i) v_j z^j carries z^(j - i):
+        # the exact 16 x 16 sections (tolerance 0) of its left-side symbols and the corners of its
+        # first 16 rows are those of the dense products of 256 x 256 sections, which resolve them
         product = half if seed is None else random_product(seed)
-        family = cuntz_family(product, 64)
-        eye = TruncatedOperator.identity(64)
-        total = family[0] @ family[0].adjoint()
-        for w in family[1:]:
-            total = TruncatedOperator(total.entries + (w @ w.adjoint()).entries, "sum W W*")
-        completeness = _matrix_norm((total - eye).corner(16))
-        isometry = max(_matrix_norm((w.adjoint() @ w - eye).corner(16)) for w in family)
-        orthogonality = max(
-            _matrix_norm((wi.adjoint() @ wj).corner(16))
-            for i, wi in enumerate(family)
-            for j, wj in enumerate(family)
-            if i != j
-        )
-        result = cons_residual([w.entries for w in family], 16)
-        assert result["completeness"] == pytest.approx(completeness, abs=1e-14)
-        assert result["isometry"] == pytest.approx(isometry, abs=1e-14)
-        assert result["orthogonality"] == pytest.approx(orthogonality, abs=1e-14)
-
+        n = product.degree
+        stack = lambda z: frame(product)(z) * np.asarray(z) ** np.arange(n).reshape((n,) + (1,) * np.ndim(z))
+        comp = composition_matrix(product, 256).entries
+        samples = stack(CircleGrid(4096).points)
+        dense = [toeplitz_matrix(fourier_coefficients(v), 256).entries @ comp for v in samples]
+        gram, _ = inner_product_residual(product, stack, 256)
+        result = cons_residual([w[:16, :16] for w in dense], gram, 16, tol=0.0)
+        eye = np.eye(16)
+        completeness = _matrix_norm(sum(w[:16] @ w[:16].conj().T for w in dense) - eye)
+        grams = [[(wi.conj().T @ wj)[:16, :16] for wj in dense] for wi in dense]
+        isometry = max(_matrix_norm(grams[k][k] - eye) for k in range(n))
+        orthogonality = max(_matrix_norm(grams[i][j]) for i in range(n) for j in range(n) if i != j)
+        assert orthogonality > 0.1 and isometry <= 1e-13
+        assert result["completeness"] == pytest.approx(completeness, abs=1e-13)
+        assert result["isometry"] == pytest.approx(isometry, abs=1e-13)
+        assert result["orthogonality"] == pytest.approx(orthogonality, abs=1e-13)
 
     @pytest.mark.parametrize("seed", [None, 0])
     def test_verify_column_route_matches_the_family(self, half, seed):
-        # verify forms only W_k[:, :m] = T_(Q R) C[:, :m]; the references are
-        # cons_residual of the full family and the corners of dense products
-        # T_(Q R) C of N x N sections, with full rows for the completeness term
+        # verify forms only W_k[:m, :m] = (T_(Q R) C)[:m, :m] and the frame's left side at N; the
+        # references are cons_residual of the full family and the dense products T_(Q R) C of
+        # 256 x 256 sections, which resolve the 16 x 16 corners that N = 64 cuts
         product = half if seed is None else random_product(seed)
         cfg, grid = RunConfig(truncation=64, corner=16, grid=1024), CircleGrid(1024)
         _, details = _check_cuntz_relations(cfg, product, grid, None)
-        family = cons_residual([w.entries for w in cuntz_family(product, 64)], 16)
-        comp = composition_matrix(product, 64).entries
-        dense = [toeplitz_matrix(fourier_coefficients(v), 64).entries @ comp for v in frame(product)(grid.points)]
-        gram = [[(wi.conj().T @ wj)[:16, :16] for wj in dense] for wi in dense]
+        family = _cons_of_family(product, 64, 16)
+        comp = composition_matrix(product, 256).entries
+        dense = [toeplitz_matrix(fourier_coefficients(v), 256).entries @ comp for v in frame(product)(grid.points)]
         eye = np.eye(16)
-        expected = {
-            "completeness": _matrix_norm(sum(w @ w.conj().T for w in dense)[:16, :16] - eye),
-            "isometry": max(_matrix_norm(gram[k][k] - eye) for k in range(len(dense))),
-            "orthogonality": max(
-                _matrix_norm(gram[i][j]) for i in range(len(dense)) for j in range(len(dense)) if i != j
-            ),
-        }
-        for name, value in expected.items():
-            assert details[name] == pytest.approx(family[name], abs=1e-14)
-            assert details[name] == pytest.approx(value, abs=1e-14)
-
+        completeness = _matrix_norm(sum(w @ w.conj().T for w in dense)[:16, :16] - eye)
+        corners = [(wi.conj().T @ wj)[:16, :16] - (wi is wj) * eye for wi in dense for wj in dense]
+        for name in ("completeness", "isometry", "orthogonality"):
+            assert details[name] == pytest.approx(family[name], abs=1e-14) and details[name] <= 1e-13
+        assert details["completeness"] == pytest.approx(completeness, abs=1e-14)
+        # the bounds hold on H^2, so they bound every corner of the dense products
+        assert max(_matrix_norm(c) for c in corners) <= max(details["isometry"], details["orthogonality"]) + 1e-14
 
     @pytest.mark.parametrize(
         "angle, zeros, n_trunc",
@@ -311,9 +297,17 @@ class TestQuotientGenerators:
         assert _matrix_norm(wrap.entries) <= 1e-12
 
 
-def _pair_symbols(residuals):
-    """The pairs' residual symbols ``[i][j]`` from the ``(P, P, 2w - 1)`` array, whose middle
+def _cons_of_family(product, n_trunc, m):
+    """``cons_residual`` of the full family: the m x m corners of its N x N sections and the
+    frame's left side at N."""
+    gram, _ = inner_product_residual(product, frame(product), n_trunc)
+    return cons_residual([w.entries[:m, :m] for w in cuntz_family(product, n_trunc)], gram, n_trunc)
+
+
+def _pair_symbols(sides):
+    """The pairs' residual symbols ``[i][j]`` from the two ``(P, P, 2w - 1)`` sides, whose middle
     entry is coefficient 0."""
+    residuals = sides[0] - sides[1]
     low = -(residuals.shape[-1] // 2)
     return [[FourierSymbol._dense(low, values) for values in row] for row in residuals]
 
@@ -347,9 +341,9 @@ class TestInnerProductResidual:
         # coefficients; the pairing is sampled on max(256, 2K) points, so no N is refused
         product = make_blaschke(1.0, zeros)
         assert min(n_trunc, _taylor_length(product)) == width
-        residuals = inner_product_residual(product, frame(product), n_trunc)
-        assert residuals.shape == (product.degree, product.degree, 2 * width - 1)
-        assert not residuals.flags.writeable
+        for side in inner_product_residual(product, frame(product), n_trunc):
+            assert side.shape == (product.degree, product.degree, 2 * width - 1)
+            assert not side.flags.writeable
 
     def test_pairing_symbol_route_is_independent(self, half):
         # cross-check the Toeplitz side against a direct pointwise evaluation

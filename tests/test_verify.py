@@ -14,6 +14,7 @@ from blaschkeops import (
     composition_matrix,
     fourier_coefficients,
     make_blaschke,
+    toeplitz_matrix,
     transfer_matrix,
 )
 from blaschkeops import dynamics, hardy, tmbasis, transfer, verify
@@ -39,6 +40,15 @@ FAST = dict(truncation=128, corner=16, grid=1024, basis_count=16)
 
 def enabled_ids(cfg):
     return [spec.check_id for spec in MANIFEST if spec.enabled_for(cfg)]
+
+
+@pytest.fixture
+def fresh_frame_sides():
+    # the frame's two sides are cached per product and N; a control that patches their route
+    # clears the cache before the patched sides enter it and after they leave
+    tmbasis._frame_sides.cache_clear()
+    yield
+    tmbasis._frame_sides.cache_clear()
 
 
 class TestConfig:
@@ -253,7 +263,7 @@ class TestRun:
         assert exact.passed and exact.residual == 0.0
         assert exact.details["corner_norms"] == {pair: 0.0 for pair in exact.details["sup_bounds"]}
 
-    def test_scaled_pairing_fails_module_inner_tails(self, monkeypatch):
+    def test_scaled_pairing_fails_module_inner_tails(self, monkeypatch, fresh_frame_sides):
         # negative control: a pairing scaled by 1 + 1e-5 leaves n * 1e-5 on the
         # diagonal of the residual symbol, a non-compact tail no cut removes
         exact = tmbasis.bimodule_inner_samples
@@ -265,7 +275,7 @@ class TestRun:
         residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
         assert residual > spec.tolerance
 
-    def test_scaled_column_fails_module_inner_tails(self, monkeypatch):
+    def test_scaled_column_fails_module_inner_tails(self, monkeypatch, fresh_frame_sides):
         # negative control on the left side: column 0 of C (R^0 = 1) scaled by 1 + 1e-5 moves
         # coefficient 0 of each pair by n <v_j, v_i> 1e-5, so only the diagonal pairs carry
         # n * 1e-5, a constant symbol no cut removes, and their exact corners read it
@@ -301,8 +311,9 @@ class TestRun:
 
     def test_turned_column_fails_toeplitz_covariance_and_analytic_commutation(self, monkeypatch):
         # negative control: column 3 of C turned by e^(1e-4 i) is still a unit vector orthogonal
-        # to the others, so composition_isometry passes; but C* T_a C and T_(b o R) C turn
-        # with it while T_(L a) and C T_b for b = z do not (5.4e-5 and 1.0e-4 here)
+        # to the others, so composition_isometry passes; but the symbol of C* T_a C, which reads
+        # C[:9, :9], and T_(b o R) C turn with it while T_(L a) and C T_b for b = z do not
+        # (2.5e-5 and 1.0e-4 here)
         exact = hardy._power_spectra
 
         def turned(*args):
@@ -356,7 +367,8 @@ class TestRun:
 
     def test_rolled_column_fails_composition_isometry_and_cuntz_relations(self, monkeypatch):
         # negative control: column 3 of C moved down one row, z R^3, stays a unit vector but
-        # meets R^4 in |<z, R>| = |R'(0)| = 1/2, and W_k = T_(Q R) C inherits the overlap
+        # meets R^4 in |<z, R>| = |R'(0)| = 1/2; the first m rows of W_k = T_(Q R) C inherit
+        # the moved column, and their ranges no longer sum to the identity (completeness 0.999)
         exact = verify._power_spectra
 
         def rolled(*args):
@@ -374,22 +386,39 @@ class TestRun:
         assert residuals["composition_isometry"] == pytest.approx(0.5, rel=1e-9)
         assert residuals["cuntz_relations"] > DEFAULT_TOLERANCES["cuntz_relations"]
 
-    def test_scaled_frame_fails_cuntz_relations(self, monkeypatch):
-        # negative control on the frame side: R_1 scaled by 1 + 1e-6 scales the frame series
-        # v_1 = Q_1 R_1, and with it W_2 = T_(v_1) C, so ||W_2* W_2 - I|| = (1 + 1e-6)^2 - 1;
-        # C, which takes R from the same partial products in hardy, is unchanged
-        exact = tmbasis._partial_products
+    def test_scaled_frame_fails_cuntz_relations(self, monkeypatch, fresh_frame_sides):
+        # negative control on the frame side: v_1 = Q_1 R_1 scaled by 1 + 1e-6 where the symbols
+        # of n W_i* W_j take the frame scales W_2 = T_(v_1) C, so W_2* W_2 - I is the constant
+        # (1 + 1e-6)^2 - 1; its bound exceeds the tolerance, so the value is its exact section
+        exact = tmbasis.frame
 
-        def scaled(product, rows):
-            for l, partial in enumerate(exact(product, rows)):
-                yield partial * (1.0 + 1e-6) if l == 1 else partial
+        def scaled(product):
+            stack = exact(product)
+            return lambda z: stack(z) * np.array([1.0, 1.0 + 1e-6]).reshape((2,) + (1,) * np.ndim(z))
 
-        monkeypatch.setattr(tmbasis, "_partial_products", scaled)
+        monkeypatch.setattr(tmbasis, "frame", scaled)
         spec = next(s for s in MANIFEST if s.check_id == "cuntz_relations")
         cfg = RunConfig(**FAST)
         residual, details = spec.runner(cfg, cfg.product(), None, None)
         assert residual > spec.tolerance
         assert details["isometry"] == pytest.approx(2e-6 + 1e-12, rel=1e-6)
+
+    def test_scaled_images_fail_toeplitz_covariance_on_exact_sections(self, monkeypatch):
+        # negative control on the transfer side: every L(z^q) scaled by 1 + 1e-4 leaves the
+        # residual symbol -1e-4 (L a)^; its bound exceeds the tolerance, so each symbol reports
+        # the exact norm of the N x N section, 1e-4 ||T_(L a)||, with L a taken pointwise here
+        exact = TransferOperator.monomial_samples
+        monkeypatch.setattr(TransferOperator, "monomial_samples", lambda *args: exact(*args) * (1.0 + 1e-4))
+        spec = next(s for s in MANIFEST if s.check_id == "toeplitz_covariance")
+        cfg = RunConfig(**FAST)
+        residual, details = spec.runner(cfg, cfg.product(), None, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        symbols = [verify._random_symbol(rng, band=8, analytic=False) for _ in range(10)]
+        op, grid = TransferOperator(cfg.product()), CircleGrid(256)
+        images = [op.symbol_image(a.evaluate, grid) for a in symbols]
+        sections = [1e-4 * _matrix_norm(toeplitz_matrix(image, cfg.truncation).entries) for image in images]
+        assert residual > spec.tolerance and residual == max(details["per_symbol"])
+        assert details["per_symbol"] == pytest.approx(sections, rel=1e-8)
 
     def test_scaled_element_fails_basis_factorization(self, monkeypatch):
         # negative control: e_(n+1) scaled by 1 + 1e-6 no longer factors as Q_1 R_1 R, by
@@ -589,8 +618,9 @@ def test_module_tails_array_matches_the_per_pair_route(shifted):
     product = _wide_product(10)
     frame = tmbasis.frame(product)
     stack = (lambda z: frame(z) * np.asarray(z) ** np.arange(16)[:, None]) if shifted else frame
-    residuals = tmbasis.inner_product_residual(product, stack, 256)
-    assert residuals.shape == (16, 16, 511) and not residuals.flags.writeable
+    left, right = tmbasis.inner_product_residual(product, stack, 256)
+    assert left.shape == right.shape == (16, 16, 511) and not left.flags.writeable and not right.flags.writeable
+    residuals = left - right
     reference = _per_pair_residuals(product, stack, 256)
     np.testing.assert_allclose(residuals, reference, rtol=0, atol=1e-13)
 
@@ -610,17 +640,54 @@ def _wide_product(index):
 @pytest.mark.parametrize(
     "zeros,failing",
     [
-        ((0j, 0.95), {"composition_isometry", "cuntz_relations"}),
-        ((0j, 0.99j), {"composition_isometry", "cuntz_relations", "toeplitz_covariance"}),
+        ((0j, 0.95), {"composition_isometry"}),
+        ((0j, 0.99j), {"composition_isometry"}),
     ],
 )
 def test_near_circle_fail_sets(zeros, failing):
-    # at the near-circle benchmark sizes N = 256 is too small for these
-    # products: exactly the corners it under-resolves FAIL, and nothing ERRORs
+    # at the near-circle benchmark sizes N = 256 is too small for these products: the one check
+    # that reads columns of C cut at N FAILs, and nothing ERRORs; toeplitz_covariance and
+    # cuntz_relations read Toeplitz symbols on H^2 and PASS
     cfg = RunConfig(lambda_angle=1.3, zeros=zeros, truncation=256, corner=4, grid=16384, seed=11)
     report = run_verify(cfg)
     assert not report.any_errored
     assert {c.check_id for c in report.checks if not c.passed} == failing
+
+
+SYMBOLS = ("toeplitz_covariance", "cuntz_relations")
+
+
+def _symbol_route_residuals(product, n_trunc, corner):
+    sizes = dict(truncation=n_trunc, corner=corner, grid=max(4096, 4 * n_trunc))
+    cfg = RunConfig(lambda_angle=float(np.angle(product.phase)), zeros=product.zeros, **sizes)
+    out = {}
+    for check_id in SYMBOLS:
+        spec = next(s for s in MANIFEST if s.check_id == check_id)
+        out[check_id] = spec.runner(cfg, product, None, np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))[0]
+    return out
+
+
+def test_symbol_route_reads_no_truncation():
+    # on [0,0.99i], whose N = 256 corners read 9.6e-2 and 0.97, both checks read their symbols
+    # on H^2, so N plays no part in a PASS: the covariance symbol reads C[:9, :9] whatever N is;
+    # the Cuntz symbols keep min(N, K) coefficients, and the rounding of the 2047 that N = 1024
+    # keeps moves the bound by 7e-15 against the 127 of N = 64
+    product = make_blaschke(np.exp(1.3j), [0, 0.99j])
+    small, large = _symbol_route_residuals(product, 64, 4), _symbol_route_residuals(product, 1024, 4)
+    assert max(small.values()) <= 1e-13 and max(large.values()) <= 1e-13
+    assert small["toeplitz_covariance"] == large["toeplitz_covariance"]
+    assert small["cuntz_relations"] == pytest.approx(large["cuntz_relations"], abs=1e-14)
+
+
+@pytest.mark.parametrize("seed,degree", [(0, 8), (1, 10), (2, 12), (3, 16)])
+def test_wide_products_pass_the_symbol_route(seed, degree):
+    # seeded products of degree 8-16 with |z_k| <= 0.98 at the default sizes, where N = 256
+    # under-resolved the corners these checks read before
+    rng = np.random.default_rng(seed)
+    radius = 0.98 * np.sqrt(rng.uniform(size=degree - 1))
+    product = make_blaschke(1.0, [0j, *(radius * np.exp(2j * np.pi * rng.uniform(size=degree - 1)))])
+    residuals = _symbol_route_residuals(product, 256, 32)
+    assert max(residuals.values()) <= 1e-12, residuals
 
 
 SIZED = ("analytic_commutation", "basis_orthonormality")
