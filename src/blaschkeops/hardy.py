@@ -5,10 +5,11 @@ An N x N matrix stands for the compression of a Hardy-space operator to
 the first N Taylor coefficients of R^j, exactly, from the partial products
 that also give the Cuntz family's frame series.  ``R(0) = 0`` makes C lower
 triangular, so a corner reads only the first m columns of C, and ``|R| = 1``
-on the circle makes ``C* T_a C`` Toeplitz on H^2, its symbol read from
-``C[:B+1, :B+1]`` for a symbol of band B, with no N.  A Toeplitz operator
-has the norm ``sup |d|`` of its symbol d, which one zero-padded FFT and
-Bernstein's inequality bound; past that bound an exact section norm comes
+on the circle makes ``C* T_a C`` Toeplitz on H^2: one routine streams the
+columns of C into its symbol for a batch of symbols a, with no N.  A
+Toeplitz operator has the norm ``sup |d|`` of its symbol d, and one rule
+decides every symbol residual: one zero-padded FFT and Bernstein's
+inequality bound it, and past the tolerance an exact section norm comes
 from numpy's SVD.  Every trailing corner of a Toeplitz section is a leading
 section of the same symbol, so modulo-compact identities read symbols too.
 """
@@ -175,13 +176,22 @@ def isometry_residual(c, m: int) -> float:
     return _matrix_norm(cols.conj().T @ cols - np.eye(m))
 
 
+def _left_symbols(product: BlaschkeProduct, below, width: int) -> np.ndarray:
+    """Coefficients ``-d``, ``d < width``, of the symbol of ``C* T_a C`` (Toeplitz on H^2, as ``|R| = 1``), one
+    row per row ``below[..., t] = a_hat(-t)``, ``t < K``: ``sum_t a_hat(-t) C[t, d]``; the columns of the lower
+    triangular C stream from :func:`_taylor_columns`, K rows each, and no ``K x width`` block is kept."""
+    out = np.empty(below.shape[:-1] + (width,), dtype=complex)
+    for d, column in enumerate(islice(_taylor_columns(product, below.shape[-1]), width)):
+        out[..., d] = below[..., d:] @ column[d:]
+    return out
+
+
 def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, tol: float = np.inf) -> list:
     """Norms on H^2 of ``C* T_a C - T_(L a)``, one per symbol a of the sequence, from :func:`_certified_norms`.
 
-    ``(C* T_a C)[i, j] = <a R^j, R^i>`` integrates ``a R^(j - i)``, as ``|R| = 1``, so its symbol s has
-    ``s_hat(-d) = sum_t a_hat(-t) C[t, d]`` and ``s_hat(d) = sum_t a_hat(t) conj(C[t, d])``; C is lower
-    triangular, so for the union band ``|k| <= B`` of the symbols ``C[:B+1, :B+1]`` serves every s.  ``L`` is
-    linear, so every ``L a`` combines the monomial images of the pointwise transfer oracle, an independent
+    The symbol s of ``C* T_a C`` has ``s_hat(-d)`` from the rows ``a_hat(-t)`` and ``conj(s_hat(d))`` from the rows
+    ``conj(a_hat(t))`` (:func:`_left_symbols`); for the union band ``|k| <= B`` of the symbols both need ``t, d <= B``.
+    ``L`` is linear, so every ``L a`` combines the monomial images of the pointwise transfer oracle, an independent
     route; ``L(z^q)`` has degree ``|q|`` at most: ``4 (2B + 1)`` points hold every image.
     """
     low = min(s.low for s in symbols)
@@ -191,11 +201,11 @@ def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, tol: fl
         row[band + s.low : band + s.low + s.values.size] = s.values
     grid = transfer_grid(4 * (2 * band + 1))
     images = coeffs @ TransferOperator(product).monomial_samples(-band, band + 1, grid)
-    cols = _power_spectra(product, band + 1, band + 1)
-    below, above = coeffs[:, band::-1] @ cols, coeffs[:, band:] @ cols.conj()  # [r, d]: s_hat(-d), s_hat(d)
-    left = np.concatenate((below[:, :0:-1], above), axis=1)
+    rows = np.concatenate((coeffs[:, band::-1], coeffs[:, band:].conj()))
+    below, above = np.split(_left_symbols(product, rows, band + 1), 2)  # [r, d]: s_hat(-d), conj(s_hat(d))
+    left = np.concatenate((below[:, :0:-1], above.conj()), axis=1)
     right = fft(images)[:, np.arange(-band, band + 1) % grid.size] / grid.size
-    return _certified_norms(left - right, n_trunc, tol)
+    return _certified_norms(left - right, n_trunc, tol)[1]
 
 
 def commutation_residual(product: BlaschkeProduct, symbols, m: int, grid: CircleGrid) -> list:
@@ -218,22 +228,17 @@ def commutation_residual(product: BlaschkeProduct, symbols, m: int, grid: Circle
 def tail_compactness_profile(d: FourierSymbol, n_trunc: int, cuts):
     """Corner norms ``||P_m^perp T_d P_m^perp||`` on the N x N section, for increasing cuts m.
 
-    The trailing ``(N - m) x (N - m)`` corner of a Toeplitz section is the
-    leading section of the same symbol (Boettcher-Silbermann), so each value
-    is the norm of ``_toeplitz_block(d, N - m, N - m)``.  Corners of
-    compressions never grow under nesting, so the profile is monotone
-    nonincreasing by construction; what carries information is how fast it
-    decays.  An empty corner, from a cut at or past N, has norm zero.  Each
-    value is an exact SVD, cubic in ``N - m``; :func:`_symbol_sup_bound`
-    bounds them all from one FFT.
+    The trailing ``(N - m) x (N - m)`` corner of a Toeplitz section is the leading section of the same symbol
+    (Boettcher-Silbermann), so each value is the exact SVD norm of ``_toeplitz_block(d, N - m, N - m)``, 0.0 for a
+    cut at or past N, and :func:`_symbol_sup_bound` bounds them all.  Corners of compressions never grow under
+    nesting, so the profile is nonincreasing by construction; what carries information is how fast it decays.
     """
     cuts = [int(c) for c in cuts]
     if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])) or not cuts:
         raise ValueError("cuts must be strictly increasing and nonempty")
     if cuts[0] < 0:
         raise ValueError("cuts must be nonnegative")
-    sizes = [n_trunc - m for m in cuts]
-    return [_matrix_norm(_toeplitz_block(d, k, k)) if k > 0 else 0.0 for k in sizes]
+    return [_matrix_norm(_toeplitz_block(d, n_trunc - m, n_trunc - m)) if m < n_trunc else 0.0 for m in cuts]
 
 
 def _symbol_sup_bound(values: np.ndarray) -> np.ndarray:
@@ -256,11 +261,12 @@ def _symbol_sup_bound(values: np.ndarray) -> np.ndarray:
     return peak / (1.0 - np.pi * (size - 1) / (2 * length))
 
 
-def _certified_norms(rows, n_trunc: int, tol: float) -> list:
-    """Per centred row of symbol coefficients, its Toeplitz operator's norm: the certified :func:`_symbol_sup_bound`,
-    or where that exceeds ``tol`` the exact norm of the N x N section, so a FAIL value holds no slack."""
-    low = -(np.shape(rows)[-1] // 2)
-    return [
+def _certified_norms(rows, n_trunc: int, tol: float) -> tuple:
+    """``(bounds, norms)`` per centred row of symbol coefficients: the certified :func:`_symbol_sup_bound` of its
+    Toeplitz operator, and its norm, that bound or where it exceeds ``tol`` the exact norm of the N x N section,
+    so a FAIL value holds no slack; an empty section, ``N = 0``, reads 0.0."""
+    low, bounds = -(np.shape(rows)[-1] // 2), _symbol_sup_bound(rows).tolist()
+    return bounds, [
         bound if bound <= tol else _matrix_norm(_toeplitz_block(FourierSymbol._dense(low, row), n_trunc, n_trunc))
-        for row, bound in zip(rows, _symbol_sup_bound(rows).tolist())
+        for row, bound in zip(rows, bounds)
     ]

@@ -8,7 +8,8 @@ elements form an orthonormal basis of the Hardy space that factors as
 are isometries with mutually orthogonal ranges summing to the identity - a
 concrete family satisfying the Cuntz relations.  ``W_i* W_j`` is Toeplitz,
 the left side of the bimodule relation ``V_p* V_q = T_<p,q>`` modulo compact
-operators, read like it from Toeplitz symbols.
+operators; both read their symbols through the left-symbol routine and the
+norm rule of :mod:`~blaschkeops.hardy`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .circle import CircleGrid, _read_only, fft
-from .hardy import TruncatedOperator, _certified_norms, _matrix_norm, _partial_products, _power_spectra, _taylor_columns
+from .hardy import TruncatedOperator, _certified_norms, _left_symbols, _matrix_norm, _partial_products, _power_spectra
 from .transfer import TransferOperator, bimodule_inner_samples, transfer_grid
 
 _MAX_GRAM_COUNT = 64
@@ -140,7 +141,7 @@ def cons_residual(corners, gram, n_trunc: int, tol: float = np.inf) -> dict:
     for k, row in enumerate(gram):  # one FFT per row of pairs (k, j >= k)
         rows = row[k:] / n
         rows[0, centre] -= 1.0
-        norms = _certified_norms(rows, n_trunc, tol)
+        _, norms = _certified_norms(rows, n_trunc, tol)
         isometry, orthogonality = max(isometry, norms[0]), max([orthogonality, *norms[1:]])
     completeness = _matrix_norm(stacked @ stacked.conj().T - np.eye(len(stacked)))
     return {"completeness": completeness, "isometry": isometry, "orthogonality": orthogonality}
@@ -190,25 +191,21 @@ def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int) -> tup
     coefficient k of the pair ``(v_i, v_j)``; the residual symbols are ``left - right``.
 
     The left side, the Gram matrix ``n <q R^j, p R^i>`` of ``n C* T_(conj(p) q) C``, is Toeplitz as
-    ``|R| = 1`` on the circle; its coefficient ``-d`` is ``sum_t a_hat(-t) C[t, d]`` for ``a = n conj(p) q``.
-    One FFT on ``2K`` points (:func:`_taylor_length`) gives ``a_hat(-t)``, ``t < K``, and the columns
-    ``d < w`` of the lower triangular C stream from :func:`~blaschkeops.hardy._taylor_columns`;
-    coefficient ``+d`` is the conjugate of the transposed pair's ``-d``.  Past K both sides fall below
-    rounding.  The right side is one FFT of the transfer oracle's ``(P, P, M)`` pairings, an independent
-    route sampled on ``M = max(256, 2K)`` points (:func:`~blaschkeops.transfer.transfer_grid`), whatever N is.
+    ``|R| = 1`` on the circle; one FFT on ``2K`` points (:func:`_taylor_length`) gives the rows ``a_hat(-t)``,
+    ``t < K``, of ``a = n conj(p) q`` for every pair, and :func:`~blaschkeops.hardy._left_symbols` gives their
+    coefficients ``-d``, ``d < w``; coefficient ``+d`` is the conjugate of the transposed pair's ``-d``.  Past K
+    both sides fall below rounding.  The right side is one FFT of the transfer oracle's ``(P, P, M)`` pairings, an
+    independent route sampled on ``M = max(256, 2K)`` points (:func:`~blaschkeops.transfer.transfer_grid`),
+    whatever N is.
     """
     size = _taylor_length(product)
     width = min(n_trunc, size)
     grid, bins = transfer_grid(2 * size), np.arange(1 - width, width)  # the right side's samples and bins
     right = fft(bimodule_inner_samples(TransferOperator(product), stack, grid))[..., bins % grid.size] / grid.size
-    left = np.empty_like(right)  # every coefficient |k| < w is written once below
     vals = np.asarray(stack(CircleGrid(2 * size).points), dtype=complex)
-    a_hat = np.array([np.fft.ifft(product.degree * np.conj(v) * vals)[:, :size] for v in vals])  # [i, j, t]
-    for d, column in enumerate(islice(_taylor_columns(product, size), width)):
-        upper = a_hat[..., d:] @ column[d:]  # coefficient -d of every pair
-        left[..., width - 1 + d] = upper.T.conj()
-        if d:
-            left[..., width - 1 - d] = upper
+    a_hat = (np.fft.ifft(product.degree * np.conj(v) * vals)[:, :size] for v in vals)  # [i][j, t], freed once read
+    lower = _left_symbols(product, np.array(list(a_hat)), width)  # [i, j, d]: coefficient -d of every pair
+    left = np.concatenate((lower[..., :0:-1], lower.swapaxes(0, 1).conj()), axis=-1)
     return _read_only(left), _read_only(right)
 
 

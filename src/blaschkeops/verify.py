@@ -21,10 +21,10 @@ import numpy as np
 from .blaschke import _SEPARATION_TOL, make_blaschke
 from .circle import CircleGrid, FourierSymbol
 from .dynamics import _MIN_LIFT_GRID, build_lift, branch_inverse, conjugacy_to_power, k_groups
-from .hardy import _matrix_norm, _power_spectra, _symbol_sup_bound, commutation_residual, covariance_residual
-from .hardy import isometry_residual, tail_compactness_profile
-from .tmbasis import TMBasis, _frame_sides, _gram_grid, _sized_grid, _taylor_length, cons_residual, cuntz_columns
-from .tmbasis import factorization_residual, gram_residual
+from .hardy import _certified_norms, _matrix_norm, _power_spectra, commutation_residual, covariance_residual
+from .hardy import isometry_residual
+from .tmbasis import _MAX_GRAM_COUNT, TMBasis, _frame_sides, _gram_grid, _sized_grid, _taylor_length, cons_residual
+from .tmbasis import cuntz_columns, factorization_residual, gram_residual
 from .transfer import TransferOperator, _preimage_table, transfer_grid, transfer_matrix
 
 _VERSION = "0.1.0"
@@ -38,9 +38,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """Run parameters: the product, truncation sizes and per-check tolerances.
 
-    Invariants: integer sizes and seed, ``1 <= corner <= truncation/4``,
-    ``truncation <= grid/4``, grid a power of two of at least 256 samples,
-    every tolerance finite, positive and attached to a known check.
+    Invariants: integer sizes and seed, ``1 <= corner <= truncation/4``, grid a power of two of at
+    least 256 samples (truncation and grid are independent: no check reads an N-row block off the
+    grid), every tolerance finite, positive and attached to a known check.
     """
 
     lambda_angle: float = 0.0
@@ -65,16 +65,14 @@ class RunConfig:
             raise ConfigError("corner must be at least 1")
         if self.corner * 4 > self.truncation:
             raise ConfigError("corner must not exceed a quarter of the truncation")
-        if self.truncation * 4 > self.grid:
-            raise ConfigError("truncation must not exceed a quarter of the grid")
         if self.grid < _MIN_LIFT_GRID:
             raise ConfigError(f"grid must have at least {_MIN_LIFT_GRID} samples (the lift checks sample it)")
         try:
             CircleGrid(self.grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not 1 <= self.basis_count <= 64:
-            raise ConfigError("basis count must lie in [1, 64]")
+        if not 1 <= self.basis_count <= _MAX_GRAM_COUNT:
+            raise ConfigError(f"basis count must lie in [1, {_MAX_GRAM_COUNT}]")
         known = {spec.check_id for spec in MANIFEST}
         merged = dict(DEFAULT_TOLERANCES)
         for key, value in dict(self.tolerances).items():
@@ -269,19 +267,16 @@ def _check_cuntz_relations(cfg, product, grid, rng):
 
 
 def _check_module_inner_tails(cfg, product, grid, rng):
-    # sup |d| bounds the corner at every cut, so a bound within tolerance is a
-    # sound PASS; a pair above it takes the exact SVD of its corner at the last
-    # cut, so a FAIL value is exact
+    # the rule of the other symbol checks, on the corner past the cut: the trailing corner of a
+    # Toeplitz section is the leading section of size N - cut, and a FAIL value is its exact norm
     left, right = _frame_sides(product, cfg.truncation)
-    residuals = left - right
-    cut, tol, low = 64, cfg.tolerances["module_inner_tails"], -(residuals.shape[-1] // 2)
+    cut, tol = 64, cfg.tolerances["module_inner_tails"]
     bounds, corners = {}, {}
-    for i, row in enumerate(residuals):  # one FFT per row: the samples of P bounds, not P^2, at once
-        for j, bound in enumerate(_symbol_sup_bound(row).tolist()):
-            pair = f"v{i + 1},v{j + 1}"
-            bounds[pair] = bound
+    for i, row in enumerate(left - right):  # one FFT per row: the samples of P bounds, not P^2, at once
+        for j, (bound, norm) in enumerate(zip(*_certified_norms(row, max(cfg.truncation - cut, 0), tol))):
+            bounds[f"v{i + 1},v{j + 1}"] = bound
             if bound > tol:
-                corners[pair] = tail_compactness_profile(FourierSymbol._dense(low, row[j]), cfg.truncation, [cut])[0]
+                corners[f"v{i + 1},v{j + 1}"] = norm
     details = {"cut": cut, "taylor_length": _taylor_length(product), "sup_bounds": bounds, "corner_norms": corners}
     return max(corners.get(pair, bound) for pair, bound in bounds.items()), details
 

@@ -22,6 +22,18 @@ def random_product(seed, degree=3, max_radius=0.6):
     return make_blaschke(lam, zeros)
 
 
+def wide_product(index):
+    """Item ``index`` of a seeded stream of wide products: each block of 15 items holds every
+    degree 2-16 once, in a seeded order; ``0`` and ``degree - 1`` zeros uniform in the disk of
+    radius 0.98, and a random phase."""
+    block, slot = divmod(index, 15)
+    degree = 2 + int(np.random.default_rng([7, 0, block]).permutation(15)[slot])
+    rng = np.random.default_rng([7, 1, index])
+    radius = 0.98 * np.sqrt(rng.uniform(size=degree - 1))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=degree - 1)
+    return make_blaschke(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), [0j, *(radius * np.exp(1j * angle))])
+
+
 def closed_form_element(basis, l, z):
     """Basis element written out as its closed-form product, one factor at a time:
     ``alpha_l sqrt(1 - |beta_l|^2) / (1 - conj(beta_l) z) * prod_(k < l) (z - beta_k) / (1 - conj(beta_k) z)``."""

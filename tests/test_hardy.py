@@ -19,7 +19,9 @@ from blaschkeops import (
     tail_compactness_profile,
     toeplitz_matrix,
 )
+from blaschkeops import tmbasis
 from blaschkeops.hardy import (
+    _left_symbols,
     _matrix_norm,
     _power_iteration,
     _power_spectra,
@@ -28,7 +30,7 @@ from blaschkeops.hardy import (
 )
 from blaschkeops.tmbasis import _sized_grid
 from blaschkeops.transfer import TransferOperator
-from conftest import random_product
+from conftest import random_product, wide_product
 
 
 class TestToeplitz:
@@ -196,6 +198,36 @@ class TestCovarianceResidual:
         [section] = covariance_residual(half, [a], 32, tol=0.0)
         assert bound == covariance_residual(half, [a], 32, tol=bound)[0]
         assert section <= bound <= 1e-14
+
+
+class TestLeftSymbols:
+    PRODUCTS = {"[0,0.99i]": make_blaschke(np.exp(1.3j), [0, 0.99j]), "degree-16": wide_product(10)}
+
+    @staticmethod
+    def _check(product, below, width):
+        # the streamed columns against one dense product with the K x width block, kept out of the cache;
+        # the two sum K terms in different orders, so they agree to 1e-15 of the largest sum of |terms|
+        block = _power_spectra.__wrapped__(product, below.shape[-1], width)
+        got, reference = _left_symbols(product, below, width), below @ block
+        assert got.shape == reference.shape
+        assert np.max(np.abs(got - reference)) <= 1e-15 * np.max(np.abs(below) @ np.abs(block))
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_covariance_rows_match_the_dense_block(self, name):
+        # covariance's call: 10 rows a_hat(-t) and 10 rows conj(a_hat(t)) of band-8 symbols, K = width = 9
+        rng = np.random.default_rng(1)
+        coeffs = (rng.standard_normal((10, 17)) + 1j * rng.standard_normal((10, 17))) / (2 + np.abs(np.arange(-8, 9)))
+        self._check(self.PRODUCTS[name], np.concatenate((coeffs[:, 8::-1], coeffs[:, 8:].conj())), 9)
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_frame_pair_rows_match_the_dense_block(self, name):
+        # inner_product_residual's call: the (P, P, K) rows of a = n conj(v_i) v_j, width min(256, K)
+        product = self.PRODUCTS[name]
+        size = tmbasis._taylor_length(product)
+        vals = tmbasis.frame(product)(CircleGrid(2 * size).points)
+        below = np.array([np.fft.ifft(product.degree * np.conj(v) * vals)[:, :size] for v in vals])
+        assert below.shape == (product.degree, product.degree, size)
+        self._check(product, below, min(256, size))
 
 
 class TestCommutationResidual:
