@@ -9,14 +9,7 @@ configuration-driven verification suite tying it all together.
 """
 
 from .blaschke import BlaschkeProduct, ConvergenceError, PreimageSet, make_blaschke
-from .circle import (
-    CircleGrid,
-    FourierSymbol,
-    fft,
-    fourier_coefficients,
-    l2_inner,
-    poisson_extension,
-)
+from .circle import CircleGrid, FourierSymbol, fft, fourier_coefficients
 from .dynamics import CircleLift, ConjugacyMap, branch_inverse, build_lift, conjugacy_to_power, k_groups
 from .hardy import (
     TruncatedOperator,
@@ -25,7 +18,6 @@ from .hardy import (
     covariance_residual,
     isometry_residual,
     operator_norm,
-    tail_compactness_profile,
     toeplitz_matrix,
 )
 from .tmbasis import (

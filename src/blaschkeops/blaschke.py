@@ -4,10 +4,9 @@ A degree-n product ``lambda * prod_k (z - z_k)/(1 - conj(z_k) z)`` with
 ``z_0 = 0`` maps the closed unit disk to itself and the unit circle onto
 itself n-to-1.  This module provides evaluation, differentiation, the
 logarithmic derivative on the circle (a strictly positive real quantity),
-the normalised expansion weight ``h = n / (z R'/R)``, the closed-form
-continuous argument on the circle, and the one sampled, bracketed Newton that
-inverts it: for the n circle preimages of circle points, the branch inverses
-of the lift and the fixed point behind the conjugacy.
+the closed-form continuous argument on the circle, and the one sampled,
+bracketed Newton that inverts it: for the n circle preimages of circle points,
+the branch inverses of the lift and the fixed point behind the conjugacy.
 """
 
 from __future__ import annotations
@@ -133,10 +132,6 @@ class BlaschkeProduct:
             total[part] = (gains / np.abs(flat[part] - zeros) ** 2).sum(axis=0)
         return 1.0 + total.reshape(z.shape)
 
-    def weight(self, theta):
-        """Transfer weight ``h(e^(i theta)) = n / (z R'/R)``; strictly positive."""
-        return self.degree / self.log_derivative(theta)
-
     def preimages(self, w: complex) -> PreimageSet:
         """All n circle solutions of ``R(z) = w`` for ``|w| = 1``."""
         pts, res = preimage_grid(self, np.asarray([w], dtype=complex))
@@ -259,8 +254,8 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     targets = np.asarray(targets, dtype=complex)
     if targets.ndim != 1:
         raise ValueError("targets must be a one-dimensional array")
-    if np.max(np.abs(np.abs(targets) - 1.0)) > _TARGET_TOL:
-        raise ValueError("preimage targets must lie on the unit circle")
+    if not np.all(np.abs(np.abs(targets) - 1.0) <= _TARGET_TOL):  # also false for a non-finite target
+        raise ValueError("preimage targets must be finite and lie on the unit circle")
 
     def levels(first, last):
         return (last - (last - np.angle(targets)) % _TWO_PI)[:, None] - _TWO_PI * np.arange(product.degree)

@@ -1,9 +1,8 @@
 """Discrete Fourier analysis on the unit circle.
 
 Uniform power-of-two grids, numpy's FFT restricted to power-of-two lengths,
-band-limited Fourier symbols stored as dense coefficient vectors, the
-normalised L2 inner product and the coefficient form of the Poisson extension
-to the open disk.
+band-limited Fourier symbols stored as dense coefficient vectors, and their
+trapezoidal Fourier coefficients from circle samples.
 """
 
 from __future__ import annotations
@@ -126,30 +125,3 @@ def fourier_coefficients(samples) -> FourierSymbol:
     (m,) = np.shape(samples)  # a one-dimensional sequence of samples
     shift = (m - 1) // 2  # the roll moves frequency -shift from index m - shift to 0
     return FourierSymbol._dense(-shift, np.roll(fft(samples) / m, shift))
-
-
-def l2_inner(f, g) -> complex:
-    """Normalised inner product ``(1/M) sum_j f_j conj(g_j)``.
-
-    Linear in the first argument; by Parseval this equals the coefficient
-    pairing ``sum_k c_k conj(d_k)``.
-    """
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    if f.shape != g.shape:
-        raise ValueError("inner product requires samples of equal length")
-    return complex(np.sum(f * np.conj(g)) / f.shape[-1])
-
-
-def poisson_extension(symbol: FourierSymbol, r: float, theta):
-    """Harmonic extension ``sum_k c_k r^|k| e^(i k theta)`` for ``0 <= r < 1``.
-
-    For an analytic symbol this is the analytic extension into the disk.
-    """
-    if not 0.0 <= r < 1.0:
-        raise ValueError("radius must satisfy 0 <= r < 1")
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(theta.shape, dtype=complex)
-    for k, v in symbol._terms():
-        out = out + v * r ** abs(k) * np.exp(1j * k * theta)
-    return out if out.ndim else complex(out)

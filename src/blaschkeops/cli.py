@@ -118,6 +118,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_preimage(args) -> int:
     cfg = _load_config(args)
+    if not math.isfinite(args.angle):
+        raise ConfigError("--angle must be finite")
     product = cfg.product()
     target = complex(np.exp(1j * args.angle))
     result = product.preimages(target)

@@ -46,21 +46,8 @@ class TruncatedOperator:
             raise ValueError("label must be nonempty")
         object.__setattr__(self, "entries", _read_only(entries))
 
-    def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.entries.conj().T, f"({self.label})*")
-
-    def corner(self, m: int) -> np.ndarray:
-        return np.array(self.entries[:m, :m])
-
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         return TruncatedOperator(self.entries @ other.entries, f"{self.label}·{other.label}")
-
-    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return TruncatedOperator(self.entries - other.entries, f"{self.label} - {other.label}")
-
-    @staticmethod
-    def identity(n: int) -> "TruncatedOperator":
-        return TruncatedOperator(np.eye(n, dtype=complex), "I")
 
 
 def _toeplitz_block(a: FourierSymbol, rows: int, cols: int) -> np.ndarray:
@@ -225,22 +212,6 @@ def commutation_residual(product: BlaschkeProduct, symbols, m: int, grid: Circle
     ]
 
 
-def tail_compactness_profile(d: FourierSymbol, n_trunc: int, cuts):
-    """Corner norms ``||P_m^perp T_d P_m^perp||`` on the N x N section, for increasing cuts m.
-
-    The trailing ``(N - m) x (N - m)`` corner of a Toeplitz section is the leading section of the same symbol
-    (Boettcher-Silbermann), so each value is the exact SVD norm of ``_toeplitz_block(d, N - m, N - m)``, 0.0 for a
-    cut at or past N, and :func:`_symbol_sup_bound` bounds them all.  Corners of compressions never grow under
-    nesting, so the profile is nonincreasing by construction; what carries information is how fast it decays.
-    """
-    cuts = [int(c) for c in cuts]
-    if any(c2 <= c1 for c1, c2 in zip(cuts, cuts[1:])) or not cuts:
-        raise ValueError("cuts must be strictly increasing and nonempty")
-    if cuts[0] < 0:
-        raise ValueError("cuts must be nonnegative")
-    return [_matrix_norm(_toeplitz_block(d, n_trunc - m, n_trunc - m)) if m < n_trunc else 0.0 for m in cuts]
-
-
 def _symbol_sup_bound(values: np.ndarray) -> np.ndarray:
     """Certified upper bounds on ``sup |d|`` over the unit circle, one per row of coefficients
     along the last axis of ``values`` (a dense band, as ``FourierSymbol.values`` holds it).
@@ -252,8 +223,7 @@ def _symbol_sup_bound(values: np.ndarray) -> np.ndarray:
     ``sup|d| <= max|samples| / (1 - pi h / L)``; one zero-padded FFT of the
     rows at ``L >= 16 (h + 1)`` points gives the samples, and each
     bound is at most ``1 / (1 - pi / 16) ~ 1.25`` times the largest of its row's.
-    Every section of ``T_d``, so every value of
-    :func:`tail_compactness_profile`, is at most its row's bound.
+    Every section of ``T_d``, and so every trailing corner of one, is at most its row's bound.
     """
     size = np.shape(values)[-1]  # an empty band samples zeros and bounds 0.0
     length = 1 << (8 * (size + 1) - 1).bit_length()  # the power of two >= 16 (h + 1)

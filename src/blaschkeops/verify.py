@@ -154,19 +154,19 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Individual checks.  Each receives (config, product, grid, rng) and returns
+# Individual checks.  Each receives (config, product, rng) and returns
 # (residual, details); residuals are nonnegative and compared to tolerance.
 # ---------------------------------------------------------------------------
 
 
-def _check_derivative_identity(cfg, product, grid, rng):
+def _check_derivative_identity(cfg, product, rng):
     thetas = 2.0 * np.pi * np.arange(1024) / 1024
     z = np.exp(1j * thetas)
     quotient = z * product.derivative(z) / product.evaluate(z)
     return float(np.max(np.abs(quotient - product.log_derivative(thetas)))), {"points": 1024}
 
 
-def _check_weight_positivity(cfg, product, grid, rng):
+def _check_weight_positivity(cfg, product, rng):
     # through R', not the closed-form sum, which is at least 1 by construction
     z = np.exp(2j * np.pi * np.arange(1024) / 1024)
     h = (product.degree * product.evaluate(z) / (z * product.derivative(z))).real
@@ -174,7 +174,7 @@ def _check_weight_positivity(cfg, product, grid, rng):
     return max(0.0, -min_h), {"min_weight": min_h, "max_weight": float(np.max(h))}
 
 
-def _check_weight_sum(cfg, product, grid, rng):
+def _check_weight_sum(cfg, product, rng):
     # the residues R/(z R') from R', not the cached weights that transfer_unit sums
     small = CircleGrid(256)
     points, _ = _preimage_table(product, small)
@@ -184,13 +184,13 @@ def _check_weight_sum(cfg, product, grid, rng):
     return float(np.max(np.abs(sums - 1.0))), details
 
 
-def _check_transfer_unit(cfg, product, grid, rng):
+def _check_transfer_unit(cfg, product, rng):
     op = TransferOperator(product)
     values = op.apply_samples(lambda z: np.ones_like(z), CircleGrid(256))
     return float(np.max(np.abs(values - 1.0))), {"targets": int(values.shape[0])}
 
 
-def _check_transfer_covariance(cfg, product, grid, rng):
+def _check_transfer_covariance(cfg, product, rng):
     band = 8
     small = CircleGrid(256)
     points, weights = _preimage_table(product, small)
@@ -206,7 +206,7 @@ def _check_transfer_covariance(cfg, product, grid, rng):
     return worst, {"band": band, "targets": int(targets.shape[0])}
 
 
-def _check_adjoint_transfer(cfg, product, grid, rng):
+def _check_adjoint_transfer(cfg, product, rng):
     # column j of either truncation holds the first coefficients of L(z^j) or R^j
     m = cfg.corner
     lmat = transfer_matrix(TransferOperator(product), m, transfer_grid(4 * m))
@@ -214,7 +214,7 @@ def _check_adjoint_transfer(cfg, product, grid, rng):
     return _matrix_norm(lmat - comp.conj().T), {"corner": m}
 
 
-def _check_composition_isometry(cfg, product, grid, rng):
+def _check_composition_isometry(cfg, product, rng):
     # ||R^j|| = 1, so column_tail_mass is the exact mass the corner columns lose past N
     cols = _power_spectra(product, cfg.truncation, cfg.corner)
     return isometry_residual(cols, cfg.corner), {
@@ -231,14 +231,14 @@ def _random_symbol(rng, band: int, analytic: bool) -> FourierSymbol:
     return FourierSymbol(coeffs)
 
 
-def _check_toeplitz_covariance(cfg, product, grid, rng):
+def _check_toeplitz_covariance(cfg, product, rng):
     symbols = [_random_symbol(rng, band=8, analytic=False) for _ in range(10)]
     # a symbol's bound within tolerance is a sound PASS on H^2; above it, its N x N section is exact
     residuals = covariance_residual(product, symbols, cfg.truncation, cfg.tolerances["toeplitz_covariance"])
     return max(residuals), {"symbols": 10, "per_symbol": residuals}
 
 
-def _check_analytic_commutation(cfg, product, grid, rng):
+def _check_analytic_commutation(cfg, product, rng):
     symbols = [FourierSymbol({j: 1.0}) for j in range(5)]
     symbols += [_random_symbol(rng, band=4, analytic=True) for _ in range(5)]
     # b o R has the poles of R^B, B the symbols' largest band, and the corner reads its coefficients k < m
@@ -247,17 +247,17 @@ def _check_analytic_commutation(cfg, product, grid, rng):
     return float(max(residuals)), {"symbols": len(symbols), **details}
 
 
-def _check_basis_orthonormality(cfg, product, grid, rng):
+def _check_basis_orthonormality(cfg, product, rng):
     count, details = cfg.basis_count, _gram_grid(product, cfg.basis_count)
     return gram_residual(TMBasis(product, count=count), count, CircleGrid(details["grid"])), {"count": count, **details}
 
 
-def _check_basis_factorization(cfg, product, grid, rng):
+def _check_basis_factorization(cfg, product, rng):
     basis = TMBasis(product, count=max(cfg.basis_count, 9 * product.degree))
-    return float(np.max(factorization_residual(basis, 8, grid))), {"max_power": 8}
+    return float(np.max(factorization_residual(basis, 8, CircleGrid(cfg.grid)))), {"max_power": 8}
 
 
-def _check_cuntz_relations(cfg, product, grid, rng):
+def _check_cuntz_relations(cfg, product, rng):
     # completeness reads the first m rows of the lower triangular W_k, so only C[:m, :m]; isometry and
     # orthogonality read the symbols of n W_i* W_j, the left side that module_inner_tails shares
     corners = cuntz_columns(product, _power_spectra(product, cfg.corner, cfg.corner))
@@ -266,7 +266,7 @@ def _check_cuntz_relations(cfg, product, grid, rng):
     return max(parts.values()), parts
 
 
-def _check_module_inner_tails(cfg, product, grid, rng):
+def _check_module_inner_tails(cfg, product, rng):
     # the rule of the other symbol checks, on the corner past the cut: the trailing corner of a
     # Toeplitz section is the leading section of size N - cut, and a FAIL value is its exact norm
     left, right = _frame_sides(product, cfg.truncation)
@@ -281,7 +281,7 @@ def _check_module_inner_tails(cfg, product, grid, rng):
     return max(corners.get(pair, bound) for pair, bound in bounds.items()), details
 
 
-def _check_monomial_shift_relations(cfg, product, grid, rng):
+def _check_monomial_shift_relations(cfg, product, rng):
     tol = cfg.tolerances["monomial_shift_relations"]
     # W_k e_j = lambda^j z^(jn+k-1) is zero in the first N rows once jn >= N, so the relations
     # live in the columns j < ceil(N/n); the wrap reads one column more
@@ -305,14 +305,14 @@ def _check_monomial_shift_relations(cfg, product, grid, rng):
     return float(np.max(bounds)), {"relations": product.degree}
 
 
-def _check_lift_expanding(cfg, product, grid, rng):
+def _check_lift_expanding(cfg, product, rng):
     # |R'| = psi' on the circle, read through R' rather than the lift's own closed-form samples
     lift = build_lift(product, cfg.grid)
     margin = float(np.min(np.abs(product.derivative(np.exp(1j * lift.thetas)))) - 1.0)
     return max(0.0, -margin), {"margin": margin, "theta0": float(lift.theta0)}
 
 
-def _check_lift_winding(cfg, product, grid, rng):
+def _check_lift_winding(cfg, product, rng):
     lift = build_lift(product, cfg.grid)
     total = float(lift.psi[-1] - lift.psi[0])
     # the closed form climbs by 2 pi n by construction; following R is the independent route
@@ -323,7 +323,7 @@ def _check_lift_winding(cfg, product, grid, rng):
     }
 
 
-def _check_branch_inverses(cfg, product, grid, rng):
+def _check_branch_inverses(cfg, product, rng):
     # a certificate through R, not a second solve: sigma[k - 1, t] = sigma_k(t), one solve per branch
     lift = build_lift(product, cfg.grid)
     ts = 2.0 * np.pi * np.arange(64) / 64
@@ -336,12 +336,12 @@ def _check_branch_inverses(cfg, product, grid, rng):
     return residual, {"targets": 64, "min_gap": min_gap}
 
 
-def _check_power_conjugacy(cfg, product, grid, rng):
+def _check_power_conjugacy(cfg, product, rng):
     result = conjugacy_to_power(product, grid_size=cfg.grid)
     return result.residual, {"levels": result.levels, "min_gap": result.min_gap}
 
 
-def _check_k_group_formula(cfg, product, grid, rng):
+def _check_k_group_formula(cfg, product, rng):
     n = product.degree
     k0, k1 = k_groups(n)
     expected0 = "Z" if n == 2 else f"Z ⊕ Z/{n - 1}Z"
@@ -482,12 +482,12 @@ MANIFEST = (
 DEFAULT_TOLERANCES = {spec.check_id: spec.tolerance for spec in MANIFEST}
 
 
-def _run_one(spec: CheckSpec, cfg: RunConfig, product, grid, index: int) -> CheckResult:
+def _run_one(spec: CheckSpec, cfg: RunConfig, product, index: int) -> CheckResult:
     rng = np.random.default_rng([cfg.seed, index])
     tolerance = cfg.tolerances[spec.check_id]
     started = time.perf_counter()
     try:
-        residual, details = spec.runner(cfg, product, grid, rng)
+        residual, details = spec.runner(cfg, product, rng)
         residual = float(residual)
         outcome = {"residual": residual, "passed": residual <= tolerance, "details": _jsonable(details)}
     except Exception as exc:  # noqa: BLE001 - captured per check by design
@@ -511,12 +511,7 @@ def run_verify(cfg: RunConfig, parallel: bool = False) -> VerificationReport:
     and larger than a serial run.
     """
     product = cfg.product()
-    grid = CircleGrid(cfg.grid)
-    results = [
-        _run_one(spec, cfg, product, grid, index)
-        for index, spec in enumerate(MANIFEST)
-        if spec.enabled_for(cfg)
-    ]
+    results = [_run_one(spec, cfg, product, index) for index, spec in enumerate(MANIFEST) if spec.enabled_for(cfg)]
     metadata = {
         "package": f"blaschkeops {_VERSION}",
         "python": platform.python_version(),

@@ -196,19 +196,21 @@ class TestFactorBroadcast:
 
 
 class TestWeight:
+    """The transfer weight ``h = n / (z R'/R)``, read as ``degree / log_derivative``."""
+
     def test_monomial_weight_is_one(self, cube):
         theta = np.linspace(0, 2 * np.pi, 64)
-        assert np.max(np.abs(cube.weight(theta) - 1.0)) <= 1e-12
+        assert np.max(np.abs(cube.degree / cube.log_derivative(theta) - 1.0)) <= 1e-12
 
     def test_half_values(self, half):
-        assert half.weight(0.0) == pytest.approx(0.5)
-        assert half.weight(np.pi) == pytest.approx(1.5)
+        assert half.degree / half.log_derivative(0.0) == pytest.approx(0.5)
+        assert half.degree / half.log_derivative(np.pi) == pytest.approx(1.5)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_positive_everywhere(self, seed):
         b = random_product(seed, degree=3, max_radius=0.8)
         theta = 2 * np.pi * np.arange(256) / 256
-        assert np.min(b.weight(theta)) > 0
+        assert np.min(b.degree / b.log_derivative(theta)) > 0
 
 
 class TestPreimages:
@@ -286,6 +288,12 @@ class TestPreimages:
     def test_off_circle_target_rejected(self, half):
         with pytest.raises(ValueError, match="unit circle"):
             half.preimages(1.5 + 0j)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0)])
+    def test_nonfinite_target_rejected(self, half, bad):
+        # NaN compares false with the tolerance, so it is rejected as an input, never solved
+        with pytest.raises(ValueError, match="finite"):
+            preimage_grid(half, np.array([1.0, bad]))
 
 
 def test_degree_64_solve_memory_is_bounded():

@@ -1,16 +1,9 @@
-"""Grids, the power-of-two transform, symbols and the Poisson extension."""
+"""Grids, the power-of-two transform, symbols, their coefficients and extension into the disk."""
 
 import numpy as np
 import pytest
 
-from blaschkeops import (
-    CircleGrid,
-    FourierSymbol,
-    fft,
-    fourier_coefficients,
-    l2_inner,
-    poisson_extension,
-)
+from blaschkeops import CircleGrid, FourierSymbol, fft, fourier_coefficients
 
 
 class TestGrid:
@@ -145,53 +138,53 @@ class TestCoefficients:
 
 
 class TestInnerProduct:
+    """The normalised inner product ``(1/M) sum_j f_j conj(g_j)`` is ``np.vdot(g, f) / M``; by
+    Parseval it is the coefficient pairing ``sum_k c_k conj(d_k)`` of ``fourier_coefficients``."""
+
     def test_constants(self):
-        assert l2_inner(np.ones(8), np.ones(8)) == pytest.approx(1.0)
+        symbol = fourier_coefficients(np.ones(8))
+        assert np.vdot(symbol.values, symbol.values) == pytest.approx(1.0)
 
     def test_orthogonal_powers(self):
         grid = CircleGrid(8)
-        assert abs(l2_inner(grid.points, grid.points**2)) <= 1e-15
+        c, d = fourier_coefficients(grid.points), fourier_coefficients(grid.points**2)
+        assert abs(np.vdot(d.values, c.values)) <= 1e-15
 
     def test_linear_in_first_argument(self):
         grid = CircleGrid(8)
-        f, g = grid.points, grid.points + 1j
-        lhs = l2_inner(2j * f, g)
-        assert lhs == pytest.approx(2j * l2_inner(f, g))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            l2_inner(np.ones(4), np.ones(8))
+        f = grid.points + 1j
+        np.testing.assert_allclose(fourier_coefficients(2j * f).values, 2j * fourier_coefficients(f).values)
 
     def test_parseval(self, half, grid_big):
         values = half.evaluate(grid_big.points)
         symbol = fourier_coefficients(values)
         power = np.sum(np.abs(symbol.values) ** 2)
-        assert l2_inner(values, values) == pytest.approx(power, abs=1e-12)
+        assert np.vdot(values, values) / values.size == pytest.approx(power, abs=1e-12)
 
     def test_basis_element_has_unit_norm(self, half, grid_big):
         # quadrature oracle: e_1 = sqrt(0.75) z/(1 - 0.5 z) is normalised
         z = grid_big.points
         e1 = np.sqrt(0.75) * z / (1 - 0.5 * z)
-        assert l2_inner(e1, e1) == pytest.approx(1.0, abs=1e-10)
+        assert np.vdot(e1, e1) / e1.size == pytest.approx(1.0, abs=1e-10)
+        symbol = fourier_coefficients(e1)
+        assert np.vdot(symbol.values, symbol.values) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestPoisson:
+    """Inside the disk an analytic symbol is its own extension, ``symbol.evaluate(r e^(i theta))``."""
+
     def test_identity_symbol(self):
-        symbol = FourierSymbol({1: 1.0})
-        assert poisson_extension(symbol, 0.5, 0.0) == pytest.approx(0.5)
+        assert FourierSymbol({1: 1.0}).evaluate(0.5) == pytest.approx(0.5)
 
     def test_constant(self):
-        symbol = FourierSymbol({0: 1.0})
-        assert poisson_extension(symbol, 0.7, 1.3) == pytest.approx(1.0)
+        assert FourierSymbol({0: 1.0}).evaluate(0.7 * np.exp(1.3j)) == pytest.approx(1.0)
 
     def test_extends_blaschke_analytically(self, half, grid_big):
-        # Fatou/Poisson identification: the coefficient sum at radius r
-        # reproduces the direct evaluation inside the disk
+        # Fatou/Poisson identification: the coefficient sum sum_k c_k r^|k| e^(i k theta) at
+        # radius r reproduces the direct evaluation inside the disk
         symbol = fourier_coefficients(half.evaluate(grid_big.points))
+        k = symbol.low + np.arange(symbol.values.size)
         for r, theta in [(0.9, np.pi / 3), (0.95, 2.0), (0.5, 0.1)]:
             direct = half.evaluate(r * np.exp(1j * theta))
-            assert poisson_extension(symbol, r, theta) == pytest.approx(direct, abs=1e-8)
-
-    def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            poisson_extension(FourierSymbol({0: 1.0}), 1.0, 0.0)
+            extension = np.sum(symbol.values * r ** np.abs(k) * np.exp(1j * k * theta))
+            assert extension == pytest.approx(direct, abs=1e-8)

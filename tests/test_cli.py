@@ -117,6 +117,13 @@ class TestQueryCommands:
         assert len(calls) == 1
         assert "weight sum = 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "--angle=-inf"])
+    def test_preimage_rejects_nonfinite_angle(self, angle, capsys):
+        # a configuration error (exit 2), not a numerical breakdown (exit 3)
+        args = [angle] if angle.startswith("--") else ["--angle", angle]
+        assert main(["preimage", *args]) == 2
+        assert "--angle must be finite" in capsys.readouterr().err
+
     def test_transfer_default_symbol(self, capsys):
         # L(z) for zeros [0, 0.5] is analytic with small coefficients
         assert main(["transfer", *FAST_FLAGS]) == 0

@@ -16,7 +16,6 @@ from blaschkeops import (
     isometry_residual,
     make_blaschke,
     operator_norm,
-    tail_compactness_profile,
     toeplitz_matrix,
 )
 from blaschkeops import tmbasis
@@ -258,16 +257,22 @@ class TestCommutationResidual:
             commutation_residual(product, symbols, 256, CircleGrid(128))
 
 
+def _trailing_corners(d: FourierSymbol, n_trunc: int, cuts) -> list:
+    # the trailing (N - m) x (N - m) corner of the N x N section of T_d is the leading section of
+    # the same symbol (Boettcher-Silbermann), so each norm reads that section; past N it is empty
+    return [_matrix_norm(_toeplitz_block(d, max(n_trunc - m, 0), max(n_trunc - m, 0))) for m in cuts]
+
+
 class TestTailProfile:
     """Trailing corners of the N x N section of ``T_d``, read as leading sections of d."""
 
     CUTS = [8, 16, 32, 64]
 
     def test_zero_matrix(self):
-        assert tail_compactness_profile(FourierSymbol({}), 128, self.CUTS) == [0.0, 0.0, 0.0, 0.0]
+        assert _trailing_corners(FourierSymbol({}), 128, self.CUTS) == [0.0, 0.0, 0.0, 0.0]
 
     def test_identity_is_a_non_compact_witness(self):
-        profile = tail_compactness_profile(FourierSymbol({0: 1.0}), 256, self.CUTS)
+        profile = _trailing_corners(FourierSymbol({0: 1.0}), 256, self.CUTS)
         np.testing.assert_allclose(profile, 1.0)
 
     def test_monotone_by_nesting(self):
@@ -277,25 +282,19 @@ class TestTailProfile:
         rng = np.random.default_rng(0)
         band = [k for k in range(-63, 64) if abs(k) >= 32]
         symbol = FourierSymbol({k: complex(*rng.standard_normal(2)) / abs(k) for k in band})
-        profile = tail_compactness_profile(symbol, 64, range(0, 65, 4))
+        profile = _trailing_corners(symbol, 64, range(0, 65, 4))
         assert profile[0] > 1e-2 and profile[8] < 1e-10 and profile[-1] == 0.0
         assert all(b <= a + 1e-12 for a, b in zip(profile, profile[1:]))
 
     def test_empty_corner_has_zero_norm(self):
         eye = FourierSymbol({0: 1.0})
-        assert tail_compactness_profile(eye, 32, [16, 32]) == [pytest.approx(1.0), 0.0]
-        assert tail_compactness_profile(eye, 32, [16, 32, 64]) == [pytest.approx(1.0), 0.0, 0.0]
-
-    def test_cut_bounds_validated(self):
-        eye = FourierSymbol({0: 1.0})
-        for cuts in ([16, 8], [8, 8], [-1, 8], []):
-            with pytest.raises(ValueError):
-                tail_compactness_profile(eye, 64, cuts)
+        assert _trailing_corners(eye, 32, [16, 32]) == [pytest.approx(1.0), 0.0]
+        assert _trailing_corners(eye, 32, [16, 32, 64]) == [pytest.approx(1.0), 0.0, 0.0]
 
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert operator_norm(TruncatedOperator.identity(16)) == pytest.approx(1.0)
+        assert operator_norm(TruncatedOperator(np.eye(16), "I")) == pytest.approx(1.0)
 
     def test_shift(self):
         shift = toeplitz_matrix(FourierSymbol({1: 1.0}), 16)
@@ -434,13 +433,11 @@ class TestTruncatedOperator:
             TruncatedOperator(np.full((4, 4), np.nan), "nan")
 
     def test_algebra_and_labels(self):
-        eye = TruncatedOperator.identity(4)
         shift = toeplitz_matrix(FourierSymbol({1: 1.0}), 4, label="S")
         prod = shift @ shift
         assert prod.label == "S·S"
-        np.testing.assert_allclose((prod - prod).entries, 0.0)
-        assert shift.adjoint().label == "(S)*"
-        np.testing.assert_allclose(eye.entries, np.eye(4))
+        np.testing.assert_allclose(prod.entries, np.eye(4, k=-2))
+        assert not prod.entries.flags.writeable
 
     def test_composition_vs_sampled_product(self, half, grid_small):
         # oracle: column m of C holds coefficients of R^m obtained separately
@@ -472,9 +469,9 @@ class TestSlicedCorners:
 
     def test_isometry(self, setup):
         _, _, comp = setup
-        dense = comp.adjoint() @ comp - TruncatedOperator.identity(self.N_TRUNC)
+        dense = comp.entries.conj().T @ comp.entries - np.eye(self.N_TRUNC)
         sliced = isometry_residual(comp.entries, self.CORNER)
-        assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+        assert sliced == pytest.approx(_matrix_norm(dense[: self.CORNER, : self.CORNER]), abs=1e-14)
 
     def _exact_left_norms(self, product, symbols):
         # with the transfer side at zero the residual is C* T_a C itself, read from its symbol;
@@ -506,9 +503,9 @@ class TestSlicedCorners:
         b = self._symbol(2, 0, 4)
         pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
         t_b = toeplitz_matrix(b, self.N_TRUNC)
-        dense = comp @ t_b - toeplitz_matrix(pullback, self.N_TRUNC) @ comp
+        dense = (comp @ t_b).entries - (toeplitz_matrix(pullback, self.N_TRUNC) @ comp).entries
         sliced = commutation_residual(product, [b], self.CORNER, grid)[0]
-        assert sliced == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+        assert sliced == pytest.approx(_matrix_norm(dense[: self.CORNER, : self.CORNER]), abs=1e-14)
 
     def test_covariance_batch_matches_per_symbol_references(self, setup):
         # the batch shares L(z^k) and the block of C over the union of the bands; each
@@ -547,7 +544,8 @@ class TestSlicedCorners:
         batch = commutation_residual(product, symbols, self.CORNER, grid)
         for b, value in zip(symbols, batch):
             pullback = fourier_coefficients(b.evaluate(product.evaluate(grid.points)))
-            dense = comp @ toeplitz_matrix(b, self.N_TRUNC) - toeplitz_matrix(pullback, self.N_TRUNC) @ comp
-            assert value == pytest.approx(_matrix_norm(dense.corner(self.CORNER)), abs=1e-14)
+            t_b, t_pullback = toeplitz_matrix(b, self.N_TRUNC), toeplitz_matrix(pullback, self.N_TRUNC)
+            dense = (comp @ t_b).entries - (t_pullback @ comp).entries
+            assert value == pytest.approx(_matrix_norm(dense[: self.CORNER, : self.CORNER]), abs=1e-14)
         with pytest.raises(ValueError):
             commutation_residual(product, symbols + [FourierSymbol({-1: 1.0})], self.CORNER, grid)

@@ -1,8 +1,10 @@
 """Verification runs: configuration, determinism, report formats."""
 
+import importlib.util
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,7 +161,7 @@ class TestRun:
         # yields an ERROR result instead of aborting the run
         spec = CheckSpec("weight_sum", "residual that is not a number", 1.0, lambda *args: (None, {}))
         cfg = RunConfig(**FAST)
-        result = verify._run_one(spec, cfg, cfg.product(), CircleGrid(cfg.grid), 0)
+        result = verify._run_one(spec, cfg, cfg.product(), 0)
         assert result.errored and not result.passed and result.residual is None
         assert result.error.startswith("TypeError:")
 
@@ -176,7 +178,7 @@ class TestRun:
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(transfer, "preimage_weights", lambda *args: exact(*args) * (1.0 + 1e-6))
-                residual, _ = spec.runner(cfg, cfg.product(), None, None)
+                residual, _ = spec.runner(cfg, cfg.product(), None)
         finally:
             transfer._preimage_table.cache_clear()
         assert residual > spec.tolerance
@@ -210,7 +212,7 @@ class TestRun:
         )
         spec = next(s for s in MANIFEST if s.check_id == "derivative_identity")
         cfg = RunConfig(**FAST)
-        residual, _ = spec.runner(cfg, cfg.product(), None, None)
+        residual, _ = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
 
     def test_scaled_derivative_fails_weight_sum_not_transfer_unit(self, monkeypatch):
@@ -220,7 +222,7 @@ class TestRun:
         monkeypatch.setattr(BlaschkeProduct, "derivative", lambda self, z: exact(self, z) * (1.0 + 1e-6))
         cfg = RunConfig(**FAST)
         residuals = {
-            spec.check_id: spec.runner(cfg, cfg.product(), None, None)[0]
+            spec.check_id: spec.runner(cfg, cfg.product(), None)[0]
             for spec in MANIFEST
             if spec.check_id in ("weight_sum", "derivative_identity", "transfer_unit")
         }
@@ -235,7 +237,7 @@ class TestRun:
         monkeypatch.setattr(BlaschkeProduct, "derivative", lambda self, z: exact(self, z) * np.exp(2j))
         spec = next(s for s in MANIFEST if s.check_id == "weight_positivity")
         cfg = RunConfig(**FAST)
-        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        residual, details = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
         assert details["max_weight"] < 0
 
@@ -245,7 +247,7 @@ class TestRun:
         monkeypatch.setattr(BlaschkeProduct, "derivative", lambda self, z: exact(self, z) / 2.0)
         spec = next(s for s in MANIFEST if s.check_id == "lift_expanding")
         cfg = RunConfig(**FAST)
-        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        residual, details = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
         assert details["margin"] == pytest.approx(2.0 / 3.0 - 1.0, abs=1e-6)
 
@@ -254,7 +256,7 @@ class TestRun:
         spec = next(s for s in MANIFEST if s.check_id == "weight_sum")
         cfg = RunConfig(**FAST)
         product = cfg.product()
-        _, details = spec.runner(cfg, product, None, None)
+        _, details = spec.runner(cfg, product, None)
         _, residuals = preimage_grid(product, CircleGrid(256).points)
         assert details["preimage_residual"] == float(np.max(residuals))
         assert 0.0 < details["preimage_residual"] <= 1e-13
@@ -283,7 +285,7 @@ class TestRun:
         )
         spec = next(s for s in MANIFEST if s.check_id == "module_inner_tails")
         cfg = RunConfig(**FAST)
-        residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+        residual, _ = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
 
     def test_scaled_column_fails_module_inner_tails(self, monkeypatch, fresh_frame_sides):
@@ -302,7 +304,7 @@ class TestRun:
         spec = next(s for s in MANIFEST if s.check_id == "module_inner_tails")
         cfg = RunConfig(**FAST)
         product = cfg.product()
-        residual, details = spec.runner(cfg, product, CircleGrid(cfg.grid), None)
+        residual, details = spec.runner(cfg, product, None)
         assert residual > spec.tolerance
         assert residual == pytest.approx(product.degree * 1e-5, rel=1e-6)
         assert set(details["corner_norms"]) == {"v1,v1", "v2,v2"}
@@ -316,7 +318,7 @@ class TestRun:
         assert product.degree == degree
         cfg = RunConfig(lambda_angle=float(np.angle(product.phase)), zeros=product.zeros)
         spec = next(s for s in MANIFEST if s.check_id == "module_inner_tails")
-        residual, details = spec.runner(cfg, product, CircleGrid(cfg.grid), None)
+        residual, details = spec.runner(cfg, product, None)
         assert residual <= 1e-12 and details["corner_norms"] == {}
         assert residual == max(details["sup_bounds"].values())
         assert len(details["sup_bounds"]) == degree**2 and details["taylor_length"] == 1024
@@ -335,7 +337,7 @@ class TestRun:
         monkeypatch.setattr(hardy, "_taylor_columns", turned)
         cfg = RunConfig(**FAST)
         residuals = {
-            spec.check_id: spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), np.random.default_rng(0))[0]
+            spec.check_id: spec.runner(cfg, cfg.product(), np.random.default_rng(0))[0]
             for spec in MANIFEST
             if spec.check_id in ("composition_isometry", "toeplitz_covariance", "analytic_commutation")
         }
@@ -356,7 +358,7 @@ class TestRun:
         monkeypatch.setattr(dynamics, "_argument", perturbed)
         spec = next(s for s in MANIFEST if s.check_id == "lift_winding")
         cfg = RunConfig(**FAST)
-        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        residual, details = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
         assert details["follow_defect"] > spec.tolerance
 
@@ -389,7 +391,7 @@ class TestRun:
         monkeypatch.setattr(verify, "_power_spectra", rolled)
         cfg = RunConfig(**FAST)
         residuals = {
-            spec.check_id: spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)[0]
+            spec.check_id: spec.runner(cfg, cfg.product(), None)[0]
             for spec in MANIFEST
             if spec.check_id in ("composition_isometry", "cuntz_relations")
         }
@@ -409,7 +411,7 @@ class TestRun:
         monkeypatch.setattr(tmbasis, "frame", scaled)
         spec = next(s for s in MANIFEST if s.check_id == "cuntz_relations")
         cfg = RunConfig(**FAST)
-        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        residual, details = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
         assert details["isometry"] == pytest.approx(2e-6 + 1e-12, rel=1e-6)
 
@@ -421,7 +423,7 @@ class TestRun:
         monkeypatch.setattr(TransferOperator, "monomial_samples", lambda *args: exact(*args) * (1.0 + 1e-4))
         spec = next(s for s in MANIFEST if s.check_id == "toeplitz_covariance")
         cfg = RunConfig(**FAST)
-        residual, details = spec.runner(cfg, cfg.product(), None, np.random.default_rng(3))
+        residual, details = spec.runner(cfg, cfg.product(), np.random.default_rng(3))
         rng = np.random.default_rng(3)
         symbols = [verify._random_symbol(rng, band=8, analytic=False) for _ in range(10)]
         op, grid = TransferOperator(cfg.product()), CircleGrid(256)
@@ -454,7 +456,7 @@ class TestRun:
         )
         spec = next(s for s in MANIFEST if s.check_id == "branch_inverses")
         cfg = RunConfig(**FAST)
-        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        residual, details = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
         assert details["min_gap"] == 0.0
 
@@ -465,7 +467,7 @@ class TestRun:
         monkeypatch.setattr(verify, "branch_inverse", lambda lift, k, t: exact(lift, k, t) + 1e-6)
         spec = next(s for s in MANIFEST if s.check_id == "branch_inverses")
         cfg = RunConfig(**FAST)
-        residual, details = spec.runner(cfg, cfg.product(), None, None)
+        residual, details = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
         assert details["min_gap"] > 1e-12
 
@@ -482,7 +484,7 @@ class TestRun:
         monkeypatch.setattr(verify, "_preimage_table", rotated)
         spec = next(s for s in MANIFEST if s.check_id == "transfer_covariance")
         cfg = RunConfig(**FAST)
-        residual, _ = spec.runner(cfg, cfg.product(), None, None)
+        residual, _ = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
 
     @pytest.mark.parametrize(
@@ -492,7 +494,8 @@ class TestRun:
         # the Cuntz family comes from factor series, so the run grid changes nothing
         spec = next(s for s in MANIFEST if s.check_id == check_id)
         cfg = RunConfig(zeros=zeros, **FAST)
-        assert spec.runner(cfg, cfg.product(), None, None) == spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+        finer = replace(cfg, grid=4 * cfg.grid)
+        assert spec.runner(cfg, cfg.product(), None) == spec.runner(finer, finer.product(), None)
 
     def test_moved_entry_fails_monomial_shift_relations(self, monkeypatch):
         # negative control: W_2[5, 3] moved by 1e-9 breaks U W_1 = W_2 and
@@ -514,7 +517,7 @@ class TestRun:
         monkeypatch.setattr(verify, "_matrix_norm", lambda block: exact_norms.append(_matrix_norm(block)) or exact_norms[-1])
         spec = next(s for s in MANIFEST if s.check_id == "monomial_shift_relations")
         cfg = RunConfig(zeros=(0j, 0j, 0j), **FAST)
-        residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+        residual, _ = spec.runner(cfg, cfg.product(), None)
         comp = _power_spectra(cfg.product(), cfg.truncation, cfg.truncation)
         family = moved(cfg.product(), comp)
         shift = np.eye(cfg.truncation, k=-1)
@@ -543,7 +546,7 @@ class TestRun:
         monkeypatch.setattr(verify, "_power_spectra", lambda product, *args: exact(phased, *args))
         spec = next(s for s in MANIFEST if s.check_id == "monomial_shift_relations")
         cfg = RunConfig(zeros=(0j, 0j), **FAST)
-        residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+        residual, _ = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
         assert residual == pytest.approx(abs(1.0 - lam), rel=1e-12)
 
@@ -560,7 +563,7 @@ class TestRun:
         monkeypatch.setattr(verify, "_power_spectra", shifted)
         spec = next(s for s in MANIFEST if s.check_id == "adjoint_transfer")
         cfg = RunConfig(**FAST)
-        residual, _ = spec.runner(cfg, cfg.product(), CircleGrid(cfg.grid), None)
+        residual, _ = spec.runner(cfg, cfg.product(), None)
         assert residual > spec.tolerance
 
     def test_corner_one_adjoint_transfer(self):
@@ -661,7 +664,7 @@ def _symbol_route_residuals(product, n_trunc, corner):
     out = {}
     for check_id in SYMBOLS:
         spec = next(s for s in MANIFEST if s.check_id == check_id)
-        out[check_id] = spec.runner(cfg, product, None, np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))[0]
+        out[check_id] = spec.runner(cfg, product, np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))[0]
     return out
 
 
@@ -695,7 +698,7 @@ def _sized_residual(zeros, check_id):
     # no run grid is passed: neither check reads M
     spec = next(s for s in MANIFEST if s.check_id == check_id)
     cfg = RunConfig(lambda_angle=1.3, zeros=zeros)
-    return spec.runner(cfg, cfg.product(), None, np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))
+    return spec.runner(cfg, cfg.product(), np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))
 
 
 @pytest.mark.parametrize(
@@ -777,3 +780,18 @@ class TestReports:
     def test_unknown_format_rejected(self, report):
         with pytest.raises(ConfigError):
             emit_report(report, "yaml")
+
+
+def test_benchmark_entry_points_resolve():
+    # the traced benchmark wraps every ENTRY_POINTS name and stops on a missing one, and it keeps
+    # one runtime metric per manifest check: removing or renaming a pinned name fails here too
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    for _, module, attribute, _ in spans.ENTRY_POINTS:
+        target = importlib.import_module(f"blaschkeops.{module}")
+        for part in attribute.split("."):
+            target = getattr(target, part)
+        assert callable(target), f"{module}.{attribute}"
+    assert spans.CHECK_IDS == tuple(spec.check_id for spec in MANIFEST)
