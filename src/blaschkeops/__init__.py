@@ -2,7 +2,7 @@
 
 Evaluation and circle geometry of the products themselves, the weighted
 preimage-sum (transfer) operator, truncated Toeplitz/composition matrices
-with residual checks for their exact and modulo-compact identities, the
+with residual checks for their identities on the Hardy space, the
 adapted rational orthonormal basis with its Cuntz isometry family, the
 expanding circle dynamics with its conjugacy to a monomial map, and a
 configuration-driven verification suite tying it all together.

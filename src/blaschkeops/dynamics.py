@@ -43,17 +43,17 @@ class CircleLift:
 def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
     """The lift of ``theta -> R(e^(i theta))`` over one revolution, sampled on ``grid_size`` angles.
 
-    The anchor ``theta0 - 2 pi`` is the smallest angle in ``[0, 2 pi)``
-    whose image is 1, which pins ``psi(theta0 - 2 pi) = 0``; for monomials
-    this gives ``theta0 = 2 pi`` and ``psi(theta) = n theta``.  Every sample
-    is the closed-form continuous argument, so no unwrapping is involved and
-    any grid of at least 256 samples serves.
+    The anchor ``theta0 - 2 pi`` is the first angle from ``-1e-9`` (so an image
+    1 at 0 up to rounding anchors at 0) whose image is 1, which pins
+    ``psi(theta0 - 2 pi) = 0``; one solve finds it, as :func:`_fixed_point`
+    finds its point.  For monomials this gives ``theta0 = 2 pi`` and
+    ``psi(theta) = n theta``.  Every sample is the closed-form continuous
+    argument, so no unwrapping is involved and any grid of at least 256
+    samples serves.
     """
     if grid_size < _MIN_LIFT_GRID:
         raise ValueError(f"lift grid must have at least {_MIN_LIFT_GRID} samples")
-    anchors = np.angle(np.asarray(product.preimages(1.0 + 0j).points)) % _TWO_PI
-    anchors[anchors > _TWO_PI - 1e-9] -= _TWO_PI
-    start = float(np.min(anchors))
+    start = float(_solve_increasing(product, -1e-9, 0.0, lambda first, _: _TWO_PI * np.ceil(first / _TWO_PI)))
     theta0 = start + _TWO_PI
     thetas = np.linspace(start, theta0, grid_size)
     raw, _ = _argument(product, thetas)

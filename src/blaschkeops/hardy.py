@@ -8,10 +8,8 @@ triangular, so a corner reads only the first m columns of C, and ``|R| = 1``
 on the circle makes ``C* T_a C`` Toeplitz on H^2: one routine streams the
 columns of C into its symbol for a batch of symbols a, with no N.  A
 Toeplitz operator has the norm ``sup |d|`` of its symbol d, and one rule
-decides every symbol residual: one zero-padded FFT and Bernstein's
-inequality bound it, and past the tolerance an exact section norm comes
-from numpy's SVD.  Every trailing corner of a Toeplitz section is a leading
-section of the same symbol, so modulo-compact identities read symbols too.
+values every symbol residual: one zero-padded FFT samples d, and the
+largest sample and Bernstein's inequality bracket ``sup |d|``.
 """
 
 from __future__ import annotations
@@ -173,8 +171,8 @@ def _left_symbols(product: BlaschkeProduct, below, width: int) -> np.ndarray:
     return out
 
 
-def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, tol: float = np.inf) -> list:
-    """Norms on H^2 of ``C* T_a C - T_(L a)``, one per symbol a of the sequence, from :func:`_certified_norms`.
+def covariance_residual(product: BlaschkeProduct, symbols, *, tol: float = np.inf) -> list:
+    """Norms on H^2 of ``C* T_a C - T_(L a)``, one per symbol a of the sequence, valued by :func:`_certified_norms`.
 
     The symbol s of ``C* T_a C`` has ``s_hat(-d)`` from the rows ``a_hat(-t)`` and ``conj(s_hat(d))`` from the rows
     ``conj(a_hat(t))`` (:func:`_left_symbols`); for the union band ``|k| <= B`` of the symbols both need ``t, d <= B``.
@@ -192,7 +190,7 @@ def covariance_residual(product: BlaschkeProduct, symbols, n_trunc: int, tol: fl
     below, above = np.split(_left_symbols(product, rows, band + 1), 2)  # [r, d]: s_hat(-d), conj(s_hat(d))
     left = np.concatenate((below[:, :0:-1], above.conj()), axis=1)
     right = fft(images)[:, np.arange(-band, band + 1) % grid.size] / grid.size
-    return _certified_norms(left - right, n_trunc, tol)[1]
+    return _certified_norms(left - right, tol)[1]
 
 
 def commutation_residual(product: BlaschkeProduct, symbols, m: int, grid: CircleGrid) -> list:
@@ -212,31 +210,22 @@ def commutation_residual(product: BlaschkeProduct, symbols, m: int, grid: Circle
     ]
 
 
-def _symbol_sup_bound(values: np.ndarray) -> np.ndarray:
-    """Certified upper bounds on ``sup |d|`` over the unit circle, one per row of coefficients
-    along the last axis of ``values`` (a dense band, as ``FourierSymbol.values`` holds it).
+def _certified_norms(rows, tol: float) -> tuple:
+    """``(bounds, values)`` for the Toeplitz operators of rows of symbol coefficients along the last axis of
+    ``rows`` (each a dense band, as ``FourierSymbol.values`` holds it), whose norms are ``sup |d|``.
 
     ``|d| = |z^(-c) d|`` for the centre ``c`` of the band, a trigonometric
     polynomial of degree ``h = (len - 1) / 2``, so Bernstein's inequality
     gives ``|d|' <= h sup|d|``.  Every point of the circle lies within
-    ``pi / L`` of one of L equispaced samples, hence
-    ``sup|d| <= max|samples| / (1 - pi h / L)``; one zero-padded FFT of the
-    rows at ``L >= 16 (h + 1)`` points gives the samples, and each
-    bound is at most ``1 / (1 - pi / 16) ~ 1.25`` times the largest of its row's.
-    Every section of ``T_d``, and so every trailing corner of one, is at most its row's bound.
+    ``pi / L`` of one of L equispaced samples, hence the largest sample
+    ``peak`` has ``peak <= sup|d| <= peak / (1 - pi h / L)``, the bound; one
+    zero-padded FFT of the rows at ``L >= 16 (h + 1)`` points gives the
+    samples, and each bound is at most ``1 / (1 - pi / 16) ~ 1.25`` times its
+    peak.  A row's value is its bound where that is within ``tol``, a sound
+    PASS, and its peak otherwise, so a value above ``tol`` is a sound FAIL.
     """
-    size = np.shape(values)[-1]  # an empty band samples zeros and bounds 0.0
+    size = np.shape(rows)[-1]  # an empty band samples zeros and reads 0.0
     length = 1 << (8 * (size + 1) - 1).bit_length()  # the power of two >= 16 (h + 1)
-    peak = np.max(np.abs(np.fft.fft(values, length, axis=-1)), axis=-1)
-    return peak / (1.0 - np.pi * (size - 1) / (2 * length))
-
-
-def _certified_norms(rows, n_trunc: int, tol: float) -> tuple:
-    """``(bounds, norms)`` per centred row of symbol coefficients: the certified :func:`_symbol_sup_bound` of its
-    Toeplitz operator, and its norm, that bound or where it exceeds ``tol`` the exact norm of the N x N section,
-    so a FAIL value holds no slack; an empty section, ``N = 0``, reads 0.0."""
-    low, bounds = -(np.shape(rows)[-1] // 2), _symbol_sup_bound(rows).tolist()
-    return bounds, [
-        bound if bound <= tol else _matrix_norm(_toeplitz_block(FourierSymbol._dense(low, row), n_trunc, n_trunc))
-        for row, bound in zip(rows, bounds)
-    ]
+    peaks = np.max(np.abs(np.fft.fft(rows, length, axis=-1)), axis=-1)
+    bounds = peaks / (1.0 - np.pi * (size - 1) / (2 * length))
+    return bounds.tolist(), np.where(bounds <= tol, bounds, peaks).tolist()

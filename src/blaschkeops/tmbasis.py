@@ -7,9 +7,10 @@ elements form an orthonormal basis of the Hardy space that factors as
 ``e_{kn+l} = Q_l R_l R^k``.  The operators ``W_k = T_(Q_{k-1} R_{k-1}) C``
 are isometries with mutually orthogonal ranges summing to the identity - a
 concrete family satisfying the Cuntz relations.  ``W_i* W_j`` is Toeplitz,
-the left side of the bimodule relation ``V_p* V_q = T_<p,q>`` modulo compact
-operators; both read their symbols through the left-symbol routine and the
-norm rule of :mod:`~blaschkeops.hardy`.
+the left side of the bimodule relation ``V_p* V_q = T_<p,q>``, an identity
+on H^2 (``T_conj(p) T_q = T_(conj(p) q)`` for analytic p); both read their
+symbols through the left-symbol routine and the norm rule of
+:mod:`~blaschkeops.hardy`.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def cuntz_family(product: BlaschkeProduct, n_trunc: int):
     return [TruncatedOperator(w, label=f"W{k + 1}") for k, w in enumerate(columns)]
 
 
-def cons_residual(corners, gram, n_trunc: int, tol: float = np.inf) -> dict:
+def cons_residual(corners, gram, *, tol: float = np.inf) -> dict:
     """Cuntz-relation residuals of ``W_k = T_(v_(k-1)) C``: the dict of ``completeness`` ``||sum_k W_k W_k* - I||``
     on the corner, from the m x m ``corners`` that hold the first m rows of the lower triangular ``W_k``, and, on
     H^2, ``isometry`` ``max_k ||W_k* W_k - I||`` and ``orthogonality`` ``max_(k < j) ||W_k* W_j||`` by
@@ -141,7 +142,7 @@ def cons_residual(corners, gram, n_trunc: int, tol: float = np.inf) -> dict:
     for k, row in enumerate(gram):  # one FFT per row of pairs (k, j >= k)
         rows = row[k:] / n
         rows[0, centre] -= 1.0
-        _, norms = _certified_norms(rows, n_trunc, tol)
+        _, norms = _certified_norms(rows, tol)
         isometry, orthogonality = max(isometry, norms[0]), max([orthogonality, *norms[1:]])
     completeness = _matrix_norm(stacked @ stacked.conj().T - np.eye(len(stacked)))
     return {"completeness": completeness, "isometry": isometry, "orthogonality": orthogonality}

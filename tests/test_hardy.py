@@ -20,15 +20,14 @@ from blaschkeops import (
 )
 from blaschkeops import tmbasis
 from blaschkeops.hardy import (
+    _certified_norms,
     _left_symbols,
     _matrix_norm,
     _power_iteration,
     _power_spectra,
-    _symbol_sup_bound,
     _toeplitz_block,
 )
 from blaschkeops.tmbasis import _sized_grid
-from blaschkeops.transfer import TransferOperator
 from conftest import random_product, wide_product
 
 
@@ -160,23 +159,23 @@ class TestIsometry:
 class TestCovarianceResidual:
     def test_unit_symbol_matches_isometry(self, half):
         # a = 1: C* C = I on H^2, so the symbol route and the resolved corner both read rounding
-        res = covariance_residual(half, [FourierSymbol({0: 1.0})], 256)[0]
+        res = covariance_residual(half, [FourierSymbol({0: 1.0})])[0]
         iso = isometry_residual(composition_matrix(half, 256).entries, 32)
         assert res == pytest.approx(iso, abs=1e-12) and res <= 1e-14
 
     def test_square_with_square_symbol_vanishes(self, square):
         # index chase: m -> 2m -> 2m+2 -> m+1 against L(z^2) = w
-        res = covariance_residual(square, [FourierSymbol({2: 1.0})], 256)[0]
+        res = covariance_residual(square, [FourierSymbol({2: 1.0})])[0]
         assert res <= 1e-13
 
     def test_half_with_linear_symbol(self, half):
-        res = covariance_residual(half, [FourierSymbol({1: 1.0})], 256)[0]
+        res = covariance_residual(half, [FourierSymbol({1: 1.0})])[0]
         assert res <= 1e-6
 
     def test_antianalytic_via_adjoint_symmetry(self, half):
         # conjugate symbol residual equals the analytic one by T_a* = T_conj(a)
-        res_plus = covariance_residual(half, [FourierSymbol({2: 1.0})], 256)[0]
-        res_minus = covariance_residual(half, [FourierSymbol({-2: 1.0})], 256)[0]
+        res_plus = covariance_residual(half, [FourierSymbol({2: 1.0})])[0]
+        res_minus = covariance_residual(half, [FourierSymbol({-2: 1.0})])[0]
         assert res_minus == pytest.approx(res_plus, abs=1e-9)
 
     def test_seeded_symbols(self, spiral):
@@ -186,17 +185,18 @@ class TestCovarianceResidual:
                 k: complex(rng.standard_normal(), rng.standard_normal()) / (1 + abs(k))
                 for k in range(-8, 9)
             }
-            res = covariance_residual(spiral, [FourierSymbol(coeffs)], 256)[0]
+            res = covariance_residual(spiral, [FourierSymbol(coeffs)])[0]
             assert res <= 1e-6
 
-    def test_bound_above_tolerance_takes_the_section(self, half):
+    def test_bound_above_tolerance_takes_the_peak(self, half):
         # a symbol the identity leaves at rounding passes on its bound, whatever the tolerance
-        # above it; below that, the value is the exact N x N section norm, at most the bound
+        # above it; below that, the value is the largest of the bound's samples, a lower bound
         a = FourierSymbol({-3: 0.5, 0: 1.0, 2: 0.25j})
-        [bound] = covariance_residual(half, [a], 32)
-        [section] = covariance_residual(half, [a], 32, tol=0.0)
-        assert bound == covariance_residual(half, [a], 32, tol=bound)[0]
-        assert section <= bound <= 1e-14
+        [bound] = covariance_residual(half, [a])
+        [peak] = covariance_residual(half, [a], tol=0.0)
+        assert bound == covariance_residual(half, [a], tol=bound)[0]
+        assert 0.0 < peak < bound <= 1.25 * peak and bound <= 1e-14
+        assert covariance_residual(half, [a], tol=np.nextafter(bound, 0.0)) == [peak]
 
 
 class TestLeftSymbols:
@@ -330,7 +330,7 @@ class TestOperatorNorm:
 
 def _check_sup_bound(d: FourierSymbol, n: int) -> float:
     """Asserts that the bound holds every section and stays within 1.25x of its samples."""
-    bound = _symbol_sup_bound(d.values)
+    bound = _certified_norms(d.values, np.inf)[0]
     for k in (1, n // 2, n):
         assert np.linalg.norm(_toeplitz_block(d, k, k), 2) <= bound
     samples = np.abs(np.fft.fft(d.values, 1 << (16 * n - 1).bit_length()))  # L >= 16 N points
@@ -360,13 +360,25 @@ class TestSymbolSupBound:
         # a stack of rows, as module_inner_tails passes them, is bounded row by row
         rng = np.random.default_rng(5)
         rows = (rng.standard_normal((3, 4, 63)) + 1j * rng.standard_normal((3, 4, 63))) * np.arange(1, 5)[:, None]
-        bounds = _symbol_sup_bound(rows)
+        bounds = np.array(_certified_norms(rows, np.inf)[0])
         assert bounds.shape == (3, 4)
         for bound, values in zip(bounds.ravel(), rows.reshape(-1, 63)):
-            assert bound == pytest.approx(_symbol_sup_bound(values), rel=1e-14)
+            assert bound == pytest.approx(_certified_norms(values, np.inf)[0], rel=1e-14)
 
     def test_empty_symbol(self):
-        assert _symbol_sup_bound(FourierSymbol({}).values) == 0.0
+        assert _certified_norms(FourierSymbol({}).values, np.inf) == (0.0, 0.0)
+
+    def test_values_above_tolerance_take_the_peak(self):
+        # a row whose bound exceeds the tolerance reads its largest sample, which lies below
+        # sup |d| (here read on 2^16 points) and within 1.25x of it, so its FAIL holds no slack
+        rng = np.random.default_rng(7)
+        rows = (rng.standard_normal((4, 33)) + 1j * rng.standard_normal((4, 33))) * np.array([[1e-9], [1e-3], [1.0], [0.0]])
+        bounds, _ = _certified_norms(rows, np.inf)
+        _, values = _certified_norms(rows, 1e-6)
+        sups = np.max(np.abs(np.fft.fft(rows, 1 << 16, axis=-1)), axis=-1)
+        assert values[0] == bounds[0] and values[3] == bounds[3] == 0.0
+        for value, bound, sup in zip(values[1:3], bounds[1:3], sups[1:3]):
+            assert value < bound and value <= sup <= bound <= 1.25 * value
 
 
 def _gram_power_iteration(block, tol, max_iter):
@@ -473,15 +485,16 @@ class TestSlicedCorners:
         sliced = isometry_residual(comp.entries, self.CORNER)
         assert sliced == pytest.approx(_matrix_norm(dense[: self.CORNER, : self.CORNER]), abs=1e-14)
 
-    def _exact_left_norms(self, product, symbols):
-        # with the transfer side at zero the residual is C* T_a C itself, read from its symbol;
-        # tolerance 0 takes the exact m x m section of every symbol
-        def silent(op, low, high, grid):
-            return np.zeros((high - low, grid.size), dtype=complex)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(TransferOperator, "monomial_samples", silent)
-            return covariance_residual(product, symbols, self.CORNER, tol=0.0)
+    def _left_sections(self, product, symbols):
+        # the m x m sections of the symbols s of C* T_a C, built here from the batch's rows over its union
+        # band |k| <= B, as covariance_residual passes them to _left_symbols: the rows a_hat(-t) give
+        # s_hat(-d), and the rows conj(a_hat(t)) give conj(s_hat(d))
+        band = max(max(-a.low, a.low + a.values.size - 1) for a in symbols)
+        coeffs = np.array([[a.coefficient(k) for k in range(-band, band + 1)] for a in symbols])
+        rows = np.concatenate((coeffs[:, band::-1], coeffs[:, band:].conj()))
+        below, above = np.split(_left_symbols(product, rows, band + 1), 2)
+        left = [FourierSymbol._dense(-band, np.concatenate((b[:0:-1], c.conj()))) for b, c in zip(below, above)]
+        return [_matrix_norm(_toeplitz_block(s, self.CORNER, self.CORNER)) for s in left]
 
     def _dense_left_norms(self, product, symbols):
         # reference: the m x m sections of C* T_a C from 256-row columns of C and a 256-row T_a,
@@ -494,8 +507,8 @@ class TestSlicedCorners:
         # and s - (L a)^ is at rounding on H^2
         product, _, _ = setup
         a = self._symbol(1, -8, 8)
-        assert covariance_residual(product, [a], self.N_TRUNC)[0] <= 1e-13
-        exact = self._exact_left_norms(product, [a])
+        assert covariance_residual(product, [a])[0] <= 1e-13
+        exact = self._left_sections(product, [a])
         assert exact == pytest.approx(self._dense_left_norms(product, [a]), abs=1e-13)
 
     def test_commutation(self, setup):
@@ -512,11 +525,11 @@ class TestSlicedCorners:
         # entry must be the per-symbol value, and its left side the dense section, whatever its band
         product, _, _ = setup
         symbols = [self._symbol(3, -8, 8), self._symbol(4, 0, 3), self._symbol(5, -5, -2), FourierSymbol({})]
-        batch = covariance_residual(product, symbols, self.N_TRUNC)
+        batch = covariance_residual(product, symbols)
         assert len(batch) == len(symbols) and max(batch) <= 1e-13
         for a, value in zip(symbols, batch):
-            assert covariance_residual(product, [a], self.N_TRUNC) == [pytest.approx(value, abs=1e-14)]
-        exact = self._exact_left_norms(product, symbols)
+            assert covariance_residual(product, [a]) == [pytest.approx(value, abs=1e-14)]
+        exact = self._left_sections(product, symbols)
         assert exact == pytest.approx(self._dense_left_norms(product, symbols), abs=1e-13)
 
     @pytest.mark.parametrize(
@@ -531,11 +544,12 @@ class TestSlicedCorners:
         ids=["N-1", "N", "N+3", "antianalytic", "union-wider-than-members"],
     )
     def test_covariance_at_section_edges(self, setup, batch):
-        # bands that reach N and past it: the symbol reads C[:B+1, :B+1] for B up to N + 3 and
-        # still holds the identity on H^2, and its sections are those of the dense product
+        # bands that reach the N = 64 of the setup and past it: the symbol reads C[:B+1, :B+1] for B up
+        # to N + 3, whatever N is, and still holds the identity on H^2; its m x m sections, built here,
+        # are those of the dense product
         product, _, _ = setup
-        assert max(covariance_residual(product, batch, self.N_TRUNC)) <= 1e-12
-        exact = self._exact_left_norms(product, batch)
+        assert max(covariance_residual(product, batch)) <= 1e-12
+        exact = self._left_sections(product, batch)
         assert exact == pytest.approx(self._dense_left_norms(product, batch), abs=1e-13)
 
     def test_commutation_batch_matches_per_symbol_references(self, setup):

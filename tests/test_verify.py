@@ -16,7 +16,6 @@ from blaschkeops import (
     composition_matrix,
     fourier_coefficients,
     make_blaschke,
-    toeplitz_matrix,
     transfer_matrix,
 )
 from blaschkeops import dynamics, hardy, tmbasis, transfer, verify
@@ -261,24 +260,40 @@ class TestRun:
         assert details["preimage_residual"] == float(np.max(residuals))
         assert 0.0 < details["preimage_residual"] <= 1e-13
 
-    def test_tail_profile_cuts_past_a_small_truncation(self):
-        # N = 32 is below the cut (64), so every corner is empty: the bound
-        # passes each pair without an SVD, and a tolerance no bound meets
-        # hands every pair to the exact route, which reads 0.0
+    def test_module_inner_tails_fails_on_rounding_peaks_at_a_small_truncation(self):
+        # N = 32 keeps 32 coefficients of each pair's residual symbol: the bound passes each pair
+        # at the default tolerance, and a tolerance no bound meets reads every pair's peak, at
+        # rounding but not zero, so the check FAILs; a section behind a cut at 64, empty at this
+        # N, would read 0.0 and pass
         def tails(**tolerances):
             cfg = RunConfig(truncation=32, corner=8, grid=256, basis_count=8, tolerances=tolerances)
             return next(c for c in run_verify(cfg).checks if c.check_id == "module_inner_tails")
 
-        on_bound, exact = tails(), tails(module_inner_tails=1e-300)
-        assert on_bound.passed and on_bound.details["cut"] == 64
-        assert on_bound.details["corner_norms"] == {}
+        on_bound, peaks = tails(), tails(module_inner_tails=1e-300)
+        assert on_bound.passed and on_bound.details["peaks"] == {} and "cut" not in on_bound.details
         assert on_bound.residual == max(on_bound.details["sup_bounds"].values())
-        assert exact.passed and exact.residual == 0.0
-        assert exact.details["corner_norms"] == {pair: 0.0 for pair in exact.details["sup_bounds"]}
+        assert not peaks.passed and peaks.details["sup_bounds"] == on_bound.details["sup_bounds"]
+        assert set(peaks.details["peaks"]) == set(peaks.details["sup_bounds"])
+        assert 0.0 < peaks.residual == max(peaks.details["peaks"].values()) <= 1e-14
+
+    def test_scaled_pairings_fail_module_inner_tails_at_every_truncation(self, monkeypatch, fresh_frame_sides):
+        # negative control: pairings scaled by 1 + 1e-3 leave n * 1e-3 = 2e-3 on the diagonal pairs'
+        # residual symbols, whatever N is (N = 32 keeps 32 of their 64 coefficients, which moves
+        # the rounding only); a section behind a cut at 64 is empty at N = 32 and 64 and would pass
+        exact = tmbasis.bimodule_inner_samples
+        monkeypatch.setattr(tmbasis, "bimodule_inner_samples", lambda *args: exact(*args) * (1.0 + 1e-3))
+        spec = next(s for s in MANIFEST if s.check_id == "module_inner_tails")
+        residuals = []
+        for n_trunc in (32, 64, 256):
+            cfg = RunConfig(truncation=n_trunc, corner=4, grid=256, basis_count=8)
+            residual, details = spec.runner(cfg, cfg.product(), None)
+            assert set(details["peaks"]) == {"v1,v1", "v2,v2"} and residual == max(details["peaks"].values())
+            residuals.append(residual)
+        assert residuals == pytest.approx([2.0e-3] * 3, rel=1e-9) and np.ptp(residuals) <= 1e-15
 
     def test_scaled_pairing_fails_module_inner_tails(self, monkeypatch, fresh_frame_sides):
         # negative control: a pairing scaled by 1 + 1e-5 leaves n * 1e-5 on the
-        # diagonal of the residual symbol, a non-compact tail no cut removes
+        # diagonal of the residual symbol
         exact = tmbasis.bimodule_inner_samples
         monkeypatch.setattr(
             tmbasis, "bimodule_inner_samples", lambda *args: exact(*args) * (1.0 + 1e-5)
@@ -291,8 +306,8 @@ class TestRun:
     def test_scaled_column_fails_module_inner_tails(self, monkeypatch, fresh_frame_sides):
         # negative control on the left side: column 0 of C (R^0 = 1) scaled by 1 + 1e-5 moves
         # coefficient 0 of each pair by n <v_j, v_i> 1e-5, so only the diagonal pairs carry
-        # n * 1e-5, a constant symbol no cut removes, and their exact corners read it; the
-        # columns reach the left side through hardy._left_symbols
+        # n * 1e-5, a constant symbol, and their peaks read it; the columns reach the left
+        # side through hardy._left_symbols
         exact = hardy._taylor_columns
 
         def scaled(*args):
@@ -307,19 +322,19 @@ class TestRun:
         residual, details = spec.runner(cfg, product, None)
         assert residual > spec.tolerance
         assert residual == pytest.approx(product.degree * 1e-5, rel=1e-6)
-        assert set(details["corner_norms"]) == {"v1,v1", "v2,v2"}
-        assert residual == max(details["corner_norms"].values())
+        assert set(details["peaks"]) == {"v1,v1", "v2,v2"}
+        assert residual == max(details["peaks"].values())
 
     @pytest.mark.parametrize("index,degree", [(10, 16), (29, 15)])
     def test_wide_products_pass_module_inner_tails_on_the_bound(self, index, degree):
         # the left side is read in coefficient space, so no grid aliases it: every
-        # pair's residual symbol sits at rounding and no pair needs the SVD
+        # pair's residual symbol sits at rounding and no pair reads its peak
         product = wide_product(index)
         assert product.degree == degree
         cfg = RunConfig(lambda_angle=float(np.angle(product.phase)), zeros=product.zeros)
         spec = next(s for s in MANIFEST if s.check_id == "module_inner_tails")
         residual, details = spec.runner(cfg, product, None)
-        assert residual <= 1e-12 and details["corner_norms"] == {}
+        assert residual <= 1e-12 and details["peaks"] == {}
         assert residual == max(details["sup_bounds"].values())
         assert len(details["sup_bounds"]) == degree**2 and details["taylor_length"] == 1024
 
@@ -401,7 +416,7 @@ class TestRun:
     def test_scaled_frame_fails_cuntz_relations(self, monkeypatch, fresh_frame_sides):
         # negative control on the frame side: v_1 = Q_1 R_1 scaled by 1 + 1e-6 where the symbols
         # of n W_i* W_j take the frame scales W_2 = T_(v_1) C, so W_2* W_2 - I is the constant
-        # (1 + 1e-6)^2 - 1; its bound exceeds the tolerance, so the value is its exact section
+        # (1 + 1e-6)^2 - 1; its bound exceeds the tolerance, so the value is its peak, that constant
         exact = tmbasis.frame
 
         def scaled(product):
@@ -415,10 +430,11 @@ class TestRun:
         assert residual > spec.tolerance
         assert details["isometry"] == pytest.approx(2e-6 + 1e-12, rel=1e-6)
 
-    def test_scaled_images_fail_toeplitz_covariance_on_exact_sections(self, monkeypatch):
+    def test_scaled_images_fail_toeplitz_covariance_on_the_peak(self, monkeypatch):
         # negative control on the transfer side: every L(z^q) scaled by 1 + 1e-4 leaves the
         # residual symbol -1e-4 (L a)^; its bound exceeds the tolerance, so each symbol reports
-        # the exact norm of the N x N section, 1e-4 ||T_(L a)||, with L a taken pointwise here
+        # its peak, 1e-4 max |L a| over the 256 points that sample a band-8 symbol, with L a
+        # taken pointwise here
         exact = TransferOperator.monomial_samples
         monkeypatch.setattr(TransferOperator, "monomial_samples", lambda *args: exact(*args) * (1.0 + 1e-4))
         spec = next(s for s in MANIFEST if s.check_id == "toeplitz_covariance")
@@ -427,10 +443,43 @@ class TestRun:
         rng = np.random.default_rng(3)
         symbols = [verify._random_symbol(rng, band=8, analytic=False) for _ in range(10)]
         op, grid = TransferOperator(cfg.product()), CircleGrid(256)
-        images = [op.symbol_image(a.evaluate, grid) for a in symbols]
-        sections = [1e-4 * _matrix_norm(toeplitz_matrix(image, cfg.truncation).entries) for image in images]
+        peaks = [1e-4 * np.max(np.abs(op.apply_samples(a.evaluate, grid))) for a in symbols]
         assert residual > spec.tolerance and residual == max(details["per_symbol"])
-        assert details["per_symbol"] == pytest.approx(sections, rel=1e-8)
+        assert details["per_symbol"] == pytest.approx(peaks, rel=1e-8)
+
+    def test_scaled_band_edge_images_fail_toeplitz_covariance_at_every_truncation(self, monkeypatch):
+        # negative control: on z^2, L(z^8) = z^4 and L(z^-8) = z^-4 scaled by 1 + 1e-3 leave
+        # 1e-3 (a_hat(8) z^4 + a_hat(-8) z^-4) in the residual symbol, read the same at every N;
+        # the 4 x 4 section at N = 4 holds no z^(+-4) and would pass, and the 8 x 8 one reads less
+        exact = TransferOperator.monomial_samples
+
+        def scaled(op, low, high, grid):
+            edge = np.abs(np.arange(low, high)) == 8
+            return exact(op, low, high, grid) * np.where(edge, 1.0 + 1e-3, 1.0)[:, None]
+
+        monkeypatch.setattr(TransferOperator, "monomial_samples", scaled)
+        spec = next(s for s in MANIFEST if s.check_id == "toeplitz_covariance")
+        residuals = []
+        for n_trunc in (4, 8, 256):
+            cfg = RunConfig(zeros=(0j, 0j), truncation=n_trunc, corner=1, grid=256)
+            residual, details = spec.runner(cfg, cfg.product(), np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))
+            assert residual == max(details["per_symbol"])
+            residuals.append(residual)
+        assert residuals[0] == pytest.approx(2.56e-4, abs=5e-7) and residuals == [residuals[0]] * 3
+
+    def test_failing_symbol_checks_take_no_section_norm(self, monkeypatch, fresh_frame_sides):
+        # the three symbol checks value a residual above tolerance by its sampled peak: at N = 4096
+        # and a tolerance no residual meets, each FAILs and none forms a section for an SVD
+        def refuse(block):
+            raise AssertionError("a symbol check took a section norm")
+
+        monkeypatch.setattr(hardy, "_matrix_norm", refuse)
+        tolerances = dict.fromkeys(("toeplitz_covariance", "cuntz_relations", "module_inner_tails"), 1e-300)
+        cfg = RunConfig(truncation=4096, corner=4, grid=256, basis_count=8, tolerances=tolerances)
+        for check_id in tolerances:
+            spec = next(s for s in MANIFEST if s.check_id == check_id)
+            residual, _ = spec.runner(cfg, cfg.product(), np.random.default_rng(0))
+            assert residual > 1e-300, check_id
 
     def test_scaled_element_fails_basis_factorization(self, monkeypatch):
         # negative control: e_(n+1) scaled by 1 + 1e-6 no longer factors as Q_1 R_1 R, by
