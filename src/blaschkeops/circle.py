@@ -105,14 +105,16 @@ class FourierSymbol:
     def evaluate(self, z):
         """Pointwise value ``sum_k c_k z^k`` (z nonzero when negative k occur).
 
-        One Horner pass over the dense coefficients, times ``z^low``.
+        One Horner pass over the dense coefficients, times ``z^low``.  An analytic symbol drops its
+        rounding-level negative band first (as ``fourier_coefficients`` leaves one), so it is finite in the disk.
         """
         z = np.asarray(z, dtype=complex)
+        low = 0 if self.low < 0 and self.is_analytic() else self.low
         out = np.zeros(z.shape, dtype=complex)
-        for v in self.values[::-1]:
+        for v in self.values[low - self.low :][::-1]:
             out = out * z + v
-        if self.low:
-            out = out * z**self.low
+        if low:
+            out = out * z**low
         return out if out.ndim else complex(out)
 
 

@@ -19,9 +19,9 @@ import numpy as np
 from .blaschke import ConvergenceError
 from .circle import CircleGrid, FourierSymbol
 from .dynamics import build_lift, k_groups
-from .tmbasis import TMBasis, _gram_grid, gram_residual, tm_element
+from .tmbasis import TMBasis, tm_element
 from .transfer import TransferOperator, preimage_weights
-from .verify import ConfigError, RunConfig, emit_report, run_verify
+from .verify import MANIFEST, ConfigError, RunConfig, _run_one, emit_report, run_verify
 
 _FORMATS = ("human", "canonical", "table")
 
@@ -159,7 +159,6 @@ def _cmd_basis(args) -> int:
     cfg = _load_config(args)
     product = cfg.product()
     basis = TMBasis(product, count=cfg.basis_count)
-    grid = CircleGrid(_gram_grid(product, cfg.basis_count)["grid"])  # sized from the zeros, as verify's Gram
     n = product.degree
     lines = [f"adapted basis, degree {n}, first {cfg.basis_count} elements:"]
     sample_points = np.exp(1j * np.array([0.0, np.pi / 2, np.pi]))
@@ -168,9 +167,13 @@ def _cmd_basis(args) -> int:
         vals = tm_element(basis, l, sample_points)
         rendered = ", ".join(f"{v:.6g}" for v in vals)
         lines.append(f"  e_{l:<3d} = Q_{r} R_{r} R^{k}   at 1, i, -1: {rendered}")
-    lines.append(f"gram residual (count {cfg.basis_count}): {gram_residual(basis, cfg.basis_count, grid):.3e}")
+    # verify's basis_orthonormality: the Gram on the grid sized from the zeros, under-resolved past its cap
+    gram = next(_run_one(s, cfg, product, i) for i, s in enumerate(MANIFEST) if s.check_id == "basis_orthonormality")
+    needed = gram.details.get("grid_needed")
+    lines.append(f"gram residual (count {cfg.basis_count}): {gram.residual:.3e}")
+    lines += [f"under-resolved: the Gram needs a grid of {needed} points"] if needed else []
     _emit("\n".join(lines) + "\n", args.report)
-    return 0
+    return 0 if gram.passed else 1
 
 
 def _cmd_lift(args) -> int:

@@ -155,33 +155,20 @@ def frame(product: BlaschkeProduct):
     return lambda z: np.array(list(_elements(basis, product.degree, np.asarray(z, dtype=complex))))
 
 
-def _decay_length(product: BlaschkeProduct, factor: int, least: int) -> int:
+class _Unresolved(ValueError):
+    """A length past its cap, never formed: ``args[0]`` is ``{name + "_needed": length}``, a FAIL's ``details``."""
+
+
+def _needed_length(product: BlaschkeProduct, power: int, least: int, cap=_MAX_GRID, name: str = "grid") -> int:
     """The power of two, at least ``least``, past which the Taylor coefficients of a function with the poles
-    of ``R^factor`` fall below rounding: a pole of order m at ``1 / conj(z)`` adds ``binom(t + m - 1, m - 1) |z|^t``."""
+    of ``R^power`` fall below rounding: a pole of order m at ``1 / conj(z)`` adds ``binom(t + m - 1, m - 1) |z|^t``.
+    A length past ``cap`` raises :class:`_Unresolved` with ``{name + "_needed": length}``."""
     size = 1 << (least - 1).bit_length()
-    zeros = {z: factor * product.zeros.count(z) for z in product.zeros if z}  # multiplicities
+    zeros = {z: power * product.zeros.count(z) for z in product.zeros if z}  # multiplicities
     while any(log(comb(size + m - 1, m - 1)) + size * log(abs(z)) > log(1e-16) for z, m in zeros.items()):
         size *= 2
-    return size
-
-
-def _sized_grid(product: BlaschkeProduct, factor: int, least: int) -> dict:
-    """``{"grid": G}``, G the ``_decay_length`` for ``factor`` and at least ``max(256, least)`` points; a product
-    that needs more than ``_MAX_GRID`` points is read on that many, under-resolved, and adds ``"grid_needed"``."""
-    needed = _decay_length(product, factor, max(256, least))
-    return {"grid": _MAX_GRID, "grid_needed": needed} if needed > _MAX_GRID else {"grid": needed}
-
-
-def _gram_grid(product: BlaschkeProduct, count: int) -> dict:
-    """The :func:`_sized_grid` of a ``count``-element Gram: its last element has each zero ``ceil(count / n)`` times."""
-    return _sized_grid(product, -(-count // product.degree), count)
-
-
-def _taylor_length(product: BlaschkeProduct) -> int:
-    """The power of two K, at least n, past which the frame pairs' Taylor coefficients fall below rounding."""
-    size = _decay_length(product, 1, product.degree)
-    if product.degree**2 * size > 1 << 23:  # the coefficients of all pairs would pass 128 MB
-        raise ValueError(f"zeros too close to the circle: the frame pairs need {size} Taylor coefficients")
+    if size > cap:
+        raise _Unresolved({f"{name}_needed": size})
     return size
 
 
@@ -192,14 +179,14 @@ def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int) -> tup
     coefficient k of the pair ``(v_i, v_j)``; the residual symbols are ``left - right``.
 
     The left side, the Gram matrix ``n <q R^j, p R^i>`` of ``n C* T_(conj(p) q) C``, is Toeplitz as
-    ``|R| = 1`` on the circle; one FFT on ``2K`` points (:func:`_taylor_length`) gives the rows ``a_hat(-t)``,
+    ``|R| = 1`` on the circle; one FFT on ``2K`` points (:func:`_needed_length`) gives the rows ``a_hat(-t)``,
     ``t < K``, of ``a = n conj(p) q`` for every pair, and :func:`~blaschkeops.hardy._left_symbols` gives their
     coefficients ``-d``, ``d < w``; coefficient ``+d`` is the conjugate of the transposed pair's ``-d``.  Past K
     both sides fall below rounding.  The right side is one FFT of the transfer oracle's ``(P, P, M)`` pairings, an
     independent route sampled on ``M = max(256, 2K)`` points (:func:`~blaschkeops.transfer.transfer_grid`),
-    whatever N is.
+    whatever N is.  A K past ``2^23 / n^2``, where all pairs would pass 128 MB, raises :class:`_Unresolved`.
     """
-    size = _taylor_length(product)
+    size = _needed_length(product, 1, product.degree, (1 << 23) // product.degree**2, "taylor_length")
     width = min(n_trunc, size)
     grid, bins = transfer_grid(2 * size), np.arange(1 - width, width)  # the right side's samples and bins
     right = fft(bimodule_inner_samples(TransferOperator(product), stack, grid))[..., bins % grid.size] / grid.size

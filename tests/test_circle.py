@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blaschkeops import CircleGrid, FourierSymbol, fft, fourier_coefficients
+from blaschkeops import CircleGrid, FourierSymbol, fft, fourier_coefficients, make_blaschke
 
 
 class TestGrid:
@@ -188,3 +188,12 @@ class TestPoisson:
             direct = half.evaluate(r * np.exp(1j * theta))
             extension = np.sum(symbol.values * r ** np.abs(k) * np.exp(1j * k * theta))
             assert extension == pytest.approx(direct, abs=1e-8)
+
+    def test_symbol_from_samples_evaluates_inside_the_disk(self):
+        # fourier_coefficients keeps a rounding-level negative band (low = -2047 here), whose z^low
+        # overflowed to -inf+nanj at |z| < 1; an analytic symbol drops it before the Horner pass
+        product = make_blaschke(1, [0, 0.5])
+        symbol = fourier_coefficients(product.evaluate(CircleGrid(4096).points))
+        assert symbol.low == -2047 and symbol.is_analytic()
+        z = 0.5 * np.exp(0.1j)
+        assert abs(symbol.evaluate(z) - product.evaluate(z)) <= 1e-15

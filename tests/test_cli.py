@@ -163,6 +163,16 @@ class TestQueryCommands:
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("gram residual (count 32): ") and float(line.split()[-1]) <= 1e-12
 
+    def test_basis_gram_past_the_largest_grid_is_under_resolved(self, tmp_path, capsys):
+        # [0,0.9999] needs 2^22 points for the Gram, past the largest grid: it is not sampled, and
+        # the basis command prints verify's FAIL, residual 1.0, and the size it needs, and exits 1
+        config = write_config(tmp_path, zeros=[[0, 0], [0.9999, 0]])
+        assert main(["basis", "--config", config]) == 1
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "gram residual (count 32): 1.000e+00",
+            "under-resolved: the Gram needs a grid of 4194304 points",
+        ]
+
     def test_lift_export_row_count(self, tmp_path):
         target = tmp_path / "lift.tsv"
         assert main(["lift", "--grid", "1024", "--report", str(target)]) == 0

@@ -27,7 +27,6 @@ from blaschkeops.hardy import (
     _power_spectra,
     _toeplitz_block,
 )
-from blaschkeops.tmbasis import _sized_grid
 from conftest import random_product, wide_product
 
 
@@ -222,7 +221,7 @@ class TestLeftSymbols:
     def test_frame_pair_rows_match_the_dense_block(self, name):
         # inner_product_residual's call: the (P, P, K) rows of a = n conj(v_i) v_j, width min(256, K)
         product = self.PRODUCTS[name]
-        size = tmbasis._taylor_length(product)
+        size = tmbasis._needed_length(product, 1, product.degree, np.inf)
         vals = tmbasis.frame(product)(CircleGrid(2 * size).points)
         below = np.array([np.fft.ifft(product.degree * np.conj(v) * vals)[:, :size] for v in vals])
         assert below.shape == (product.degree, product.degree, size)
@@ -249,7 +248,7 @@ class TestCommutationResidual:
         # G - d of b o R, not -d; reading it into the upper triangle of T_(b o R) would give 2.9e-8
         product = make_blaschke(1.0, [0, 0.9])
         symbols = [FourierSymbol({4: 1.0}), FourierSymbol({0: 0.5, 1: 1.0, 4: -0.25j})]
-        assert _sized_grid(product, 4, 256) == {"grid": 512}
+        assert tmbasis._needed_length(product, 4, 256) == 512
         sized = commutation_residual(product, symbols, 256, CircleGrid(512))
         assert max(sized) <= 1e-13
         assert sized == pytest.approx(commutation_residual(product, symbols, 256, CircleGrid(16384)), abs=1e-14)

@@ -21,11 +21,16 @@ from blaschkeops import (
     tm_element,
 )
 from blaschkeops.hardy import _matrix_norm, _toeplitz_block, composition_matrix, toeplitz_matrix
-from blaschkeops import tmbasis
-from blaschkeops.tmbasis import _taylor_length, frame
+from blaschkeops import tmbasis, verify
+from blaschkeops.tmbasis import frame
 from blaschkeops.transfer import TransferOperator, bimodule_inner_samples
-from blaschkeops.verify import RunConfig, _check_cuntz_relations
+from blaschkeops.verify import MANIFEST, RunConfig, _check_cuntz_relations, _run_one
 from conftest import closed_form_element, random_product
+
+
+def _taylor_length(product):
+    # the frame pairs' K: the routine's length for the poles of R, at least the degree
+    return tmbasis._needed_length(product, 1, product.degree, np.inf)
 
 
 class TestElements:
@@ -340,7 +345,7 @@ class TestInnerProductResidual:
         ids=["half-N", "half-K", "half-past-any-grid", "0.99i-N"],
     )
     def test_symbols_hold_the_shorter_of_n_and_k(self, zeros, n_trunc, width):
-        # both sides stop at |k| < min(N, K), K = _taylor_length, so a pair holds 2 min(N, K) - 1
+        # both sides stop at |k| < min(N, K), K the frame pairs' _needed_length, so a pair holds 2 min(N, K) - 1
         # coefficients; the pairing is sampled on max(256, 2K) points, so no N is refused
         product = make_blaschke(1.0, zeros)
         assert min(n_trunc, _taylor_length(product)) == width
@@ -437,13 +442,25 @@ class TestInnerProductResidual:
         product = make_blaschke(1.0, zeros)
         for factor in (1, 2, 4):
             power = make_blaschke(1.0, zeros * factor)
-            assert tmbasis._decay_length(product, factor, power.degree) == _taylor_length(power)
+            assert tmbasis._needed_length(product, factor, power.degree) == _taylor_length(power)
 
-    def test_taylor_length_past_memory_is_refused(self):
+    def test_taylor_length_past_memory_is_refused(self, monkeypatch):
         # |z|^K reaches 1e-16 only at K = 2^22 for 0.99999, so the 4 frame pairs would hold
-        # 2^24 coefficients, past the cap of 2^23
-        with pytest.raises(ValueError, match="too close to the circle"):
-            _taylor_length(make_blaschke(1.0, [0, 0.99999]))
+        # 2^24 coefficients, past the cap of 2^23: both checks that read the frame pairs FAIL
+        # and name K, and nothing is sampled (a sample would raise, and read as an ERROR)
+        def refuse(*args):
+            raise AssertionError("sampled past the cap")
+
+        monkeypatch.setattr(tmbasis, "bimodule_inner_samples", refuse)
+        monkeypatch.setattr(verify, "gram_residual", refuse)
+        cfg = RunConfig(zeros=(0j, 0.99999))
+        for index, spec in enumerate(MANIFEST):
+            if spec.check_id in ("cuntz_relations", "module_inner_tails"):
+                result = _run_one(spec, cfg, cfg.product(), index)
+                assert (result.residual, result.passed, result.errored) == (1.0, False, False)
+                assert result.details == {"taylor_length_needed": 1 << 22}
+        with pytest.raises(ValueError, match="taylor_length_needed"):
+            inner_product_residual(cfg.product(), frame(cfg.product()), 256)
         assert _taylor_length(make_blaschke(1.0, [0, 0.9999])) == 1 << 19
 
     @pytest.mark.parametrize(
@@ -456,7 +473,8 @@ class TestInnerProductResidual:
         # Taylor rows, and a pairing grid twice as fine, change each coefficient only by rounding
         product = make_blaschke(np.exp(1.3j), zeros)
         at_k = _pair_symbols(inner_product_residual(product, frame(product), n_trunc))
-        monkeypatch.setattr(tmbasis, "_taylor_length", lambda p: 2 * _taylor_length(p))
+        exact = tmbasis._needed_length
+        monkeypatch.setattr(tmbasis, "_needed_length", lambda *args: 2 * exact(*args))
         at_2k = _pair_symbols(inner_product_residual(product, frame(product), n_trunc))
         for row, row_2k in zip(at_k, at_2k):
             for residual, residual_2k in zip(row, row_2k):

@@ -548,14 +548,14 @@ class TestRun:
 
     def test_moved_entry_fails_monomial_shift_relations(self, monkeypatch):
         # negative control: W_2[5, 3] moved by 1e-9 breaks U W_1 = W_2 and
-        # U W_2 = W_3; their Frobenius bounds exceed 1e-12, so those two
-        # relations, and only those, take the SVD, and the residual is the exact
-        # norm of the dense U W_k - W_(k+1), built here independently
+        # U W_2 = W_3; each of the three relations takes one exact norm of its
+        # first m columns, and the residual is the exact norm of the dense
+        # U W_k - W_(k+1), built here independently
         exact = verify.cuntz_columns
 
         def moved(product, cols):
             family = [np.array(w) for w in exact(product, cols)]
-            # C[:, 3] = e_9 for z^3: a column block holds W_2[:, 3] where its row 9 holds the 1;
+            # C[:, 3] = e_9 for z^3: W_2[:, 3] is the column whose row 9 of C holds the 1;
             # the FFT products leave rounding noise of 1e-17 in the other entries of that row
             for j in np.flatnonzero(np.abs(cols[9]) > 0.5):
                 family[1][5, j] += 1e-9
@@ -571,8 +571,8 @@ class TestRun:
         family = moved(cfg.product(), comp)
         shift = np.eye(cfg.truncation, k=-1)
         differences = [shift @ w - w_next for w, w_next in zip(family, family[1:])]
-        assert residual > spec.tolerance and len(exact_norms) == 2
-        # to rounding: past column ceil(N/n) the dense differences hold the FFT products'
+        assert residual > spec.tolerance and len(exact_norms) == 3
+        # to rounding: past column m the dense differences hold the FFT products'
         # rounding noise, not exact zeros, and it moves their SVD by 4e-25 here
         assert residual == pytest.approx(max(np.linalg.svd(d, compute_uv=False)[0] for d in differences), rel=1e-12)
 
@@ -650,7 +650,7 @@ class TestRun:
 def _per_pair_residuals(product, stack, n_trunc):
     """Reference for ``inner_product_residual``: each pair's pairing through its own
     ``fourier_coefficients`` and its left side column by column, regrouped into ``[i, j, w - 1 + k]``."""
-    size = tmbasis._taylor_length(product)
+    size = tmbasis._needed_length(product, 1, product.degree, np.inf)
     width = min(n_trunc, size)
     vals = stack(CircleGrid(2 * size).points)
     count = len(vals)
@@ -765,26 +765,47 @@ def test_sized_checks_sample_grids_from_the_zeros(zeros, grids):
 
 
 def test_sizing_reaches_the_largest_grid_without_sampling_it():
-    # 0.9999 needs 2^20 points for R^4 and 2^22 for 16-fold poles; only sizes are computed here
+    # 0.9999 needs 2^20 points for R^4 and 2^22 for 16-fold poles, past the largest grid of 2^18;
+    # only sizes are computed here
     product = make_blaschke(1.0, [0, 0.9999])
-    assert tmbasis._sized_grid(product, 4, 64) == {"grid": 1 << 18, "grid_needed": 1 << 20}
-    assert tmbasis._gram_grid(product, 32) == {"grid": 1 << 18, "grid_needed": 1 << 22}
-    assert tmbasis._gram_grid(make_blaschke(1.0, [0, 0]), 32) == {"grid": 256}
+    for power, needed in ((4, 1 << 20), (16, 1 << 22)):
+        with pytest.raises(tmbasis._Unresolved) as refused:
+            tmbasis._needed_length(product, power, 256)
+        assert refused.value.args[0] == {"grid_needed": needed}
+    assert tmbasis._needed_length(make_blaschke(1.0, [0, 0]), 16, 256) == 256
 
 
 def test_capped_grid_reads_as_under_resolved(monkeypatch):
-    # a product that needs more than the largest grid is read on it and FAILs, reporting
-    # what it needs, rather than raising
-    monkeypatch.setattr(tmbasis, "_MAX_GRID", 1024)
-    for check_id, needed in zip(SIZED, (8192, 16384)):
-        residual, details = _sized_residual((0j, 0.99j), check_id)
-        assert details["grid"] == 1024 and details["grid_needed"] == needed
-        assert residual > DEFAULT_TOLERANCES[check_id]
+    # a product that needs more than the largest grid is never sampled: each sized check FAILs
+    # with residual 1.0 and the size it needs, whatever its tolerance (a sample would raise, an ERROR)
+    def refuse(*args):
+        raise AssertionError("sampled past the cap")
+
+    for module, name in ((verify, "gram_residual"), (verify, "commutation_residual"), (tmbasis, "bimodule_inner_samples")):
+        monkeypatch.setattr(module, name, refuse)
+    cfg = RunConfig(zeros=(0j, 0.9999), tolerances=dict.fromkeys(SIZED, 10.0))
+    for check_id, needed in zip(SIZED, (1 << 20, 1 << 22)):
+        spec = next(s for s in MANIFEST if s.check_id == check_id)
+        result = verify._run_one(spec, cfg, cfg.product(), MANIFEST.index(spec))
+        assert (result.residual, result.passed, result.errored) == (1.0, False, False)
+        assert result.details == {"grid_needed": needed}
 
 
-@pytest.mark.xfail(strict=True, reason="the decay rule picks 512 points, where the coefficients of R^4 alias")
+def test_degree_64_near_the_circle_fails_without_an_error():
+    # 0 and 63 zeros of modulus up to 0.995 need K = 4096 Taylor coefficients for each of the 4096
+    # frame pairs, past the memory cap of 2^23: the two checks that read them FAIL and name K, no check ERRORs
+    rng = np.random.default_rng(64)
+    radius, angle = 0.995 * np.sqrt(rng.uniform(size=63)), rng.uniform(0.0, 2.0 * np.pi, size=63)
+    report = run_verify(RunConfig(zeros=(0j, *(radius * np.exp(1j * angle)))))
+    assert not report.any_errored and not report.overall_pass
+    for check in report.checks:
+        if check.check_id in ("cuntz_relations", "module_inner_tails"):
+            assert not check.passed and check.details == {"taylor_length_needed": 4096}
+
+
+@pytest.mark.xfail(strict=True, reason="tmbasis._needed_length picks 512 points, where the coefficients of R^4 alias")
 def test_degree_64_passes_analytic_commutation():
-    # 0 and 63 zeros uniform in the disk of radius 0.9: _decay_length picks 512 points, where z^4 alone reads
+    # 0 and 63 zeros uniform in the disk of radius 0.9: _needed_length picks 512 points, where z^4 alone reads
     # 1.1e-5 (1.4e-14 on 1024 points); summing the 63 poles' envelopes picks 512 points too
     rng = np.random.default_rng(64)
     radius, angle = 0.9 * np.sqrt(rng.uniform(size=63)), rng.uniform(0.0, 2.0 * np.pi, size=63)
