@@ -29,8 +29,8 @@ _FORMATS = ("human", "canonical", "table")
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    common.add_argument("--truncation", type=int, metavar="N", help="matrix truncation size")
-    common.add_argument("--corner", type=int, metavar="M", help="guarded corner size")
+    common.add_argument("--truncation", type=int, metavar="N", help="least column length and frame-pair symbol width")
+    common.add_argument("--corner", type=int, metavar="M", help="corner size")
     common.add_argument("--grid", type=int, metavar="SIZE", help="circle grid size (power of two)")
     common.add_argument(
         "--tol-override",

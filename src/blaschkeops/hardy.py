@@ -149,15 +149,14 @@ def operator_norm(x: TruncatedOperator) -> float:
 
 
 def isometry_residual(c, m: int) -> float:
-    """Norm of the top-left m x m block of ``C* C - I``.
+    """Norm of the top-left m x m block of ``C* C - I``, from ``c``, the first rows of ``k >= m`` columns of C.
 
-    ``c`` holds the leading N x k columns of the truncated C, ``k >= m``.
-    Zero for an isometry whose columns stay inside the truncation window;
-    requires a guard band ``m <= N/2``.
+    Zero for an isometry once those rows hold the columns' mass (``composition_isometry`` sizes them from the
+    zeros, never below N); requires a guard band ``m <= rows/2``.
     """
     cols = np.asarray(c)[:, :m]
     if m > cols.shape[0] // 2:
-        raise ValueError("corner size must leave a guard band (m <= N/2)")
+        raise ValueError("corner size must leave a guard band (m <= rows/2)")
     return _matrix_norm(cols.conj().T @ cols - np.eye(m))
 
 

@@ -29,6 +29,9 @@ from .transfer import TransferOperator, bimodule_inner_samples, transfer_grid
 
 _MAX_GRAM_COUNT = 64
 _MAX_GRID = 1 << 18  # the largest grid that a grid sized from the zeros holds
+# A length K read for P columns or pairs holds about K max(P, 64) coefficients, 64 K being the 16 spectra and
+# 16-row block on 2K points that _taylor_columns keeps; past this many (128 MB) a length is not formed.
+_MAX_COEFFICIENTS = 1 << 23
 # The Gram rows take points in slices of at most this many.
 _GRAM_BLOCK = 4096
 
@@ -164,7 +167,7 @@ def _needed_length(product: BlaschkeProduct, power: int, least: int, cap=_MAX_GR
     of ``R^power`` fall below rounding: a pole of order m at ``1 / conj(z)`` adds ``binom(t + m - 1, m - 1) |z|^t``.
     A length past ``cap`` raises :class:`_Unresolved` with ``{name + "_needed": length}``."""
     size = 1 << (least - 1).bit_length()
-    zeros = {z: power * product.zeros.count(z) for z in product.zeros if z}  # multiplicities
+    zeros = {z: power * product.zeros.count(z) for z in product.zeros if z and power}  # multiplicities
     while any(log(comb(size + m - 1, m - 1)) + size * log(abs(z)) > log(1e-16) for z, m in zeros.items()):
         size *= 2
     if size > cap:
@@ -175,8 +178,8 @@ def _needed_length(product: BlaschkeProduct, power: int, least: int, cap=_MAX_GR
 def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int) -> tuple:
     """The two sides of ``V_p* V_q = T_<p,q>`` as Toeplitz symbols, coefficients ``|k| < w = min(N, K)``, for
     every pair ``(p, q) = (v_i, v_j)`` of the P functions that ``stack`` maps points to (as :func:`frame`
-    does): two read-only ``(P, P, 2w - 1)`` arrays ``(left, right)`` whose entries ``[i, j, w - 1 + k]`` are
-    coefficient k of the pair ``(v_i, v_j)``; the residual symbols are ``left - right``.
+    does): ``(left, right, K)``, two read-only ``(P, P, 2w - 1)`` arrays whose entries ``[i, j, w - 1 + k]`` are
+    coefficient k of the pair ``(v_i, v_j)`` and the Taylor length they read; the residual symbols are ``left - right``.
 
     The left side, the Gram matrix ``n <q R^j, p R^i>`` of ``n C* T_(conj(p) q) C``, is Toeplitz as
     ``|R| = 1`` on the circle; one FFT on ``2K`` points (:func:`_needed_length`) gives the rows ``a_hat(-t)``,
@@ -184,9 +187,9 @@ def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int) -> tup
     coefficients ``-d``, ``d < w``; coefficient ``+d`` is the conjugate of the transposed pair's ``-d``.  Past K
     both sides fall below rounding.  The right side is one FFT of the transfer oracle's ``(P, P, M)`` pairings, an
     independent route sampled on ``M = max(256, 2K)`` points (:func:`~blaschkeops.transfer.transfer_grid`),
-    whatever N is.  A K past ``2^23 / n^2``, where all pairs would pass 128 MB, raises :class:`_Unresolved`.
+    whatever N is.  A K past ``2^23 / max(n^2, 64)`` (``_MAX_COEFFICIENTS``, 128 MB) raises :class:`_Unresolved`.
     """
-    size = _needed_length(product, 1, product.degree, (1 << 23) // product.degree**2, "taylor_length")
+    size = _needed_length(product, 1, product.degree, _MAX_COEFFICIENTS // max(product.degree**2, 64), "taylor_length")
     width = min(n_trunc, size)
     grid, bins = transfer_grid(2 * size), np.arange(1 - width, width)  # the right side's samples and bins
     right = fft(bimodule_inner_samples(TransferOperator(product), stack, grid))[..., bins % grid.size] / grid.size
@@ -194,7 +197,7 @@ def inner_product_residual(product: BlaschkeProduct, stack, n_trunc: int) -> tup
     a_hat = (np.fft.ifft(product.degree * np.conj(v) * vals)[:, :size] for v in vals)  # [i][j, t], freed once read
     lower = _left_symbols(product, np.array(list(a_hat)), width)  # [i, j, d]: coefficient -d of every pair
     left = np.concatenate((lower[..., :0:-1], lower.swapaxes(0, 1).conj()), axis=-1)
-    return _read_only(left), _read_only(right)
+    return _read_only(left), _read_only(right), size
 
 
 @lru_cache(maxsize=1)

@@ -23,8 +23,8 @@ from .circle import CircleGrid, FourierSymbol
 from .dynamics import _MIN_LIFT_GRID, build_lift, branch_inverse, conjugacy_to_power, k_groups
 from .hardy import _certified_norms, _matrix_norm, _power_spectra, commutation_residual, covariance_residual
 from .hardy import isometry_residual
-from .tmbasis import _MAX_GRAM_COUNT, TMBasis, _frame_sides, _needed_length, _Unresolved, cons_residual
-from .tmbasis import cuntz_columns, factorization_residual, gram_residual
+from .tmbasis import _MAX_COEFFICIENTS, _MAX_GRAM_COUNT, TMBasis, _frame_sides, _needed_length, _Unresolved
+from .tmbasis import cons_residual, cuntz_columns, factorization_residual, gram_residual
 from .transfer import TransferOperator, _preimage_table, transfer_grid, transfer_matrix
 
 _VERSION = "0.1.0"
@@ -36,11 +36,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run parameters: the product, truncation sizes and per-check tolerances.
+    """Run parameters: the product, sizes and per-check tolerances; the ``truncation`` N decides no verdict.
 
-    Invariants: integer sizes and seed, ``1 <= corner <= truncation/4``, grid a power of two of at
-    least 256 samples (truncation and grid are independent: no check reads an N-row block off the
-    grid), every tolerance finite, positive and attached to a known check.
+    Invariants: integer sizes and seed, ``1 <= corner <= truncation/4``, grid a power of two of at least 256
+    samples, every tolerance finite, positive and attached to a known check.  N is only the least length of the
+    columns of C that ``composition_isometry`` reads and the width ``min(N, K)`` of the frame-pair symbols.
     """
 
     lambda_angle: float = 0.0
@@ -210,17 +210,18 @@ def _check_adjoint_transfer(cfg, product, rng):
     # column j of either truncation holds the first coefficients of L(z^j) or R^j
     m = cfg.corner
     lmat = transfer_matrix(TransferOperator(product), m, transfer_grid(4 * m))
-    comp = _power_spectra(product, cfg.truncation, m)[:m]
+    comp = _power_spectra(product, m, m)  # C is lower triangular: the m x m corner needs m rows
     return _matrix_norm(lmat - comp.conj().T), {"corner": m}
 
 
 def _check_composition_isometry(cfg, product, rng):
-    # ||R^j|| = 1, so column_tail_mass is the exact mass the corner columns lose past N
-    cols = _power_spectra(product, cfg.truncation, cfg.corner)
-    return isometry_residual(cols, cfg.corner), {
-        "corner": cfg.corner,
-        "column_tail_mass": float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0))),
-    }
+    # column j < m holds R^j, whose coefficients past the length sized for R^(m-1), N its floor, are below
+    # rounding; ||R^j|| = 1, so column_tail_mass is the exact mass the columns lose past that length
+    m = cfg.corner
+    rows = _needed_length(product, m - 1, cfg.truncation, _MAX_COEFFICIENTS // max(m, 64), "column_length")
+    cols = _power_spectra(product, rows, m)
+    tail = float(np.max(1.0 - np.sum(np.abs(cols) ** 2, axis=0)))
+    return isometry_residual(cols, m), {"corner": m, "column_length": rows, "column_tail_mass": tail}
 
 
 def _random_symbol(rng, band: int, analytic: bool) -> FourierSymbol:
@@ -263,7 +264,7 @@ def _check_cuntz_relations(cfg, product, rng):
     # completeness reads the first m rows of the lower triangular W_k, so only C[:m, :m]; isometry and
     # orthogonality read the symbols of n W_i* W_j, the left side that module_inner_tails shares
     corners = cuntz_columns(product, _power_spectra(product, cfg.corner, cfg.corner))
-    gram, _ = _frame_sides(product, cfg.truncation)
+    gram, *_ = _frame_sides(product, cfg.truncation)
     parts = cons_residual(corners, gram, tol=cfg.tolerances["cuntz_relations"])
     return max(parts.values()), parts
 
@@ -271,24 +272,23 @@ def _check_cuntz_relations(cfg, product, rng):
 def _check_module_inner_tails(cfg, product, rng):
     # T_conj(p) T_q = T_(conj(p) q) for analytic p, so V_p* V_q - T_<p,q> is the Toeplitz operator of the
     # residual symbol on H^2, valued by the rule of the other symbol checks; a pair above tolerance reads its peak
-    left, right = _frame_sides(product, cfg.truncation)
+    left, right, size = _frame_sides(product, cfg.truncation)
     tol, bounds, peaks = cfg.tolerances["module_inner_tails"], {}, {}
     for i, row in enumerate(left - right):  # one FFT per row: the samples of P symbols, not P^2, at once
         for j, (bound, value) in enumerate(zip(*_certified_norms(row, tol))):
             bounds[f"v{i + 1},v{j + 1}"] = bound
             if bound > tol:
                 peaks[f"v{i + 1},v{j + 1}"] = value
-    size = _needed_length(product, 1, product.degree, np.inf)  # _frame_sides formed K: it is within its cap
     details = {"taylor_length": size, "sup_bounds": bounds, "peaks": peaks}
     return max(peaks.get(pair, bound) for pair, bound in bounds.items()), details
 
 
 def _check_monomial_shift_relations(cfg, product, rng):
     # the first m columns of U W_k - W_(k+1), k = 1..n, with W_(n+1) = conj(lambda) W_1 U: U moves rows down
-    # by one and, on the right, columns left by one, so the wrap reads column m; for a monomial every
-    # relation is exact at any width, and one exact norm per relation decides it
+    # by one and, on the right, columns left by one, so the wrap reads column m; for a monomial W_k e_j is a
+    # multiple of z^(jn+k-1), so n (m + 1) rows hold every entry, and one exact norm per relation decides it
     m = cfg.corner
-    family = list(cuntz_columns(product, _power_spectra(product, cfg.truncation, m + 1)))
+    family = list(cuntz_columns(product, _power_spectra(product, product.degree * (m + 1), m + 1)))
     shifted = [np.vstack((np.zeros((1, m)), w[:-1, :m])) for w in family]
     wrap = np.conj(product.phase) * family[0][:, 1:]
     norms = [_matrix_norm(s - t[:, :m]) for s, t in zip(shifted, family[1:] + [wrap])]
@@ -390,7 +390,7 @@ MANIFEST = (
     ),
     CheckSpec(
         "composition_isometry",
-        "composition matrix is isometric on the guarded corner",
+        "composition matrix is isometric on its first m columns",
         1e-8,
         _check_composition_isometry,
     ),

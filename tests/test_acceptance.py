@@ -141,7 +141,7 @@ def test_criterion_6_cuntz_relations(products):
     for name, product in products.items():
         # completeness on the corner of the full family; isometry and orthogonality on H^2, from the
         # symbols of n W_i* W_j
-        gram, _ = inner_product_residual(product, frame(product), N)
+        gram, *_ = inner_product_residual(product, frame(product), N)
         result = cons_residual([w.entries[:CORNER, :CORNER] for w in cuntz_family(product, N)], gram)
         worst = max(worst, *result.values())
         if name in ("z2", "z3"):
@@ -167,7 +167,7 @@ def test_criterion_8_module_inner_tails(products):
     # that operator, built here, is a compression of it and lies within the bound
     worst = 0.0
     for product in products.values():
-        left, right = inner_product_residual(product, frame(product), N)
+        left, right, _ = inner_product_residual(product, frame(product), N)
         low = 1 - (left.shape[-1] + 1) // 2
         for row in left - right:
             bounds, values = _certified_norms(row, 1e-6)

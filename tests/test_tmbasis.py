@@ -225,7 +225,7 @@ class TestCuntzFamily:
         comp = composition_matrix(product, 256).entries
         samples = stack(CircleGrid(4096).points)
         dense = [toeplitz_matrix(fourier_coefficients(v), 256).entries @ comp for v in samples]
-        gram, _ = inner_product_residual(product, stack, 256)
+        gram, *_ = inner_product_residual(product, stack, 256)
         result = cons_residual([w[:16, :16] for w in dense], gram)
         low, eye = 1 - (gram.shape[-1] + 1) // 2, np.eye(16)
         sections = [[_toeplitz_block(FourierSymbol._dense(low, gram[i, j] / n), 16, 16) for j in range(n)] for i in range(n)]
@@ -307,7 +307,7 @@ class TestQuotientGenerators:
 def _cons_of_family(product, n_trunc, m):
     """``cons_residual`` of the full family: the m x m corners of its N x N sections and the
     frame's left side at N."""
-    gram, _ = inner_product_residual(product, frame(product), n_trunc)
+    gram, *_ = inner_product_residual(product, frame(product), n_trunc)
     return cons_residual([w.entries[:m, :m] for w in cuntz_family(product, n_trunc)], gram)
 
 
@@ -346,10 +346,11 @@ class TestInnerProductResidual:
     )
     def test_symbols_hold_the_shorter_of_n_and_k(self, zeros, n_trunc, width):
         # both sides stop at |k| < min(N, K), K the frame pairs' _needed_length, so a pair holds 2 min(N, K) - 1
-        # coefficients; the pairing is sampled on max(256, 2K) points, so no N is refused
+        # coefficients; the pairing is sampled on max(256, 2K) points, so no N is refused; K comes back with the sides
         product = make_blaschke(1.0, zeros)
-        assert min(n_trunc, _taylor_length(product)) == width
-        for side in inner_product_residual(product, frame(product), n_trunc):
+        *sides, size = inner_product_residual(product, frame(product), n_trunc)
+        assert size == _taylor_length(product) and min(n_trunc, size) == width
+        for side in sides:
             assert side.shape == (product.degree, product.degree, 2 * width - 1)
             assert not side.flags.writeable
 
@@ -445,8 +446,8 @@ class TestInnerProductResidual:
             assert tmbasis._needed_length(product, factor, power.degree) == _taylor_length(power)
 
     def test_taylor_length_past_memory_is_refused(self, monkeypatch):
-        # |z|^K reaches 1e-16 only at K = 2^22 for 0.99999, so the 4 frame pairs would hold
-        # 2^24 coefficients, past the cap of 2^23: both checks that read the frame pairs FAIL
+        # |z|^K reaches 1e-16 only at K = 2^22 for 0.99999, so the frame pairs' working set of
+        # 64 K coefficients would pass the cap of 2^23: both checks that read the frame pairs FAIL
         # and name K, and nothing is sampled (a sample would raise, and read as an ERROR)
         def refuse(*args):
             raise AssertionError("sampled past the cap")
@@ -462,6 +463,23 @@ class TestInnerProductResidual:
         with pytest.raises(ValueError, match="taylor_length_needed"):
             inner_product_residual(cfg.product(), frame(cfg.product()), 256)
         assert _taylor_length(make_blaschke(1.0, [0, 0.9999])) == 1 << 19
+
+    def test_low_degree_cap_counts_the_column_working_set(self, monkeypatch):
+        # the 4 frame pairs of [0,0.9999] hold 4 K = 2^21 coefficients, within 2^23, but the 16 spectra
+        # and 16-row block that _taylor_columns keeps on 2K points hold 64 K = 2^25: K = 2^19 is
+        # refused, and nothing is formed (it took 15 s and 1.2 GB); from degree 8 on, n^2 K is the larger count
+        def refuse(*args):
+            raise AssertionError("formed past the cap")
+
+        for name in ("bimodule_inner_samples", "_left_symbols"):
+            monkeypatch.setattr(tmbasis, name, refuse)
+        monkeypatch.setattr(verify, "gram_residual", refuse)
+        cfg = RunConfig(zeros=(0j, 0.9999))
+        for index, spec in enumerate(MANIFEST):
+            if spec.check_id in ("cuntz_relations", "module_inner_tails"):
+                result = _run_one(spec, cfg, cfg.product(), index)
+                assert (result.residual, result.passed, result.errored) == (1.0, False, False)
+                assert result.details == {"taylor_length_needed": 1 << 19}
 
     @pytest.mark.parametrize(
         "zeros,n_trunc",

@@ -413,6 +413,26 @@ class TestRun:
         assert residuals["composition_isometry"] == pytest.approx(0.5, rel=1e-9)
         assert residuals["cuntz_relations"] > DEFAULT_TOLERANCES["cuntz_relations"]
 
+    def test_scaled_tail_fails_composition_isometry(self, monkeypatch, fresh_power_spectra):
+        # negative control that no cut at N can see: on [0,0.93] the columns j < 4 hold 6.4e-12 of their
+        # mass past N = 256, under tolerance, so columns cut there PASS; the check reads 1024 rows, sized
+        # for R^3, and the coefficients past row 256 scaled by 1e3 make C* C - I = (1e6 - 1) T* T, T = C[256:, :4]
+        exact = hardy._taylor_columns
+        product = make_blaschke(1.0, [0, 0.93])
+        tail = np.stack(list(islice(exact(product, 1024), 4)), axis=1)[256:]
+
+        def scaled(*args):
+            for column in exact(*args):
+                yield np.concatenate((column[:256], 1e3 * column[256:]))
+
+        monkeypatch.setattr(hardy, "_taylor_columns", scaled)
+        spec = next(s for s in MANIFEST if s.check_id == "composition_isometry")
+        cfg = RunConfig(zeros=(0j, 0.93), truncation=256, corner=4, grid=256)
+        residual, details = spec.runner(cfg, cfg.product(), None)
+        assert details["column_length"] == 1024 and 1e-13 < _matrix_norm(tail) ** 2 < spec.tolerance
+        assert residual > spec.tolerance
+        assert residual == pytest.approx((1e6 - 1.0) * _matrix_norm(tail) ** 2, rel=1e-6)
+
     def test_scaled_frame_fails_cuntz_relations(self, monkeypatch, fresh_frame_sides):
         # negative control on the frame side: v_1 = Q_1 R_1 scaled by 1 + 1e-6 where the symbols
         # of n W_i* W_j take the frame scales W_2 = T_(v_1) C, so W_2* W_2 - I is the constant
@@ -680,7 +700,7 @@ def test_module_tails_array_matches_the_per_pair_route(shifted):
     product = wide_product(10)
     frame = tmbasis.frame(product)
     stack = (lambda z: frame(z) * np.asarray(z) ** np.arange(16)[:, None]) if shifted else frame
-    left, right = tmbasis.inner_product_residual(product, stack, 256)
+    left, right, _ = tmbasis.inner_product_residual(product, stack, 256)
     assert left.shape == right.shape == (16, 16, 511) and not left.flags.writeable and not right.flags.writeable
     residuals = left - right
     reference = _per_pair_residuals(product, stack, 256)
@@ -690,18 +710,20 @@ def test_module_tails_array_matches_the_per_pair_route(shifted):
 @pytest.mark.parametrize(
     "zeros,failing",
     [
-        ((0j, 0.95), {"composition_isometry"}),
-        ((0j, 0.99j), {"composition_isometry"}),
+        ((0j, 0.95), set()),
+        ((0j, 0.99j), set()),
     ],
 )
 def test_near_circle_fail_sets(zeros, failing):
-    # at the near-circle benchmark sizes N = 256 is too small for these products: the one check
-    # that reads columns of C cut at N FAILs, and nothing ERRORs; toeplitz_covariance and
-    # cuntz_relations read Toeplitz symbols on H^2 and PASS
+    # at the near-circle benchmark sizes every check PASSes: composition_isometry reads its columns at
+    # the length sized for R^3, 1024 and 8192 rows, not cut at N = 256, where their tails read 4.7e-8 and
+    # 4.0e-3; toeplitz_covariance and cuntz_relations read Toeplitz symbols on H^2
     cfg = RunConfig(lambda_angle=1.3, zeros=zeros, truncation=256, corner=4, grid=16384, seed=11)
     report = run_verify(cfg)
     assert not report.any_errored
     assert {c.check_id for c in report.checks if not c.passed} == failing
+    isometry = next(c for c in report.checks if c.check_id == "composition_isometry")
+    assert isometry.details["column_length"] == (1024 if zeros[1] == 0.95 else 8192)
 
 
 SYMBOLS = ("toeplitz_covariance", "cuntz_relations")
@@ -727,6 +749,25 @@ def test_symbol_route_reads_no_truncation():
     assert max(small.values()) <= 1e-13 and max(large.values()) <= 1e-13
     assert small["toeplitz_covariance"] == large["toeplitz_covariance"]
     assert small["cuntz_relations"] == pytest.approx(large["cuntz_relations"], abs=1e-14)
+
+
+@pytest.mark.parametrize("zeros", [(0j, 0.5), (0j, 0.99j), (0j, 0j, 0j)], ids=["[0,0.5]", "[0,0.99i]", "z^3"])
+def test_column_reads_take_no_cut_at_the_truncation(zeros):
+    # composition_isometry reads rows sized from the zeros, N only their floor, adjoint_transfer the m x m
+    # corner and monomial_shift_relations n (m + 1) rows, so from N = 64 to 4096 every verdict is a PASS
+    # and no residual moves past rounding; [0,0.99i] FAILed the isometry at N = 64 and 256 when it cut C at N
+    readings = {}
+    for n_trunc in (64, 256, 1024, 4096):
+        cfg = RunConfig(lambda_angle=1.3, zeros=zeros, truncation=n_trunc, corner=4, grid=256)
+        for index, spec in enumerate(MANIFEST):
+            if spec.check_id in ("composition_isometry", "adjoint_transfer", "monomial_shift_relations") and (
+                spec.enabled_for(cfg)
+            ):
+                readings.setdefault(spec.check_id, []).append(verify._run_one(spec, cfg, cfg.product(), index))
+    assert len(readings) == (3 if zeros == (0j, 0j, 0j) else 2)
+    for results in readings.values():
+        residuals = [r.residual for r in results]
+        assert all(r.passed for r in results) and max(residuals) - min(residuals) <= 1e-13
 
 
 @pytest.mark.parametrize("seed,degree", [(0, 8), (1, 10), (2, 12), (3, 16)])
@@ -811,6 +852,16 @@ def test_degree_64_passes_analytic_commutation():
     radius, angle = 0.9 * np.sqrt(rng.uniform(size=63)), rng.uniform(0.0, 2.0 * np.pi, size=63)
     residual, _ = _sized_residual((0j, *(radius * np.exp(1j * angle))), "analytic_commutation")
     assert residual <= DEFAULT_TOLERANCES["analytic_commutation"]
+
+
+@pytest.mark.xfail(strict=True, reason="tmbasis._needed_length leaves out the residues, so it undersizes high powers")
+def test_length_for_a_high_power_holds_its_mass():
+    # the rule picks 512 rows for R^127 on [0,0.5], and the coefficients past them hold 3.3e-3 of its unit mass
+    # (1.1e-27 past 1024); composition_isometry at m = 128 reads those columns, so N = 1024 stays its floor
+    product = make_blaschke(1.0, [0, 0.5])
+    size = tmbasis._needed_length(product, 127, 256)
+    column = next(islice(hardy._taylor_columns(product, 8 * size), 127, None))
+    assert float(np.sum(np.abs(column[size:]) ** 2)) <= 1e-16
 
 
 @pytest.fixture(scope="module")
