@@ -12,8 +12,11 @@ the branch inverses of the lift and the fixed point behind the conjugacy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .circle import _read_only
 
 # |phase| has to sit this close to 1 at construction time.
 _UNIT_TOL = 1e-12
@@ -28,6 +31,8 @@ _SEPARATION_TOL = 1e-12
 _TARGET_TOL = 1e-8
 # The factor arrays (one row per nonzero zero) take points in blocks of at most this many elements.
 _BLOCK_ELEMENTS = 1 << 14
+# Every preimage solve of a product starts from one table of A and psi' on this many angles of [-pi, pi].
+_TABLE_ANGLES = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -182,14 +187,26 @@ def _argument(product: BlaschkeProduct, theta):
     return total, 1.0 + slope.reshape(theta.shape)
 
 
-def _solve_increasing(product: BlaschkeProduct, start: float, c: float, levels):
-    """The angles in ``[start, start + 2 pi]`` where ``f = A - c theta`` meets each level, every level at once.
+def _window(product: BlaschkeProduct, start: float, size: int = 64):
+    """Angles, ``A`` and ``psi'`` on ``max(size, 8 n)`` angles of ``[start, start + 2 pi]``."""
+    grid = np.linspace(start, start + _TWO_PI, max(size, 8 * product.degree))
+    return (grid, *_argument(product, grid))
+
+
+@lru_cache(maxsize=16)
+def _argument_table(product: BlaschkeProduct):
+    """The window of :func:`preimage_grid` on ``_TABLE_ANGLES`` angles, read-only and built once per product."""
+    return tuple(_read_only(a) for a in _window(product, -np.pi, _TABLE_ANGLES))
+
+
+def _solve_increasing(product: BlaschkeProduct, window, c: float, levels):
+    """The angles in the window where ``f = A - c theta`` meets each level, every level at once.
 
     ``A`` is the continuous argument of :func:`_argument` and ``c`` is 0 or 1;
-    ``f`` increases because ``psi' > 1``.  ``f`` and its exact slope
-    ``psi' - c`` are sampled on ``max(64, 8 n)`` angles of the window, and the
-    callable ``levels(first, last)`` states the levels from the end samples
-    ``f(start)`` and ``f(start + 2 pi)``, so no caller evaluates ``A`` again.
+    ``f`` increases because ``psi' > 1``.  ``window`` is ``(angles, A, psi')``
+    over one revolution (:func:`_window`), which gives ``f`` and its exact
+    slope ``psi' - c``, and the callable ``levels(first, last)`` states the
+    levels from the end samples of ``f``, so no caller evaluates ``A`` again.
     The cell whose samples straddle a level brackets its root.  The seed is
     the inverse cubic Hermite interpolant of the cell, the cubic in the level
     that takes the cell's end angles with derivatives ``1/slopes``, clipped to
@@ -199,8 +216,7 @@ def _solve_increasing(product: BlaschkeProduct, start: float, c: float, levels):
     keeps every digit ``f`` has; the seed only sets how many steps that takes.
     Returns an array shaped like the levels.
     """
-    grid = np.linspace(start, start + _TWO_PI, max(64, 8 * product.degree))
-    samples, slopes = _argument(product, grid)
+    grid, samples, slopes = window
     samples, slopes = samples - c * grid, slopes - c
     levels = np.asarray(levels(samples[0], samples[-1]), dtype=float)
     flat = levels.ravel()
@@ -237,13 +253,13 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     over ``[-pi, pi]``, so the preimages of ``w`` sit at the n angles where
     ``A`` meets the levels ``A(pi) - ((A(pi) - arg w) mod 2 pi) - 2 pi k``,
     ``k < n``; these lie in ``(A(-pi), A(pi)]``, so the angles are principal
-    arguments.  ``A`` and its exact slope ``psi'`` are sampled on
-    ``max(64, 8 n)`` angles, and the levels of every target are solved
-    together by the bracketed Newton of :func:`_solve_increasing`, seeded by
-    inverse cubic Hermite interpolation of those samples and slopes.  A root
-    is carried as its angle, so its residual floor is about
-    ``psi' ulp(theta) / 2``, and a principal angle keeps that ulp at most
-    ``ulp(pi)``.  Returns a pair of arrays of shape
+    arguments.  ``A`` and its exact slope ``psi'`` are sampled once per
+    product, on the ``_TABLE_ANGLES`` angles of :func:`_argument_table`, and
+    the levels of every target are solved together by the bracketed Newton of
+    :func:`_solve_increasing`, seeded by inverse cubic Hermite interpolation
+    of those samples and slopes.  A root is carried as its angle, so its
+    residual floor is about ``psi' ulp(theta) / 2``, and a principal angle
+    keeps that ulp at most ``ulp(pi)``.  Returns a pair of arrays of shape
     ``(len(targets), n)``: the roots of each row sorted by principal
     argument, and the direct residuals ``|R(root) - w|``.
 
@@ -260,7 +276,7 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     def levels(first, last):
         return (last - (last - np.angle(targets)) % _TWO_PI)[:, None] - _TWO_PI * np.arange(product.degree)
 
-    roots = np.exp(1j * _solve_increasing(product, -np.pi, 0.0, levels))
+    roots = np.exp(1j * _solve_increasing(product, _argument_table(product), 0.0, levels))
     roots = np.take_along_axis(roots, np.argsort(np.angle(roots), axis=1), axis=1)
 
     residuals = np.abs(product.evaluate(roots) - targets[:, None])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import _SEPARATION_TOL, _TWO_PI, BlaschkeProduct, _argument, _solve_increasing, preimage_grid
+from .blaschke import _SEPARATION_TOL, _TWO_PI, BlaschkeProduct, _argument, _solve_increasing, _window, preimage_grid
 from .circle import _read_only
 
 _MIN_LIFT_GRID = 256
@@ -53,7 +53,8 @@ def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
     """
     if grid_size < _MIN_LIFT_GRID:
         raise ValueError(f"lift grid must have at least {_MIN_LIFT_GRID} samples")
-    start = float(_solve_increasing(product, -1e-9, 0.0, lambda first, _: _TWO_PI * np.ceil(first / _TWO_PI)))
+    window = _window(product, -1e-9)
+    start = float(_solve_increasing(product, window, 0.0, lambda first, _: _TWO_PI * np.ceil(first / _TWO_PI)))
     theta0 = start + _TWO_PI
     thetas = np.linspace(start, theta0, grid_size)
     raw, _ = _argument(product, thetas)
@@ -75,7 +76,8 @@ def branch_inverse(lift: CircleLift, k: int, t):
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= _TWO_PI)):
         raise ValueError("branch parameter must lie in [0, 2 pi]")
-    root = _solve_increasing(lift.product, lift.thetas[0], 0.0, lambda first, _: first + t + _TWO_PI * (k - 1))
+    window = _window(lift.product, lift.thetas[0])
+    root = _solve_increasing(lift.product, window, 0.0, lambda first, _: first + t + _TWO_PI * (k - 1))
     return root if root.ndim else float(root)
 
 
@@ -100,7 +102,7 @@ def _fixed_point(product: BlaschkeProduct) -> complex:
     # R(e^(i theta)) = e^(i A(theta)), so A(theta) - theta is a multiple of 2 pi
     # exactly at a fixed point; it rises by 2 pi (n - 1) >= 2 pi over [0, 2 pi],
     # so it meets the first multiple at or above its first sample (0 for z^n, so p = 1).
-    theta = _solve_increasing(product, 0.0, 1.0, lambda first, _: _TWO_PI * np.ceil(first / _TWO_PI))
+    theta = _solve_increasing(product, _window(product, 0.0), 1.0, lambda first, _: _TWO_PI * np.ceil(first / _TWO_PI))
     return complex(np.exp(1j * theta))
 
 

@@ -33,7 +33,7 @@ _MAX_GRID = 1 << 18  # the largest grid that a grid sized from the zeros holds
 # 16-row block on 2K points that _taylor_columns keeps; past this many (128 MB) a length is not formed.
 _MAX_COEFFICIENTS = 1 << 23
 # The Gram rows take points in slices of at most this many.
-_GRAM_BLOCK = 4096
+_GRAM_BLOCK = 1024
 
 
 @dataclass(frozen=True)

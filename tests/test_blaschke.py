@@ -309,11 +309,10 @@ def test_degree_64_solve_memory_is_bounded():
     assert peak < 24e6
 
 
-def test_hermite_seed_saves_newton_evaluations(monkeypatch):
-    # the linear-interpolation seed that preceded the Hermite seed passed 18477 points to
-    # the argument's Newton steps in preimage_grid on this product; the Hermite seed needs
-    # 15460, and the 64 samples of the window bring the count to 15524.  Branch inverses
-    # and the fixed point run the same sampling and seed
+@pytest.fixture
+def counted_argument(monkeypatch):
+    """Sizes of the angle arrays passed to ``blaschke._argument``; the argument table is cleared on
+    both sides, so no table built before the patch hides it and none built under it leaks out."""
     counted = []
     argument = blaschke._argument
 
@@ -321,11 +320,38 @@ def test_hermite_seed_saves_newton_evaluations(monkeypatch):
         counted.append(np.size(theta))
         return argument(product, theta)
 
+    blaschke._argument_table.cache_clear()
     monkeypatch.setattr(blaschke, "_argument", counting)
+    yield counted
+    blaschke._argument_table.cache_clear()
+
+
+def test_hermite_seed_saves_newton_evaluations(counted_argument):
+    # the linear-interpolation seed that preceded the Hermite seed passed 18477 points to
+    # the argument's Newton steps in preimage_grid on this product; the Hermite seed on
+    # 64 samples of the window needed 15524, samples included.  The 4096-angle table
+    # seeds closer, so its 4096 samples and the Newton steps take 10975
     b = make_blaschke(1.0, [0, 0.99, 0.95j, -0.9])
     _, residuals = preimage_grid(b, CircleGrid(1024).points)
     assert np.max(residuals) <= 1e-13
-    assert sum(counted) < 0.9 * 18477
+    assert sum(counted_argument) < 0.8 * 15524
+
+
+def test_argument_table_is_built_once_per_product(counted_argument):
+    # the 1024-target solve builds the read-only table; the scalar solves after it read the
+    # same table, so they pass only their Newton steps, never the table's angles, to _argument
+    b = make_blaschke(1.0, [0, 0.99, 0.95j, -0.9])
+    preimage_grid(b, CircleGrid(1024).points)
+    del counted_argument[:]
+    for k in range(8):
+        b.preimages(np.exp(0.3j * k))
+    assert blaschke._argument_table.cache_info().misses == 1
+    assert counted_argument and blaschke._TABLE_ANGLES not in counted_argument
+    assert sum(counted_argument) < 100
+    grid, values, slopes = blaschke._argument_table(b)
+    assert blaschke._argument_table(make_blaschke(1.0, b.zeros)) is blaschke._argument_table(b)
+    assert not any(a.flags.writeable for a in (grid, values, slopes))
+    assert grid[0] == -np.pi and grid[-1] == np.pi and grid.size == blaschke._TABLE_ANGLES
 
 
 def test_near_degenerate_zero_still_solves():

@@ -189,13 +189,15 @@ class TestCovarianceResidual:
 
     def test_bound_above_tolerance_takes_the_peak(self, half):
         # a symbol the identity leaves at rounding passes on its bound, whatever the tolerance
-        # above it; below that, the value is the largest of the bound's samples, a lower bound
+        # above it; below its peak, the value is the largest of the bound's samples, a lower bound;
+        # between the two, denser samples give a tighter bound, still above the peak
         a = FourierSymbol({-3: 0.5, 0: 1.0, 2: 0.25j})
         [bound] = covariance_residual(half, [a])
         [peak] = covariance_residual(half, [a], tol=0.0)
         assert bound == covariance_residual(half, [a], tol=bound)[0]
         assert 0.0 < peak < bound <= 1.25 * peak and bound <= 1e-14
-        assert covariance_residual(half, [a], tol=np.nextafter(bound, 0.0)) == [peak]
+        [tighter] = covariance_residual(half, [a], tol=np.nextafter(bound, 0.0))
+        assert peak < tighter < bound
 
 
 class TestLeftSymbols:
@@ -378,6 +380,26 @@ class TestSymbolSupBound:
         assert values[0] == bounds[0] and values[3] == bounds[3] == 0.0
         for value, bound, sup in zip(values[1:3], bounds[1:3], sups[1:3]):
             assert value < bound and value <= sup <= bound <= 1.25 * value
+
+    @pytest.mark.parametrize("h", [1, 8, 100])
+    def test_peak_just_under_tolerance_is_resampled_until_certified(self, h):
+        # 0.99 tol cos(h theta) peaks at 0.99 tol on the 16 (h + 1) points, where its bound is
+        # past tol; denser samples bound it within tol, so it PASSes on a bound, not on a peak
+        tol = 1e-6
+        row = np.zeros(2 * h + 1)
+        row[0] = row[-1] = 0.495 * tol
+        length = 1 << (16 * (h + 1) - 1).bit_length()
+        assert np.max(np.abs(np.fft.fft(row, length))) / (1.0 - np.pi * h / length) > tol
+        bounds, values = _certified_norms(row, tol)
+        assert values == bounds and 0.99 * tol <= bounds <= tol
+
+    def test_uncertified_peak_past_the_doublings_fails_on_its_bound(self):
+        # a peak 1e-9 below tol needs a bound within 1e-9 of sup |d|, which no capped doubling
+        # reaches, so the row reads its bound, above tol: a FAIL, not an uncertified PASS
+        tol = 1e-6
+        row = np.array([0.5, 0.0, 0.0, 0.0, 0.5]) * tol * (1.0 - 1e-9)
+        bounds, values = _certified_norms(row, tol)
+        assert values == bounds > tol
 
 
 def _gram_power_iteration(block, tol, max_iter):
