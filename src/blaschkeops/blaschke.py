@@ -187,43 +187,39 @@ def _argument(product: BlaschkeProduct, theta):
     return total, 1.0 + slope.reshape(theta.shape)
 
 
-def _window(product: BlaschkeProduct, start: float, size: int = 64):
-    """Angles, ``A`` and ``psi'`` on ``max(size, 8 n)`` angles of ``[start, start + 2 pi]``."""
-    grid = np.linspace(start, start + _TWO_PI, max(size, 8 * product.degree))
-    return (grid, *_argument(product, grid))
-
-
 @lru_cache(maxsize=16)
 def _argument_table(product: BlaschkeProduct):
-    """The window of :func:`preimage_grid` on ``_TABLE_ANGLES`` angles, read-only and built once per product."""
-    return tuple(_read_only(a) for a in _window(product, -np.pi, _TABLE_ANGLES))
+    """Angles, ``A`` and ``psi'`` on ``_TABLE_ANGLES`` angles of ``[-pi, pi]``, read-only and built once per product."""
+    grid = np.linspace(-np.pi, np.pi, _TABLE_ANGLES)
+    return tuple(_read_only(a) for a in (grid, *_argument(product, grid)))
 
 
-def _solve_increasing(product: BlaschkeProduct, window, c: float, levels):
-    """The angles in the window where ``f = A - c theta`` meets each level, every level at once.
+def _solve_increasing(product: BlaschkeProduct, c: float, levels):
+    """The angles where ``f = A - c theta`` meets each of the levels, every level at once.
 
-    ``A`` is the continuous argument of :func:`_argument` and ``c`` is 0 or 1;
-    ``f`` increases because ``psi' > 1``.  ``window`` is ``(angles, A, psi')``
-    over one revolution (:func:`_window`), which gives ``f`` and its exact
-    slope ``psi' - c``, and the callable ``levels(first, last)`` states the
-    levels from the end samples of ``f``, so no caller evaluates ``A`` again.
-    The cell whose samples straddle a level brackets its root.  The seed is
-    the inverse cubic Hermite interpolant of the cell, the cubic in the level
-    that takes the cell's end angles with derivatives ``1/slopes``, clipped to
-    the cell.  Newton then runs each level in its own bracket, bisecting
-    whenever a step leaves it (a steep ``f`` can throw Newton out of its basin
-    on a coarse grid), and takes one step past ``_LEVEL_TOL``, so the answer
-    keeps every digit ``f`` has; the seed only sets how many steps that takes.
-    Returns an array shaped like the levels.
+    ``A`` is the continuous argument of :func:`_argument`, ``c`` is 0 or 1, and ``f``
+    increases (``psi' > 1``) by ``2 pi (n - c)`` per revolution.  Every solve reads the
+    product's one table (:func:`_argument_table`) of ``f`` and its exact slope ``psi' - c``
+    on ``[-pi, pi]``: a level outside it is moved into it by whole turns, and its cell
+    back by ``2 pi`` per turn, so a caller states any levels and none samples ``A``
+    again.  The cell whose samples straddle a level brackets its root.  The seed is the
+    inverse cubic Hermite interpolant of the cell, the cubic in the level that takes the
+    cell's end angles with derivatives ``1/slopes``, clipped to the cell.  Newton then
+    runs each level in its own bracket, bisecting whenever a step leaves it (a steep
+    ``f`` can throw Newton out of its basin on a coarse grid), and takes one step past
+    ``_LEVEL_TOL``, so the answer keeps every digit ``f`` has; the seed only sets how
+    many steps that takes.  Returns an array shaped like the levels.
     """
-    grid, samples, slopes = window
+    grid, samples, slopes = _argument_table(product)
     samples, slopes = samples - c * grid, slopes - c
-    levels = np.asarray(levels(samples[0], samples[-1]), dtype=float)
-    flat = levels.ravel()
-    i = np.clip(np.searchsorted(samples, flat), 1, len(samples) - 1)
-    lo, hi = grid[i - 1], grid[i]
+    levels = np.asarray(levels, dtype=float)
+    flat, period = levels.ravel(), _TWO_PI * (product.degree - c)
+    turns = np.ceil((flat - samples[-1]) / period)
+    moved = flat - period * turns
+    i = np.clip(np.searchsorted(samples, moved), 1, len(samples) - 1)
+    lo, hi = grid[i - 1] + _TWO_PI * turns, grid[i] + _TWO_PI * turns
     rise = samples[i] - samples[i - 1]
-    s = (flat - samples[i - 1]) / rise
+    s = (moved - samples[i - 1]) / rise
     # Hermite basis on [0, 1]: s^2 (3 - 2s) weights the upper angle, s (1 - s)^2 and
     # -s^2 (1 - s) the scaled inverse slopes at the two ends
     seed = lo + (hi - lo) * s * s * (3.0 - 2.0 * s)
@@ -249,19 +245,18 @@ def _solve_increasing(product: BlaschkeProduct, window, c: float, levels):
 def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     """Circle preimages of many unit-circle targets at once.
 
-    The continuous argument ``A`` of ``R(e^(i theta))`` climbs by ``2 pi n``
-    over ``[-pi, pi]``, so the preimages of ``w`` sit at the n angles where
-    ``A`` meets the levels ``A(pi) - ((A(pi) - arg w) mod 2 pi) - 2 pi k``,
-    ``k < n``; these lie in ``(A(-pi), A(pi)]``, so the angles are principal
-    arguments.  ``A`` and its exact slope ``psi'`` are sampled once per
-    product, on the ``_TABLE_ANGLES`` angles of :func:`_argument_table`, and
-    the levels of every target are solved together by the bracketed Newton of
-    :func:`_solve_increasing`, seeded by inverse cubic Hermite interpolation
-    of those samples and slopes.  A root is carried as its angle, so its
-    residual floor is about ``psi' ulp(theta) / 2``, and a principal angle
-    keeps that ulp at most ``ulp(pi)``.  Returns a pair of arrays of shape
-    ``(len(targets), n)``: the roots of each row sorted by principal
-    argument, and the direct residuals ``|R(root) - w|``.
+    The continuous argument ``A`` of ``R(e^(i theta))`` climbs by ``2 pi n`` over
+    ``[-pi, pi]``, so the preimages of ``w`` sit at the n angles where ``A`` meets the
+    levels ``A(pi) - ((A(pi) - arg w) mod 2 pi) - 2 pi k``, ``k < n``; these lie in
+    ``(A(-pi), A(pi)]``, so the angles are principal arguments.  ``A`` and its exact
+    slope ``psi'`` are sampled once per product, on the ``_TABLE_ANGLES`` angles of
+    :func:`_argument_table`, whose last sample gives ``A(pi)``, and the levels of every
+    target are solved together by the bracketed Newton of :func:`_solve_increasing`,
+    seeded by inverse cubic Hermite interpolation of those samples and slopes.  A root is
+    carried as its angle, so its residual floor is about ``psi' ulp(theta) / 2``, and a
+    principal angle keeps that ulp at most ``ulp(pi)``.  Returns a pair of arrays of
+    shape ``(len(targets), n)``: the roots of each row sorted by principal argument, and
+    the direct residuals ``|R(root) - w|``.
 
     Raises :class:`ConvergenceError` when a residual exceeds tolerance or two
     roots collide - either signals a numerical breakdown rather than a valid
@@ -273,10 +268,9 @@ def preimage_grid(product: BlaschkeProduct, targets: np.ndarray):
     if not np.all(np.abs(np.abs(targets) - 1.0) <= _TARGET_TOL):  # also false for a non-finite target
         raise ValueError("preimage targets must be finite and lie on the unit circle")
 
-    def levels(first, last):
-        return (last - (last - np.angle(targets)) % _TWO_PI)[:, None] - _TWO_PI * np.arange(product.degree)
-
-    roots = np.exp(1j * _solve_increasing(product, _argument_table(product), 0.0, levels))
+    last = _argument_table(product)[1][-1]
+    levels = (last - (last - np.angle(targets)) % _TWO_PI)[:, None] - _TWO_PI * np.arange(product.degree)
+    roots = np.exp(1j * _solve_increasing(product, 0.0, levels))
     roots = np.take_along_axis(roots, np.argsort(np.angle(roots), axis=1), axis=1)
 
     residuals = np.abs(product.evaluate(roots) - targets[:, None])

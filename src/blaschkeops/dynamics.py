@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import _SEPARATION_TOL, _TWO_PI, BlaschkeProduct, _argument, _solve_increasing, _window, preimage_grid
+from .blaschke import _SEPARATION_TOL, _TWO_PI, BlaschkeProduct, _argument, _solve_increasing, preimage_grid
 from .circle import _read_only
 
 _MIN_LIFT_GRID = 256
@@ -45,16 +45,16 @@ def build_lift(product: BlaschkeProduct, grid_size: int) -> CircleLift:
 
     The anchor ``theta0 - 2 pi`` is the first angle from ``-1e-9`` (so an image
     1 at 0 up to rounding anchors at 0) whose image is 1, which pins
-    ``psi(theta0 - 2 pi) = 0``; one solve finds it, as :func:`_fixed_point`
-    finds its point.  For monomials this gives ``theta0 = 2 pi`` and
+    ``psi(theta0 - 2 pi) = 0``; one solve on the argument table finds where ``A``
+    meets the first multiple of ``2 pi`` at or above ``A(-1e-9)``, as
+    :func:`_fixed_point` finds its point.  Monomials get ``theta0 = 2 pi`` and
     ``psi(theta) = n theta``.  Every sample is the closed-form continuous
-    argument, so no unwrapping is involved and any grid of at least 256
-    samples serves.
+    argument, so no unwrapping is involved and any grid of at least 256 samples serves.
     """
     if grid_size < _MIN_LIFT_GRID:
         raise ValueError(f"lift grid must have at least {_MIN_LIFT_GRID} samples")
-    window = _window(product, -1e-9)
-    start = float(_solve_increasing(product, window, 0.0, lambda first, _: _TWO_PI * np.ceil(first / _TWO_PI)))
+    first, _ = _argument(product, -1e-9)
+    start = float(_solve_increasing(product, 0.0, _TWO_PI * np.ceil(first / _TWO_PI)))
     theta0 = start + _TWO_PI
     thetas = np.linspace(start, theta0, grid_size)
     raw, _ = _argument(product, thetas)
@@ -67,8 +67,9 @@ def branch_inverse(lift: CircleLift, k: int, t):
     ``e^(i sigma_k(t))`` is a preimage of ``e^(i t)``; over k = 1..n the
     branches enumerate the full preimage set.  ``psi`` is the argument ``A``
     less its value at ``lift.thetas[0]``, so the bracketed Newton of
-    :func:`blaschke._solve_increasing` solves ``A`` on the lift's revolution at
-    the levels ``A(lift.thetas[0]) + t + 2 pi (k - 1)``, every element of t at once.
+    :func:`blaschke._solve_increasing` solves ``A`` on the product's argument
+    table at the levels ``A(lift.thetas[0]) + t + 2 pi (k - 1)``, every element
+    of t at once; these lie on the lift's revolution.
     """
     n = lift.degree
     if not 1 <= k <= n:
@@ -76,8 +77,8 @@ def branch_inverse(lift: CircleLift, k: int, t):
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= _TWO_PI)):
         raise ValueError("branch parameter must lie in [0, 2 pi]")
-    window = _window(lift.product, lift.thetas[0])
-    root = _solve_increasing(lift.product, window, 0.0, lambda first, _: first + t + _TWO_PI * (k - 1))
+    first, _ = _argument(lift.product, lift.thetas[0])
+    root = _solve_increasing(lift.product, 0.0, first + t + _TWO_PI * (k - 1))
     return root if root.ndim else float(root)
 
 
@@ -100,9 +101,10 @@ class ConjugacyMap:
 
 def _fixed_point(product: BlaschkeProduct) -> complex:
     # R(e^(i theta)) = e^(i A(theta)), so A(theta) - theta is a multiple of 2 pi
-    # exactly at a fixed point; it rises by 2 pi (n - 1) >= 2 pi over [0, 2 pi],
-    # so it meets the first multiple at or above its first sample (0 for z^n, so p = 1).
-    theta = _solve_increasing(product, _window(product, 0.0), 1.0, lambda first, _: _TWO_PI * np.ceil(first / _TWO_PI))
+    # exactly at a fixed point; it rises by 2 pi (n - 1) >= 2 pi over [0, 2 pi], so one solve
+    # on the argument table meets the first multiple at or above A(0) (0 for z^n, so p = 1).
+    first, _ = _argument(product, 0.0)
+    theta = _solve_increasing(product, 1.0, _TWO_PI * np.ceil(first / _TWO_PI))
     return complex(np.exp(1j * theta))
 
 

@@ -38,9 +38,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """Run parameters: the product, sizes and per-check tolerances; the ``truncation`` N decides no verdict.
 
-    Invariants: integer sizes and seed, ``1 <= corner <= truncation/4``, grid a power of two of at least 256
-    samples, every tolerance finite, positive and attached to a known check.  N is only the least length of the
-    columns of C that ``composition_isometry`` reads and the width ``min(N, K)`` of the frame-pair symbols.
+    Invariants: integer sizes and seed, ``seed >= 0``, ``1 <= corner <= truncation/4``, grid a power of two of at
+    least 256 samples, every tolerance finite, positive and attached to a known check.  N is only the least length
+    of the columns of C that ``composition_isometry`` reads and the width ``min(N, K)`` of the frame-pair symbols.
     """
 
     lambda_angle: float = 0.0
@@ -56,6 +56,8 @@ class RunConfig:
         for name in ("truncation", "corner", "grid", "basis_count", "seed"):
             if type(getattr(self, name)) is not int:  # not a float, a string or a bool
                 raise ConfigError(f"{name} must be an integer")
+        if self.seed < 0:  # numpy seeds its generators from non-negative integers only
+            raise ConfigError("seed must be non-negative")
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
         try:
             self.product()

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blaschkeops import CircleGrid, ConvergenceError, make_blaschke, partial_fraction_weights
-from blaschkeops import blaschke
+from blaschkeops import (
+    CircleGrid,
+    ConvergenceError,
+    branch_inverse,
+    build_lift,
+    conjugacy_to_power,
+    make_blaschke,
+    partial_fraction_weights,
+)
+from blaschkeops import blaschke, dynamics
 from blaschkeops.blaschke import _BLOCK_ELEMENTS, _argument, preimage_grid
 from conftest import blaschke_products, polynomial_roots, random_product
 
@@ -311,8 +319,9 @@ def test_degree_64_solve_memory_is_bounded():
 
 @pytest.fixture
 def counted_argument(monkeypatch):
-    """Sizes of the angle arrays passed to ``blaschke._argument``; the argument table is cleared on
-    both sides, so no table built before the patch hides it and none built under it leaks out."""
+    """Sizes of the angle arrays passed to ``_argument``, from the solver and from the dynamics; the
+    argument table is cleared on both sides, so no table built before the patch hides it and none
+    built under it leaks out."""
     counted = []
     argument = blaschke._argument
 
@@ -322,6 +331,7 @@ def counted_argument(monkeypatch):
 
     blaschke._argument_table.cache_clear()
     monkeypatch.setattr(blaschke, "_argument", counting)
+    monkeypatch.setattr(dynamics, "_argument", counting)
     yield counted
     blaschke._argument_table.cache_clear()
 
@@ -348,10 +358,37 @@ def test_argument_table_is_built_once_per_product(counted_argument):
     assert blaschke._argument_table.cache_info().misses == 1
     assert counted_argument and blaschke._TABLE_ANGLES not in counted_argument
     assert sum(counted_argument) < 100
+    # the lift's anchor, every branch inverse and the fixed point read the same table too:
+    # _argument sees Newton steps on at most 16 levels (the conjugacy tree's deepest level),
+    # one-point anchors and the lift's own 256 samples, never a window of max(64, 8 n) angles
+    del counted_argument[:]
+    lift = build_lift(b, 256)
+    for k in range(1, b.degree + 1):
+        branch_inverse(lift, k, np.linspace(0.0, 2.0 * np.pi, 5))
+    conjugacy_to_power(b, grid_size=16)
+    assert blaschke._argument_table.cache_info().misses == 1
+    assert set(counted_argument) <= set(range(1, 17)) | {256}
+    assert counted_argument.count(256) == 1 and max(64, 8 * b.degree) not in counted_argument
+    # a window of 64 angles for any two of the six solves would break this bound
+    assert sum(counted_argument) - 256 < 128
     grid, values, slopes = blaschke._argument_table(b)
     assert blaschke._argument_table(make_blaschke(1.0, b.zeros)) is blaschke._argument_table(b)
     assert not any(a.flags.writeable for a in (grid, values, slopes))
     assert grid[0] == -np.pi and grid[-1] == np.pi and grid.size == blaschke._TABLE_ANGLES
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+@pytest.mark.parametrize("turns", [-1, 1, 2])
+def test_levels_moved_by_whole_turns_solve_to_roots_moved_by_whole_turns(c, turns):
+    # f = A - c theta rises by 2 pi (n - c) per revolution, so a level moved by whole turns off
+    # the table's [-pi, pi] meets f at the root moved by 2 pi per turn
+    b = make_blaschke(np.exp(0.4j), [0, 0.99, 0.95j, -0.9])
+    grid, values, _ = blaschke._argument_table(b)
+    levels = np.linspace(values[0] - c * grid[0], values[-1] - c * grid[-1], 9)
+    roots = blaschke._solve_increasing(b, c, levels)
+    moved = blaschke._solve_increasing(b, c, levels + turns * 2.0 * np.pi * (b.degree - c))
+    assert np.all((-np.pi - 1e-12 <= roots) & (roots <= np.pi + 1e-12))
+    np.testing.assert_allclose(moved, roots + 2.0 * np.pi * turns, rtol=0, atol=1e-13)
 
 
 def test_near_degenerate_zero_still_solves():

@@ -74,6 +74,13 @@ class TestVerifyCommand:
         assert main(["verify", "--config", write_config(tmp_path, **fields)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "basis"])
+    def test_negative_seed_exit_code(self, command, capsys):
+        # numpy seeds its generators from non-negative integers only; -1 is a configuration
+        # error (exit 2), not a traceback from the first check's generator
+        assert main([command, *FAST_FLAGS, "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["verify", "--config", "/no/such/file.json"]) == 2
 

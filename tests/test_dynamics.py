@@ -224,8 +224,9 @@ def test_array_lift_solve_matches_scalar_loop(product):
 
 @pytest.mark.parametrize("zeros", [[0, 0.999], [0, 0.9999, -0.9999]])
 def test_array_lift_solve_bisects_per_level(zeros):
-    # max psi' reaches 2e3-4e4 on the 64 samples of the solve, so Newton leaves
-    # its cell at some levels and not at others: each level must keep its own bracket
+    # max psi' reaches 1.3e3-2e4 on the 4096 samples of the argument table; on the second
+    # product Newton still leaves its cell at some levels and not at others (13 bisecting
+    # steps over its 48 levels), so each level must keep its own bracket
     _assert_array_solve_matches_scalar_loop(build_lift(make_blaschke(np.exp(0.7j), zeros), 256))
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from blaschkeops import (
     BlaschkeProduct,
@@ -32,7 +33,7 @@ from blaschkeops.verify import (
     emit_report,
     run_verify,
 )
-from conftest import wide_product
+from conftest import blaschke_products, wide_product
 
 # Modest sizes keep the full-run tests quick.  The corner must respect the
 # band edge: column j of C carries frequencies up to j * max(psi'), so for
@@ -862,6 +863,19 @@ def test_length_for_a_high_power_holds_its_mass():
     size = tmbasis._needed_length(product, 127, 256)
     column = next(islice(hardy._taylor_columns(product, 8 * size), 127, None))
     assert float(np.sum(np.abs(column[size:]) ** 2)) <= 1e-16
+
+
+@given(blaschke_products())
+@settings(max_examples=30)
+def test_wide_products_pass_every_check_at_small_sizes(product):
+    # degree 2-16, |z_k| <= 0.98 and a random phase: no run raises or ERRORs, and every check
+    # PASSes; the lift, branch-inverse and fixed-point solves read the product's argument table
+    cfg = RunConfig(
+        lambda_angle=float(np.angle(product.phase)), zeros=product.zeros, truncation=64, corner=4, grid=256, basis_count=8
+    )
+    report = run_verify(cfg)
+    assert not report.any_errored
+    assert [check.check_id for check in report.checks if not check.passed] == []
 
 
 @pytest.fixture(scope="module")
