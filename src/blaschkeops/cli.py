@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--report", metavar="PATH", help="write output to PATH instead of stdout")
     common.add_argument("--format", choices=_FORMATS, default="human", help="report format")
-    common.add_argument("--seed", type=int, metavar="INT", help="seed for randomized symbols")
+    common.add_argument("--seed", type=int, metavar="INT", help="seed of the stdlib generator of random symbols")
     common.add_argument("--parallel", action="store_true", help="ignored; checks always run serially")
 
     parser = argparse.ArgumentParser(

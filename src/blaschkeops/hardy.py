@@ -5,8 +5,8 @@ An N x N matrix stands for the compression of a Hardy-space operator to
 the first N Taylor coefficients of R^j, exactly, from the partial products
 that also give the Cuntz family's frame series.  ``R(0) = 0`` makes C lower
 triangular, so a corner reads only the first m columns of C, and ``|R| = 1``
-on the circle makes ``C* T_a C`` Toeplitz on H^2: one routine streams the
-columns of C into its symbol for a batch of symbols a, with no N.  A
+on the circle makes ``C* T_a C`` Toeplitz on H^2: one routine reads the column
+spectra that the cut columns come from into its symbol, with no N.  A
 Toeplitz operator has the norm ``sup |d|`` of its symbol d, and one rule
 values every symbol residual: one zero-padded FFT samples d, and the
 largest sample and Bernstein's inequality bracket ``sup |d|``.
@@ -74,21 +74,28 @@ def _partial_products(product: BlaschkeProduct, rows: int):
         yield taylor
 
 
-def _taylor_columns(product: BlaschkeProduct, rows: int):
-    """Yields the columns j = 0, 1, ... of C, the first ``rows`` Taylor coefficients of R^j: R is the
-    phase times ``R_n`` of :func:`_partial_products`, and column ``j + s`` is column j times column s,
-    so one FFT of column j and the kept spectra of the columns ``s = 1, ..., 16`` give the next 16,
-    each cut at ``rows``.  ``R(0) = 0``: column j is formed on rows ``>= j``, and C stays lower triangular."""
+def _column_spectra(product: BlaschkeProduct, rows: int):
+    """Yields ``(j, spectra)``, the spectra on ``2 rows`` points of the columns ``j, j + 1, ...`` of C, its one source:
+    R is the phase times ``R_n`` of :func:`_partial_products`, and column ``j + s`` is the first ``rows`` coefficients
+    of column j times column s, whose uncut spectrum is ``fft(column j)`` times that of s; past the columns s <= 16,
+    only the last of each block of 16 is cut.  ``R(0) = 0``: column j is formed on rows ``>= j``, C lower triangular."""
     size = 2 * rows
     *_, taylor = _partial_products(product, rows)
     column, j, steps = np.eye(1, rows, dtype=complex)[0], 0, np.fft.fft(product.phase * taylor, size)[None]
-    yield column
+    yield 0, np.ones((1, size), dtype=complex)  # column 0 is 1
     while True:  # the columns j + 1, ..., j + len(steps): column j times those whose spectra steps holds
-        block = np.triu(np.fft.ifft(np.fft.fft(column, size) * steps)[:, :rows], j + 1)
-        yield from block
+        spectra = np.fft.fft(column, size) * steps
+        yield j + 1, spectra
         if j == len(steps) < 16:  # the block continues the columns 1, ..., len(steps)
-            steps = np.concatenate((steps, np.fft.fft(block, size)))
-        j, column = j + len(block), block[-1]
+            steps = np.concatenate((steps, np.fft.fft(np.triu(np.fft.ifft(spectra)[:, :rows], j + 1), size)))
+        j += len(spectra)
+        column = np.triu(np.fft.ifft(spectra[-1:])[:, :rows], j)[0]
+
+
+def _taylor_columns(product: BlaschkeProduct, rows: int):
+    """Yields the columns j = 0, 1, ... of C, ``rows`` Taylor coefficients each, cut from :func:`_column_spectra`."""
+    for j, spectra in _column_spectra(product, rows):
+        yield from np.triu(np.fft.ifft(spectra)[:, :rows], j)
 
 
 @lru_cache(maxsize=4)
@@ -162,12 +169,14 @@ def isometry_residual(c, m: int) -> float:
 
 def _left_symbols(product: BlaschkeProduct, below, width: int) -> np.ndarray:
     """Coefficients ``-d``, ``d < width``, of the symbol of ``C* T_a C`` (Toeplitz on H^2, as ``|R| = 1``), one
-    row per row ``below[..., t] = a_hat(-t)``, ``t < K``: ``sum_t a_hat(-t) C[t, d]``; the columns of the lower
-    triangular C stream from :func:`_taylor_columns`, K rows each, and no ``K x width`` block is kept."""
-    out = np.empty(below.shape[:-1] + (width,), dtype=complex)
-    for d, column in enumerate(islice(_taylor_columns(product, below.shape[-1]), width)):
-        out[..., d] = below[..., d:] @ column[d:]
-    return out
+    row per row ``below[..., t] = a_hat(-t)``, ``t < K``: ``sum_t a_hat(-t) C[t, d] = sum_k ifft(below, 2K)_k X_k``,
+    X the uncut spectrum on 2K points of column d (:func:`_column_spectra`): one GEMM per block; no column is cut."""
+    hat = np.fft.ifft(below, 2 * below.shape[-1]).reshape(-1, 2 * below.shape[-1])
+    out = np.empty((len(hat), width), dtype=complex)
+    for d, spectra in _column_spectra(product, below.shape[-1]):
+        out[:, d : d + len(spectra)] = hat @ spectra[: width - d].T
+        if d + len(spectra) >= width:
+            return out.reshape(below.shape[:-1] + (width,))
 
 
 def covariance_residual(product: BlaschkeProduct, symbols, *, tol: float = np.inf) -> list:

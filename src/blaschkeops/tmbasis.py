@@ -29,8 +29,8 @@ from .transfer import TransferOperator, bimodule_inner_samples, transfer_grid
 
 _MAX_GRAM_COUNT = 64
 _MAX_GRID = 1 << 18  # the largest grid that a grid sized from the zeros holds
-# A length K read for P columns or pairs holds about K max(P, 64) coefficients, 64 K being the 16 spectra and
-# 16-row block on 2K points that _taylor_columns keeps; past this many (128 MB) a length is not formed.
+# A length K read for P columns or pairs holds about K max(P, 64) coefficients, 64 K being the 16 spectra and block
+# on 2K points that _column_spectra keeps (the left symbols add 2 P K, the rows on 2K points); past 2^23 none is formed.
 _MAX_COEFFICIENTS = 1 << 23
 # The Gram rows take points in slices of at most this many.
 _GRAM_BLOCK = 1024
@@ -56,12 +56,16 @@ class TMBasis:
 
 def _elements(basis: TMBasis, count: int, z):
     """Yields the first ``count`` basis elements at z, ``alpha_l sqrt(1-|beta_l|^2)/(1 - conj(beta_l) z) B_l``:
-    the partial product ``B_l`` of the earlier Blaschke factors gains one factor per element."""
-    partial = np.ones(np.shape(z), dtype=complex)
-    for l in range(count):
-        beta = basis.beta(l)
-        den = 1.0 - np.conj(beta) * z
-        yield basis.alpha(l) * (np.sqrt(1.0 - abs(beta) ** 2) / den) * partial
+    the partial product ``B_l`` of the earlier Blaschke factors gains one factor per element.  The elements of one
+    zero (l and ``l + n`` for the periodic zeros) share its two quotients, dropped once no later element reads them."""
+    betas, partial, kept = [basis.beta(l) for l in range(count)], np.ones(np.shape(z), dtype=complex), {}
+    last = {beta: l for l, beta in enumerate(betas)}
+    for l, beta in enumerate(betas):
+        if beta not in kept:
+            den = 1.0 - np.conj(beta) * z
+            kept[beta] = np.sqrt(1.0 - abs(beta) ** 2) / den, den
+        weight, den = kept.pop(beta) if last[beta] == l else kept[beta]
+        yield basis.alpha(l) * weight * partial
         partial = partial * (z - beta) / den
 
 

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import platform
+import random
 import time
 from dataclasses import dataclass, field, fields
 
@@ -56,7 +57,7 @@ class RunConfig:
         for name in ("truncation", "corner", "grid", "basis_count", "seed"):
             if type(getattr(self, name)) is not int:  # not a float, a string or a bool
                 raise ConfigError(f"{name} must be an integer")
-        if self.seed < 0:  # numpy seeds its generators from non-negative integers only
+        if self.seed < 0:  # the seed keys each check's stdlib generator; a negative one stays a configuration error
             raise ConfigError("seed must be non-negative")
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
         try:
@@ -156,8 +157,8 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Individual checks.  Each receives (config, product, rng) and returns
-# (residual, details); residuals are nonnegative and compared to tolerance.
+# Individual checks.  Each receives (config, product, rng), rng a stdlib random.Random, and
+# returns (residual, details); residuals are nonnegative and compared to tolerance.
 # ---------------------------------------------------------------------------
 
 
@@ -230,7 +231,7 @@ def _random_symbol(rng, band: int, analytic: bool) -> FourierSymbol:
     low = 0 if analytic else -band
     coeffs = {}
     for k in range(low, band + 1):
-        coeffs[k] = complex(rng.standard_normal(), rng.standard_normal()) / (2.0 * (1 + abs(k)))
+        coeffs[k] = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) / (2.0 * (1 + abs(k)))
     return FourierSymbol(coeffs)
 
 
@@ -475,7 +476,7 @@ DEFAULT_TOLERANCES = {spec.check_id: spec.tolerance for spec in MANIFEST}
 
 
 def _run_one(spec: CheckSpec, cfg: RunConfig, product, index: int) -> CheckResult:
-    rng = np.random.default_rng([cfg.seed, index])
+    rng = random.Random(f"{cfg.seed}:{index}")  # keyed by seed and check; a run never imports numpy.random
     tolerance = cfg.tolerances[spec.check_id]
     started = time.perf_counter()
     try:

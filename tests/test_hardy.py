@@ -205,8 +205,8 @@ class TestLeftSymbols:
 
     @staticmethod
     def _check(product, below, width):
-        # the streamed columns against one dense product with the K x width block, kept out of the cache;
-        # the two sum K terms in different orders, so they agree to 1e-15 of the largest sum of |terms|
+        # the column spectra against one dense product with the K x width block, kept out of the cache;
+        # the two sum the terms in different orders, so they agree to 1e-15 of the largest sum of |terms|
         block = _power_spectra.__wrapped__(product, below.shape[-1], width)
         got, reference = _left_symbols(product, below, width), below @ block
         assert got.shape == reference.shape
@@ -219,15 +219,27 @@ class TestLeftSymbols:
         coeffs = (rng.standard_normal((10, 17)) + 1j * rng.standard_normal((10, 17))) / (2 + np.abs(np.arange(-8, 9)))
         self._check(self.PRODUCTS[name], np.concatenate((coeffs[:, 8::-1], coeffs[:, 8:].conj())), 9)
 
-    @pytest.mark.parametrize("name", PRODUCTS)
-    def test_frame_pair_rows_match_the_dense_block(self, name):
-        # inner_product_residual's call: the (P, P, K) rows of a = n conj(v_i) v_j, width min(256, K)
-        product = self.PRODUCTS[name]
+    @staticmethod
+    def _frame_rows(product):
+        # inner_product_residual's rows: the (P, P, K) rows a_hat(-t) of a = n conj(v_i) v_j
         size = tmbasis._needed_length(product, 1, product.degree, np.inf)
         vals = tmbasis.frame(product)(CircleGrid(2 * size).points)
         below = np.array([np.fft.ifft(product.degree * np.conj(v) * vals)[:, :size] for v in vals])
         assert below.shape == (product.degree, product.degree, size)
-        self._check(product, below, min(256, size))
+        return below
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_frame_pair_rows_match_the_dense_block(self, name):
+        # inner_product_residual's call, width min(256, K)
+        below = self._frame_rows(self.PRODUCTS[name])
+        self._check(self.PRODUCTS[name], below, min(256, below.shape[-1]))
+
+    @pytest.mark.parametrize("width", [1, 12, 100])
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_widths_that_end_inside_a_block_match_the_dense_block(self, name, width):
+        # the spectra come in blocks of columns 0 | 1 | 2 | 3-4 | 5-8 | 9-16, then 16 at a time: width 1
+        # reads column 0 alone, 12 ends inside the block 9-16, and 100, not a multiple of 16, inside 97-112
+        self._check(self.PRODUCTS[name], self._frame_rows(self.PRODUCTS[name]), width)
 
 
 class TestCommutationResidual:

@@ -25,7 +25,7 @@ from blaschkeops import tmbasis, verify
 from blaschkeops.tmbasis import frame
 from blaschkeops.transfer import TransferOperator, bimodule_inner_samples
 from blaschkeops.verify import MANIFEST, RunConfig, _check_cuntz_relations, _run_one
-from conftest import closed_form_element, random_product
+from conftest import closed_form_element, random_product, wide_product
 
 
 def _taylor_length(product):
@@ -56,6 +56,33 @@ class TestElements:
     def test_negative_index_rejected(self, half):
         with pytest.raises(ValueError):
             tm_element(TMBasis(half), -1, 0.0)
+
+    @pytest.mark.parametrize("name", ["wide-10", "wide-29", "[0,0.99i]"])
+    def test_shared_zero_arrays_leave_every_reading_bit_identical(self, name, monkeypatch):
+        # the elements of one zero share its two quotients; one element at a time, each computing its
+        # own in the same order, gives the Gram, the factorization and the elements bit for bit
+        product = {"wide-10": wide_product(10), "wide-29": wide_product(29)}.get(name) or make_blaschke(1.0, [0, 0.99j])
+
+        def per_element(basis, count, z):
+            partial = np.ones(np.shape(z), dtype=complex)
+            for l in range(count):
+                beta = basis.beta(l)
+                den = 1.0 - np.conj(beta) * z
+                yield basis.alpha(l) * (np.sqrt(1.0 - abs(beta) ** 2) / den) * partial
+                partial = partial * (z - beta) / den
+
+        basis, grid = TMBasis(product, count=9 * max(product.degree, 4)), CircleGrid(4096)
+        z = grid.points[::64] * 0.9
+
+        def readings():
+            elements = [tm_element(basis, l, z) for l in (0, product.degree, basis.count - 1)]
+            return gram_residual(basis, 32, grid), factorization_residual(basis, 8, grid), elements
+
+        shared = readings()
+        monkeypatch.setattr(tmbasis, "_elements", per_element)
+        reference = readings()
+        assert shared[0] == reference[0] and np.array_equal(shared[1], reference[1])
+        assert all(np.array_equal(a, b) for a, b in zip(shared[2], reference[2]))
 
 
 class TestFactorParts:
@@ -466,7 +493,7 @@ class TestInnerProductResidual:
 
     def test_low_degree_cap_counts_the_column_working_set(self, monkeypatch):
         # the 4 frame pairs of [0,0.9999] hold 4 K = 2^21 coefficients, within 2^23, but the 16 spectra
-        # and 16-row block that _taylor_columns keeps on 2K points hold 64 K = 2^25: K = 2^19 is
+        # and 16-row block that _column_spectra keeps on 2K points hold 64 K = 2^25: K = 2^19 is
         # refused, and nothing is formed (it took 15 s and 1.2 GB); from degree 8 on, n^2 K is the larger count
         def refuse(*args):
             raise AssertionError("formed past the cap")

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import random
+import subprocess
+import sys
 from dataclasses import fields, replace
 from itertools import islice
 from pathlib import Path
@@ -43,6 +46,11 @@ FAST = dict(truncation=128, corner=16, grid=1024, basis_count=16)
 
 def enabled_ids(cfg):
     return [spec.check_id for spec in MANIFEST if spec.enabled_for(cfg)]
+
+
+def check_rng(cfg, spec):
+    # the generator verify._run_one hands the check spec in a run of cfg: stdlib random, keyed by seed and index
+    return random.Random(f"{cfg.seed}:{MANIFEST.index(spec)}")
 
 
 @pytest.fixture
@@ -307,16 +315,17 @@ class TestRun:
     def test_scaled_column_fails_module_inner_tails(self, monkeypatch, fresh_frame_sides):
         # negative control on the left side: column 0 of C (R^0 = 1) scaled by 1 + 1e-5 moves
         # coefficient 0 of each pair by n <v_j, v_i> 1e-5, so only the diagonal pairs carry
-        # n * 1e-5, a constant symbol, and their peaks read it; the columns reach the left
-        # side through hardy._left_symbols
-        exact = hardy._taylor_columns
+        # n * 1e-5, a constant symbol, and their peaks read it; the column spectra reach the
+        # left side through hardy._left_symbols
+        exact = hardy._column_spectra
 
         def scaled(*args):
-            columns = exact(*args)
-            yield next(columns) * (1.0 + 1e-5)
-            yield from columns
+            spectra = exact(*args)
+            first, block = next(spectra)
+            yield first, block * (1.0 + 1e-5)
+            yield from spectra
 
-        monkeypatch.setattr(hardy, "_taylor_columns", scaled)
+        monkeypatch.setattr(hardy, "_column_spectra", scaled)
         spec = next(s for s in MANIFEST if s.check_id == "module_inner_tails")
         cfg = RunConfig(**FAST)
         product = cfg.product()
@@ -325,6 +334,28 @@ class TestRun:
         assert residual == pytest.approx(product.degree * 1e-5, rel=1e-6)
         assert set(details["peaks"]) == {"v1,v1", "v2,v2"}
         assert residual == max(details["peaks"].values())
+
+    def test_column_past_the_first_block_fails_module_inner_tails(self, monkeypatch, fresh_frame_sides):
+        # negative control inside a block of 16 column spectra: column 20 of C (R^20, which vanishes to
+        # order 20 at 0) given 1e-5 at row 0, a constant added to its spectrum, moves coefficients -20 and
+        # +20 of each pair by n <v_j, v_i> 1e-5; only the diagonal pairs carry n * 1e-5 (z^20 + z^-20),
+        # whose peak, at z = 1, reads 2 n * 1e-5; the Cuntz isometry reads the same symbols over n
+        exact = hardy._column_spectra
+
+        def moved(*args):
+            for first, spectra in exact(*args):
+                yield first, spectra + 1e-5 * (np.arange(first, first + len(spectra)) == 20)[:, None]
+
+        monkeypatch.setattr(hardy, "_column_spectra", moved)
+        cfg = RunConfig(**FAST)
+        product = cfg.product()
+        sides = ("cuntz_relations", "module_inner_tails")
+        runs = {spec.check_id: spec.runner(cfg, product, None) for spec in MANIFEST if spec.check_id in sides}
+        residual, details = runs["module_inner_tails"]
+        assert details["taylor_length"] == 64 and residual > DEFAULT_TOLERANCES["module_inner_tails"]
+        assert residual == pytest.approx(2 * product.degree * 1e-5, rel=1e-6)
+        assert set(details["peaks"]) == {"v1,v1", "v2,v2"} and residual == max(details["peaks"].values())
+        assert runs["cuntz_relations"][1]["isometry"] == pytest.approx(2e-5, rel=1e-6)
 
     @pytest.mark.parametrize("index,degree", [(10, 16), (29, 15)])
     def test_wide_products_pass_module_inner_tails_on_the_bound(self, index, degree):
@@ -343,17 +374,18 @@ class TestRun:
         # negative control: column 3 of C turned by e^(1e-4 i) is still a unit vector orthogonal
         # to the others, so composition_isometry passes; but the symbol of C* T_a C, whose
         # streamed columns d <= 8 hold it, and T_(b o R) C turn with it while T_(L a) and C T_b
-        # for b = z do not (2.5e-5 and 1.0e-4 here); the turn enters at the one column source
-        exact = hardy._taylor_columns
+        # for b = z do not (2.5e-5 and 1.0e-4 here); the turn enters at the one column source,
+        # whose spectra the cut columns and the symbol both read
+        exact = hardy._column_spectra
 
         def turned(*args):
-            for j, column in enumerate(exact(*args)):
-                yield column * np.exp(1e-4j) if j == 3 else column
+            for first, spectra in exact(*args):
+                yield first, spectra * np.exp(1e-4j * (np.arange(first, first + len(spectra)) == 3))[:, None]
 
-        monkeypatch.setattr(hardy, "_taylor_columns", turned)
+        monkeypatch.setattr(hardy, "_column_spectra", turned)
         cfg = RunConfig(**FAST)
         residuals = {
-            spec.check_id: spec.runner(cfg, cfg.product(), np.random.default_rng(0))[0]
+            spec.check_id: spec.runner(cfg, cfg.product(), random.Random(0))[0]
             for spec in MANIFEST
             if spec.check_id in ("composition_isometry", "toeplitz_covariance", "analytic_commutation")
         }
@@ -460,8 +492,8 @@ class TestRun:
         monkeypatch.setattr(TransferOperator, "monomial_samples", lambda *args: exact(*args) * (1.0 + 1e-4))
         spec = next(s for s in MANIFEST if s.check_id == "toeplitz_covariance")
         cfg = RunConfig(**FAST)
-        residual, details = spec.runner(cfg, cfg.product(), np.random.default_rng(3))
-        rng = np.random.default_rng(3)
+        residual, details = spec.runner(cfg, cfg.product(), random.Random(3))
+        rng = random.Random(3)
         symbols = [verify._random_symbol(rng, band=8, analytic=False) for _ in range(10)]
         op, grid = TransferOperator(cfg.product()), CircleGrid(256)
         peaks = [1e-4 * np.max(np.abs(op.apply_samples(a.evaluate, grid))) for a in symbols]
@@ -483,10 +515,14 @@ class TestRun:
         residuals = []
         for n_trunc in (4, 8, 256):
             cfg = RunConfig(zeros=(0j, 0j), truncation=n_trunc, corner=1, grid=256)
-            residual, details = spec.runner(cfg, cfg.product(), np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))
+            residual, details = spec.runner(cfg, cfg.product(), check_rng(cfg, spec))
             assert residual == max(details["per_symbol"])
             residuals.append(residual)
-        assert residuals[0] == pytest.approx(2.56e-4, abs=5e-7) and residuals == [residuals[0]] * 3
+        # the largest peak over the 256 points that sample a band-8 residual symbol, from the run's own symbols
+        rng, z = check_rng(cfg, spec), CircleGrid(256).points
+        edges = [verify._random_symbol(rng, band=8, analytic=False).values[[16, 0]] for _ in range(10)]
+        peak = 1e-3 * max(np.max(np.abs(top * z**4 + bottom * z**-4)) for top, bottom in edges)
+        assert residuals[0] == pytest.approx(peak, abs=5e-7) and residuals == [residuals[0]] * 3
 
     def test_failing_symbol_checks_take_no_section_norm(self, monkeypatch, fresh_frame_sides):
         # the three symbol checks value a residual above tolerance by its sampled peak: at N = 4096
@@ -499,7 +535,7 @@ class TestRun:
         cfg = RunConfig(truncation=4096, corner=4, grid=256, basis_count=8, tolerances=tolerances)
         for check_id in tolerances:
             spec = next(s for s in MANIFEST if s.check_id == check_id)
-            residual, _ = spec.runner(cfg, cfg.product(), np.random.default_rng(0))
+            residual, _ = spec.runner(cfg, cfg.product(), random.Random(0))
             assert residual > 1e-300, check_id
 
     def test_scaled_element_fails_basis_factorization(self, monkeypatch):
@@ -666,6 +702,37 @@ class TestRun:
         pick = {c.check_id: c.residual for c in base.checks}["toeplitz_covariance"]
         pick_other = {c.check_id: c.residual for c in other.checks}["toeplitz_covariance"]
         assert pick != pick_other
+        details = [{c.check_id: c.details for c in report.checks}["toeplitz_covariance"] for report in (base, other)]
+        symbols = [d["per_symbol"] for d in details]
+        assert len(symbols[0]) == len(symbols[1]) == 10 and not set(symbols[0]) & set(symbols[1])
+
+    def test_runner_rng_is_the_one_the_run_hands_the_check(self):
+        # the tests that call a runner directly mirror verify._run_one's generator through check_rng
+        cfg = RunConfig(seed=5, **FAST)
+        for spec in MANIFEST:
+            if spec.check_id in ("toeplitz_covariance", "analytic_commutation"):
+                residual = spec.runner(cfg, cfg.product(), check_rng(cfg, spec))[0]
+                assert verify._run_one(spec, cfg, cfg.product(), MANIFEST.index(spec)).residual == residual
+
+    def test_fresh_run_never_imports_numpy_random_and_its_report_is_byte_stable(self):
+        # the random symbols come from the stdlib generator, seeded by a string hashed with sha512, not by
+        # Python's salted hash: two fresh interpreters with different hash seeds print the same canonical
+        # bytes, and neither loads numpy.random
+        script = (
+            "import sys\n"
+            "from blaschkeops.verify import RunConfig, emit_report, run_verify\n"
+            "cfg = RunConfig(seed=3, truncation=64, corner=4, grid=256, basis_count=8)\n"
+            "sys.stdout.write(emit_report(run_verify(cfg), 'canonical'))\n"
+            "sys.exit(3 if 'numpy.random' in sys.modules else 0)\n"
+        )
+        src = str(Path(verify.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {"PYTHONPATH": src, "PYTHONHASHSEED": hash_seed, "PATH": ""}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr or "numpy.random was imported"
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])["overall_pass"]
 
 
 def _per_pair_residuals(product, stack, n_trunc):
@@ -736,7 +803,7 @@ def _symbol_route_residuals(product, n_trunc, corner):
     out = {}
     for check_id in SYMBOLS:
         spec = next(s for s in MANIFEST if s.check_id == check_id)
-        out[check_id] = spec.runner(cfg, product, np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))[0]
+        out[check_id] = spec.runner(cfg, product, check_rng(cfg, spec))[0]
     return out
 
 
@@ -789,7 +856,7 @@ def _sized_residual(zeros, check_id):
     # no run grid is passed: neither check reads M
     spec = next(s for s in MANIFEST if s.check_id == check_id)
     cfg = RunConfig(lambda_angle=1.3, zeros=zeros)
-    return spec.runner(cfg, cfg.product(), np.random.default_rng([cfg.seed, MANIFEST.index(spec)]))
+    return spec.runner(cfg, cfg.product(), check_rng(cfg, spec))
 
 
 @pytest.mark.parametrize(
